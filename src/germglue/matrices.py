@@ -101,14 +101,6 @@ def matrix_sub(a: JetMatrix, b: JetMatrix) -> JetMatrix:
     )
 
 
-def matrix_neg(a: JetMatrix) -> JetMatrix:
-    return matrix_map(a, jet_neg)
-
-
-def matrix_scale(a: JetMatrix, s: Coeff) -> JetMatrix:
-    return matrix_map(a, lambda x: jet_scale(x, s))
-
-
 def matrix_scale_jet(a: JetMatrix, f: Jet) -> JetMatrix:
     return matrix_map(a, lambda x: jet_mul(x, f))
 
@@ -340,14 +332,6 @@ def _check_same_dims(a: JetMatrix, b: JetMatrix) -> None:
         raise ShapeError(
             f"matrix shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
         )
-
-
-def matrix_from_rows(num_vars: int, order: int, rows: Sequence[Sequence[Jet]]) -> JetMatrix:
-    lifted = [[jet_with_order(x, order) for x in row] for row in rows]
-    m = JetMatrix(lifted)
-    if m.num_vars != num_vars:
-        raise ShapeError("entries do not live in the declared variable ring")
-    return m
 
 
 def matrix_var_coeff(n: int, num_vars: int, order: int, scalar_rows: CoeffRows) -> JetMatrix:

@@ -3,11 +3,10 @@
 The pipeline certifies cocycle closure coefficient by coefficient in exact
 arithmetic.  Float mode re-checks the same chain identities numerically at
 sampled points: chains are selected with the exact rational sampler and
-exact membership tests, so the audit walks identical points under either
-float backend, and the three map evaluations per chain then run through
-the batched term-table kernels.  Residuals above the tolerance count as
-violations; for exactly closed transition families the residual is pure
-float rounding.
+exact membership tests, and the three map evaluations per chain then run
+through the batched numpy term-table kernel.  Residuals above the
+tolerance count as violations; for exactly closed transition families the
+residual is pure float rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from .atlas import ShrunkCover, _exact_point_in_q_pair
 from .jets import PolyMap, map_eval
 from .regions import Point
-from .sampling import active_backend, batch_eval, points_to_array, sample_in_tube
+from .sampling import batch_eval, points_to_array, sample_in_tube
 
 
 def batch_eval_map(f: PolyMap, points: np.ndarray) -> np.ndarray:
@@ -42,7 +41,7 @@ def float_transition_audit(
 
     Mirrors the exact transitivity audit's chain selection (same sampler,
     same membership tests), then batches the residual evaluation through
-    the float kernels.  Returns a report with the active backend, the
+    the numpy kernel.  Returns a report with the backend, the
     worst residual seen, and the count of residuals above tolerance.
     """
     inp = cover.input
@@ -57,7 +56,7 @@ def float_transition_audit(
         and (i, k) in inp.transitions
     ]
     report = {
-        "backend": active_backend(),
+        "backend": "numpy",
         "tolerance": float(tolerance),
         "chains_requested": chains,
         "chains_verified": 0,

@@ -3,17 +3,13 @@
 Certificate audits sample exact rational points (denominator-bounded grids
 with rejection), so membership tests and residual evaluations stay exact.
 
-Separately, a batched float evaluator turns a jet into a flat term table
-(exponent matrix + complex coefficients) and evaluates it over many points
-at once.  The hot kernel is compiled with numba when available; setting the
-environment variable ``GERMGLUE_NO_NUMBA`` (to any nonempty value) selects
-the pure-numpy path instead.  Both paths produce identical results up to
-float rounding and are exercised by the benchmark.
+Separately, :func:`batch_eval` turns a jet into a flat term table (exponent
+matrix + complex coefficients) and evaluates it over many points at once
+with numpy; the float-mode audit in :mod:`germglue.numeval` runs on it.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -24,33 +20,12 @@ from .jets import Jet
 from .regions import Point, Polydisc, TubeDomain, tube_as_polydisc
 from .scalars import Coeff
 
-_FORCE_NUMPY = bool(os.environ.get("GERMGLUE_NO_NUMBA"))
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:
-        _FORCE_NUMPY = True
-
-if _FORCE_NUMPY:
-    njit = None
-
-
-def active_backend() -> str:
-    return "numpy" if _FORCE_NUMPY else "numba"
-
 
 # ---------------------------------------------------------------------------
 # exact rational sampling
 # ---------------------------------------------------------------------------
 
 GRID_DENOMINATOR = 64
-
-
-def sample_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """Uniform draw from the denominator-bounded grid strictly inside (lo, hi)."""
-    k = rng.randrange(1, GRID_DENOMINATOR)
-    return lo + (hi - lo) * Fraction(k, GRID_DENOMINATOR)
 
 
 def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction,
@@ -104,7 +79,12 @@ def term_table(f: Jet) -> tuple[np.ndarray, np.ndarray]:
     return exps, coeffs
 
 
-def _eval_numpy(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+def batch_eval(f: Jet, points: np.ndarray) -> np.ndarray:
+    """Evaluate f at an array of complex points, shape (P, num_vars)."""
+    points = np.ascontiguousarray(points, dtype=np.complex128)
+    if points.ndim != 2 or points.shape[1] != f.num_vars:
+        raise ValueError("points must have shape (P, num_vars)")
+    exps, coeffs = term_table(f)
     out = np.zeros(points.shape[0], dtype=np.complex128)
     for t in range(exps.shape[0]):
         term = np.full(points.shape[0], coeffs[t])
@@ -114,40 +94,6 @@ def _eval_numpy(exps: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.
                 term = term * points[:, v] ** k
         out += term
     return out
-
-
-if not _FORCE_NUMPY:
-
-    @njit(cache=True)
-    def _eval_numba(exps, coeffs, points):  # pragma: no cover - compiled
-        n_pts = points.shape[0]
-        n_terms = exps.shape[0]
-        n_vars = exps.shape[1]
-        out = np.zeros(n_pts, dtype=np.complex128)
-        for p in range(n_pts):
-            acc = 0.0 + 0.0j
-            for t in range(n_terms):
-                term = coeffs[t]
-                for v in range(n_vars):
-                    k = exps[t, v]
-                    for _ in range(k):
-                        term = term * points[p, v]
-                acc += term
-            out[p] = acc
-        return out
-
-
-def batch_eval(f: Jet, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at an array of complex points, shape (P, num_vars)."""
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    if points.ndim != 2 or points.shape[1] != f.num_vars:
-        raise ValueError("points must have shape (P, num_vars)")
-    exps, coeffs = term_table(f)
-    if exps.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=np.complex128)
-    if _FORCE_NUMPY:
-        return _eval_numpy(exps, coeffs, points)
-    return _eval_numba(exps, coeffs, points)
 
 
 def points_to_array(points: Sequence[Point]) -> np.ndarray:

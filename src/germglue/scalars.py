@@ -1,10 +1,9 @@
 """Gaussian-rational scalars and certified square-root bounds.
 
 A :class:`Coeff` is a complex number ``re + im*i`` whose parts are exact
-:class:`fractions.Fraction` values.  All core arithmetic in the package is
-exact; an opt-in floating mode (see :func:`set_float_tolerance`) lets the
-same code run with binary floats, in which case every equality test is
-governed by one global tolerance.
+:class:`fractions.Fraction` values.  It is the package's one scalar type:
+every equality test is exact, and float work (the float-mode audit) runs on
+numpy arrays in :mod:`germglue.sampling` and :mod:`germglue.numeval`.
 
 The module also provides rational upper/lower bounds for square roots of
 non-negative rationals.  These are what make disc geometry decidable: a
@@ -20,39 +19,17 @@ from typing import Union
 
 Rat = Fraction
 
-# None means exact mode.  A Fraction-or-float tolerance enables float mode
-# equality semantics: |a - b| <= tolerance counts as equal.
-_tolerance: float | None = None
-
-
-def set_float_tolerance(tol: float | None) -> None:
-    """Enable float-mode comparisons with tolerance ``tol``; ``None`` restores
-    exact mode."""
-    global _tolerance
-    if tol is not None and tol < 0:
-        raise ValueError("tolerance must be non-negative")
-    _tolerance = None if tol is None else float(tol)
-
-
-def float_tolerance() -> float | None:
-    return _tolerance
-
-
-Number = Union[int, Fraction, float]
+Number = Union[int, Fraction]
 
 
 class Coeff:
-    """Complex scalar with exact rational (or float, in float mode) parts."""
+    """Complex scalar with exact rational parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Number = 0, im: Number = 0):
-        if isinstance(re, float) or isinstance(im, float):
-            self.re = float(re)
-            self.im = float(im)
-        else:
-            self.re = re if isinstance(re, Fraction) else Fraction(re)
-            self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -87,15 +64,12 @@ class Coeff:
         return Coeff(self.re, -self.im)
 
     def abs2(self):
-        """|z|^2, exact in exact mode."""
+        """|z|^2, exact."""
         return self.re * self.re + self.im * self.im
 
     # -- comparisons --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        tol = _tolerance
-        if tol is not None and (isinstance(self.re, float) or isinstance(self.im, float)):
-            return abs(self.re) <= tol and abs(self.im) <= tol
         return not (self.re or self.im)
 
     def __eq__(self, other: object) -> bool:
@@ -118,19 +92,12 @@ ONE = Coeff(1)
 
 def coeff_abs_ub(c: Coeff) -> Fraction:
     """Rational upper bound for |c|; exact when |c|^2 is a rational square."""
-    a2 = c.abs2()
-    if isinstance(a2, float):
-        return Fraction(math.sqrt(a2)).limit_denominator(10**12) + Fraction(1, 10**9)
-    return sqrt_ub(a2)
+    return sqrt_ub(c.abs2())
 
 
 def coeff_abs_lb(c: Coeff) -> Fraction:
     """Rational lower bound for |c|."""
-    a2 = c.abs2()
-    if isinstance(a2, float):
-        f = Fraction(math.sqrt(a2)).limit_denominator(10**12) - Fraction(1, 10**9)
-        return f if f > 0 else Fraction(0)
-    return sqrt_lb(a2)
+    return sqrt_lb(c.abs2())
 
 
 def _isqrt_ceil(n: int) -> int:

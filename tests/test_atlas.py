@@ -9,6 +9,7 @@ import pytest
 from germglue.atlas import (
     GermAtlasInput,
     GermTransition,
+    TripleCertificate,
     audit_cover_certificates,
     audit_transitivity,
     build_glued_atlas,
@@ -369,17 +370,50 @@ def test_chart_map_must_fix_zero_section():
 # ---------------------------------------------------------------------------
 
 
-def test_build_requires_closedness():
-    inp = identity_atlas()
+def shrunk_cover(inp: GermAtlasInput):
+    """The cover as the pipeline hands it to the triple stage."""
     from germglue.regions import refine_cover
 
     triple_list = refine_cover([inp.charts[c] for c in sorted(inp.charts)])
     triples = dict(zip(sorted(inp.charts), triple_list))
     overlaps = compute_overlaps(inp, triples)
-    cover = shrink_tubes(inp, triples, overlaps)
+    return shrink_tubes(inp, triples, overlaps)
+
+
+def test_build_requires_closedness():
+    cover = shrunk_cover(identity_atlas())
     certs = enforce_triple_domains(cover)
     with pytest.raises(Exception):
         build_glued_atlas(cover, certs, {"closed": False})
     closed = check_closed_relation(cover, samples=20)
     atlas = build_glued_atlas(cover, certs, closed)
     assert atlas.certificates["equivalence_relation"]["symmetric"] is True
+
+
+def test_build_reads_symmetry_from_inverse_pair_triples():
+    cover = shrunk_cover(identity_atlas())
+    certs = enforce_triple_domains(cover)
+    closed = check_closed_relation(cover, samples=20)
+    key = ("A", "B", "A")
+    assert not certs[key].vacuous
+    certs[key] = TripleCertificate(key, False, certs[key].domain_margin, False, "forced")
+    atlas = build_glued_atlas(cover, certs, closed)
+    assert atlas.certificates["equivalence_relation"]["symmetric"] is False
+    assert atlas.certificates["hausdorff"]["holds"] is False
+
+
+def test_triple_stage_composes_each_triple_once(monkeypatch):
+    import germglue.atlas
+
+    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(4), F(16))))
+    calls = []
+    real = germglue.atlas.map_compose
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(germglue.atlas, "map_compose", counted)
+    certs = enforce_triple_domains(cover)
+    assert cover.halvings == 1
+    assert 0 < len(calls) <= len(certs)

@@ -81,7 +81,7 @@ def test_glue_float_mode_attaches_audit(tmp_path):
     assert code == 0
     audit = envelope["report"]["float_audit"]
     assert audit["ok"]
-    assert audit["backend"] in ("numba", "numpy")
+    assert audit["backend"] == "numpy"
     assert audit["violations"] == 0
     assert audit["max_residual"] < 1e-9
 

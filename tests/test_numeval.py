@@ -1,9 +1,6 @@
 """Float batch evaluation agrees with exact evaluation; chain audits."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +8,7 @@ import numpy as np
 from germglue.atlas import GermTransition, run_glue_pipeline
 from germglue.jets import Jet, PolyMap, identity_map, jet_add, jet_const, map_eval
 from germglue.numeval import batch_eval_map, float_transition_audit
-from germglue.sampling import _eval_numpy, batch_eval, points_to_array, term_table
+from germglue.sampling import points_to_array
 from germglue.scalars import Coeff
 
 from .test_atlas import identity_atlas, scaling_atlas
@@ -52,23 +49,6 @@ def test_batch_map_matches_exact_eval():
             assert np.abs(row - want).max() < 1e-9
 
 
-def test_numpy_kernel_matches_active_backend():
-    rng = random.Random(3)
-    f = random_jet(rng, num_vars=2, order=5, max_terms=15)
-    pts = points_to_array(random_points(rng, 25, 2))
-    exps, coeffs = term_table(f)
-    reference = _eval_numpy(exps, coeffs, pts)
-    assert np.abs(batch_eval(f, pts) - reference).max() < 1e-12
-
-
-def test_backend_env_flag_selects_numpy():
-    code = "import germglue.sampling as s; print(s.active_backend())"
-    env = dict(os.environ, GERMGLUE_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
 def test_float_audit_exact_cocycle_has_tiny_residuals():
     _, atlas = run_glue_pipeline(scaling_atlas(), samples=10)
     audit = float_transition_audit(atlas.cover, chains=40, seed=5)
@@ -76,7 +56,7 @@ def test_float_audit_exact_cocycle_has_tiny_residuals():
     assert audit["violations"] == 0
     assert audit["chains_verified"] == 40
     assert audit["max_residual"] < 1e-12
-    assert audit["backend"] in ("numba", "numpy")
+    assert audit["backend"] == "numpy"
 
 
 def test_float_audit_flags_tampered_transition():

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +10,6 @@ import numpy as np
 from germglue.jets import jet_eval, jet_from_terms
 from germglue.regions import Polydisc, TubeDomain, point_in_polydisc, point_in_tube
 from germglue.sampling import (
-    active_backend,
     batch_eval,
     points_to_array,
     sample_in_polydisc,
@@ -84,40 +81,3 @@ def test_batch_eval_matches_exact_eval():
         exact = jet_eval(f, pt)
         assert abs(value - complex(exact.re, exact.im)) < 1e-9
 
-
-def test_numpy_fallback_matches(tmp_path):
-    # run the same evaluation in a subprocess with the fallback forced
-    code = (
-        "import os\n"
-        "os.environ['GERMGLUE_NO_NUMBA'] = '1'\n"
-        "import numpy as np\n"
-        "from fractions import Fraction\n"
-        "from germglue.jets import jet_from_terms\n"
-        "from germglue.sampling import batch_eval, active_backend\n"
-        "from germglue.scalars import Coeff\n"
-        "assert active_backend() == 'numpy'\n"
-        "f = jet_from_terms(2, 4, [((1, 0), Coeff(Fraction(-2), Fraction(1, 2))),"
-        " ((1, 2), Coeff(Fraction(0), Fraction(1)))])\n"
-        "pts = np.array([[0.5 + 0.25j, -0.125j], [1.0, 1.0]])\n"
-        "print(repr(batch_eval(f, pts).tolist()))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    values = eval(out.stdout.strip())
-    f = jet_from_terms(
-        2,
-        4,
-        [
-            ((1, 0), Coeff(Fraction(-2), Fraction(1, 2))),
-            ((1, 2), Coeff(Fraction(0), Fraction(1))),
-        ],
-    )
-    here = batch_eval(
-        f, np.array([[0.5 + 0.25j, -0.125j], [1.0, 1.0]], dtype=np.complex128)
-    )
-    assert np.allclose(np.array(values), here)
-
-
-def test_active_backend_reports():
-    assert active_backend() in ("numba", "numpy")

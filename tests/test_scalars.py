@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -14,8 +13,6 @@ from germglue.scalars import (
     ZERO,
     coeff_abs_lb,
     coeff_abs_ub,
-    float_tolerance,
-    set_float_tolerance,
     sqrt_lb,
     sqrt_ub,
 )
@@ -49,19 +46,6 @@ def test_real_fast_path_matches_general():
     assert a * b == Coeff(Fraction(-6, 35))
 
 
-def test_float_mode_tolerance():
-    set_float_tolerance(1e-9)
-    try:
-        assert float_tolerance() == 1e-9
-        assert Coeff(1e-12).is_zero()
-        assert Coeff(1.0) == Coeff(1.0 + 1e-12)
-        assert not Coeff(1e-6).is_zero()
-    finally:
-        set_float_tolerance(None)
-    # exact mode: no slack at all
-    assert not Coeff(Fraction(1, 10**12)).is_zero()
-
-
 rationals = st.builds(
     Fraction, st.integers(min_value=0, max_value=10**6), st.integers(1, 997)
 )
@@ -87,9 +71,3 @@ def test_abs_bounds_bracket_modulus(c):
     lo, hi = coeff_abs_lb(c), coeff_abs_ub(c)
     assert lo * lo <= c.abs2() <= hi * hi
     assert lo >= 0
-
-
-def test_abs_bounds_float_mode():
-    c = Coeff(3.0, 4.0)
-    assert math.isclose(float(coeff_abs_ub(c)), 5.0, rel_tol=1e-6)
-    assert coeff_abs_ub(c) >= 5 >= coeff_abs_lb(c)
