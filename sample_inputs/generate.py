@@ -172,9 +172,9 @@ def identity_bundle(order: int = 3) -> SheafInput:
     )
 
 
-def main() -> None:
-    here = os.path.dirname(os.path.abspath(__file__))
-    docs = {
+def build_documents() -> dict:
+    """Every sample document, keyed by its file name in this directory."""
+    return {
         "identity-atlas.json": atlas_input_to_json(identity_atlas()),
         "pinch-atlas.json": atlas_input_to_json(pinch_atlas()),
         "scaling-atlas.json": atlas_input_to_json(scaling_atlas()),
@@ -189,12 +189,22 @@ def main() -> None:
             points=[("A", (Coeff(F(1, 10)), Coeff(0)))],
         ),
     }
+
+
+def document_text(doc: dict) -> str:
+    """A document as it is stored in this directory."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_documents(docs: dict, directory: str) -> None:
     for name, doc in docs.items():
-        path = os.path.join(here, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(document_text(doc))
         print(f"wrote {name}")
+
+
+def main() -> None:
+    write_documents(build_documents(), os.path.dirname(os.path.abspath(__file__)))
 
 
 if __name__ == "__main__":

@@ -57,6 +57,7 @@ from .jets import (
 )
 from .regions import (
     CoverTriple,
+    Point,
     Polydisc,
     TubeDomain,
     disc_lens_outer_candidates,
@@ -327,7 +328,6 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
                 })
 
     cocycle_checked = 0
-    cocycle_skipped = []
     chart_ids = sorted(inp.charts, key=repr)
     for i in chart_ids:
         for j in chart_ids:
@@ -365,7 +365,6 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
         "order": inp.order,
         "transitions_checked": len(inp.transitions),
         "cocycle_triples_checked": cocycle_checked,
-        "cocycle_triples_skipped": cocycle_skipped,
         "violations": violations,
     }
     if violations:
@@ -748,17 +747,17 @@ def enforce_triple_domains(
 # ---------------------------------------------------------------------------
 
 
-def _exact_point_in_q_pair(cover: ShrunkCover, i, j, x) -> bool:
-    """Certified membership of x in Q_ij = Q_i ∩ O_ij ∩ phi_ij^{-1}(Q_j):
-    exact for the Q parts, via the certified inner tube for the O part."""
-    inp = cover.input
+def _q_pair_image(cover: ShrunkCover, i, j, x) -> Optional[Point]:
+    """phi_ij(x) when x is certified in Q_ij = Q_i ∩ O_ij ∩ phi_ij^{-1}(Q_j),
+    else None: exact for the Q parts, via the certified inner tube for the
+    O part.  The only place a sampled point's transition image is computed."""
     if not point_in_tube(x, cover.tubes[i], strict=True):
-        return False
+        return None
     data = cover.overlaps.get((i, j))
     if data is None or data.vacuous or not point_in_tube(x, data.o_inner, strict=True):
-        return False
-    image = map_eval(inp.transitions[(i, j)].map, x)
-    return point_in_tube(image, cover.tubes[j], strict=True)
+        return None
+    image = map_eval(cover.input.transitions[(i, j)].map, x)
+    return image if point_in_tube(image, cover.tubes[j], strict=True) else None
 
 
 def check_closed_relation(
@@ -766,9 +765,11 @@ def check_closed_relation(
     samples: int = 200,
     seed: int = 0,
 ) -> dict:
-    """Closedness of the gluing relation: guaranteed by the positive (c)
-    margins (relative compactness of each overlap graph); additionally runs
-    a seeded separation audit on sampled non-equivalent point pairs."""
+    """Closedness of the gluing relation.
+
+    ``closed`` follows from the positive (c) margins (relative compactness
+    of each overlap graph).  The seeded separation audit on sampled
+    non-equivalent point pairs is reporting only: it decides nothing."""
     margins = []
     for (i, j), cert in cover.pairs.items():
         if cert.vacuous:
@@ -779,7 +780,6 @@ def check_closed_relation(
             )
         margins.append(cert.margin)
     rng = random.Random(seed)
-    inp = cover.input
     pairs = [pk for pk, cert in cover.pairs.items() if not cert.vacuous]
     audited = separated = skipped = 0
     min_separation: Optional[Fraction] = None
@@ -788,10 +788,10 @@ def check_closed_relation(
             i, j = pairs[rng.randrange(len(pairs))]
             x = sample_in_tube(rng, cover.tubes[i])
             y = sample_in_tube(rng, cover.tubes[j])
-            if not _exact_point_in_q_pair(cover, i, j, x):
+            partner = _q_pair_image(cover, i, j, x)
+            if partner is None:
                 skipped += 1
                 continue
-            partner = map_eval(inp.transitions[(i, j)].map, x)
             gaps = [(yc - pc).abs2() for yc, pc in zip(y, partner)]
             gap = max(gaps)
             audited += 1
@@ -969,7 +969,7 @@ def audit_cover_certificates(
             i, j = live_pairs[rng.randrange(len(live_pairs))]
             cert = cover.pairs[(i, j)]
             y = sample_in_tube(rng, cert.bound)
-            if _exact_point_in_q_pair(cover, i, j, y):
+            if _q_pair_image(cover, i, j, y) is not None:
                 counts["c"] += 1
                 data = cover.overlaps[(i, j)]
                 if not (point_in_tube(y, data.witness, strict=False)
@@ -987,12 +987,11 @@ def audit_cover_certificates(
                     min(t_ij.fiber_radius, t_ik.fiber_radius),
                 )
                 y = sample_in_tube(rng, probe)
-                in_ij = _exact_point_in_q_pair(cover, i, j, y)
-                in_ik = True if k == i else _exact_point_in_q_pair(cover, i, k, y)
-                if in_ij and in_ik:
+                image = _q_pair_image(cover, i, j, y)
+                in_ik = k == i or _q_pair_image(cover, i, k, y) is not None
+                if image is not None and in_ik:
                     counts["d"] += 1
                     target = cover.overlaps[(j, k) if k != i else (j, i)]
-                    image = map_eval(inp.transitions[(i, j)].map, y)
                     if not point_in_tube(image, target.o_inner, strict=False):
                         violations["d"] += 1
                     counts["e"] += 1
@@ -1006,16 +1005,12 @@ def audit_cover_certificates(
     return {"samples": samples, "checked": counts, "violations": violations}
 
 
-def audit_transitivity(
-    cover: ShrunkCover,
-    chains: int = 1000,
-    seed: int = 0,
-) -> dict:
-    """Sampled transitivity: for chains x ~ y ~ z built from exact transition
-    evaluations, verify z equals the direct transition of x exactly.
-
-    Sound for inputs whose transitions satisfy the cocycle exactly as
-    polynomial maps (the jets then evaluate as the maps themselves)."""
+def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list, int]:
+    """Seeded chains x ~ y ~ z: x sampled in Q_ij, y = phi_ij(x) in Q_jk,
+    z = phi_jk(y), over the live triples (nonvacuous (i, j) and (j, k) with
+    a transition (i, k)).  Stops after ``chains`` accepted chains or
+    ``chains * 200`` attempts; returns the accepted ``(i, j, k, x, z)``
+    chains and the attempt count."""
     inp = cover.input
     rng = random.Random(seed)
     live = [
@@ -1027,27 +1022,42 @@ def audit_transitivity(
         and (j, k) in cover.pairs and not cover.pairs[(j, k)].vacuous
         and (i, k) in inp.transitions
     ]
-    if not live:
-        return {"chains_requested": chains, "chains_verified": 0, "violations": 0}
-    verified = violations = attempts = 0
-    max_attempts = chains * 200
-    while verified < chains and attempts < max_attempts:
+    accepted: list = []
+    attempts = 0
+    max_attempts = chains * 200 if live else 0
+    while len(accepted) < chains and attempts < max_attempts:
         attempts += 1
         i, j, k = live[rng.randrange(len(live))]
         x = sample_in_tube(rng, cover.pairs[(i, j)].bound)
-        if not _exact_point_in_q_pair(cover, i, j, x):
+        y = _q_pair_image(cover, i, j, x)
+        if y is None:
             continue
-        y = map_eval(inp.transitions[(i, j)].map, x)
-        if not _exact_point_in_q_pair(cover, j, k, y):
-            continue
-        z = map_eval(inp.transitions[(j, k)].map, y)
-        direct = map_eval(inp.transitions[(i, k)].map, x)
-        verified += 1
+        z = _q_pair_image(cover, j, k, y)
+        if z is not None:
+            accepted.append((i, j, k, x, z))
+    return accepted, attempts
+
+
+def audit_transitivity(
+    cover: ShrunkCover,
+    chains: int = 1000,
+    seed: int = 0,
+) -> dict:
+    """Sampled transitivity: for chains x ~ y ~ z from ``sample_chains``,
+    verify z equals the direct transition of x exactly.
+
+    Sound for inputs whose transitions satisfy the cocycle exactly as
+    polynomial maps (the jets then evaluate as the maps themselves)."""
+    transitions = cover.input.transitions
+    selected, attempts = sample_chains(cover, chains, seed)
+    violations = 0
+    for i, j, k, x, z in selected:
+        direct = map_eval(transitions[(i, k)].map, x)
         if any(not (a - b).is_zero() for a, b in zip(z, direct)):
             violations += 1
     return {
         "chains_requested": chains,
-        "chains_verified": verified,
+        "chains_verified": len(selected),
         "violations": violations,
         "attempts": attempts,
     }

@@ -132,10 +132,6 @@ def matrix_eq(a: JetMatrix, b: JetMatrix) -> bool:
     )
 
 
-def matrix_is_zero(a: JetMatrix) -> bool:
-    return all(jet_is_zero(x) for row in a.entries for x in row)
-
-
 def matrix_partial(a: JetMatrix, var: int) -> JetMatrix:
     return matrix_map(a, lambda x: jet_partial(x, var))
 
@@ -249,16 +245,6 @@ def matrix_inverse(a: JetMatrix) -> JetMatrix:
 # ---------------------------------------------------------------------------
 # exact scalar linear algebra
 # ---------------------------------------------------------------------------
-
-
-def coeff_matmul(a: CoeffRows, b: CoeffRows) -> CoeffRows:
-    if not a or not b or len(a[0]) != len(b):
-        raise ShapeError("scalar matrix shape mismatch")
-    cols = len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols)]
-        for i in range(len(a))
-    ]
 
 
 def coeff_matvec(a: CoeffRows, v: Sequence[Coeff]) -> list[Coeff]:

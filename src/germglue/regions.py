@@ -235,15 +235,6 @@ def polydisc_rel_compact(inner: Polydisc, outer: Polydisc) -> Optional[Fraction]
     return min(margins)
 
 
-def polydisc_disjoint(a: Polydisc, b: Polydisc) -> bool:
-    """Certified emptiness of the intersection (disjoint in some coordinate)."""
-    _check_same_dim(a, b)
-    return any(
-        discs_disjoint(ca, ra, cb, rb)
-        for ca, ra, cb, rb in zip(a.centers, a.radii, b.centers, b.radii)
-    )
-
-
 def polydisc_intersection_outer(a: Polydisc, b: Polydisc) -> Optional[Polydisc]:
     """Polydisc certified to contain the intersection; None when the
     intersection is certifiably empty."""
@@ -352,24 +343,6 @@ def tube_rel_compact(inner: TubeDomain, outer: TubeDomain) -> Optional[Fraction]
 
 def point_in_tube(x: Sequence[Coeff], t: TubeDomain, strict: bool = True) -> bool:
     return point_in_polydisc(x, tube_as_polydisc(t), strict=strict)
-
-
-def contains(inner, outer) -> bool:
-    """Certified containment for matching region types."""
-    if isinstance(inner, Polydisc) and isinstance(outer, Polydisc):
-        return polydisc_contains(inner, outer)
-    if isinstance(inner, TubeDomain) and isinstance(outer, TubeDomain):
-        return tube_contains(inner, outer)
-    raise ShapeError("containment needs two regions of the same type")
-
-
-def rel_compact(inner, outer) -> Optional[Fraction]:
-    """Certified strict containment margin for matching region types."""
-    if isinstance(inner, Polydisc) and isinstance(outer, Polydisc):
-        return polydisc_rel_compact(inner, outer)
-    if isinstance(inner, TubeDomain) and isinstance(outer, TubeDomain):
-        return tube_rel_compact(inner, outer)
-    raise ShapeError("containment needs two regions of the same type")
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,6 @@ def sample_in_tube(rng: random.Random, t: TubeDomain,
     return sample_in_polydisc(rng, tube_as_polydisc(t), shrink)
 
 
-def sample_on_zero_section(rng: random.Random, t: TubeDomain,
-                           shrink: Fraction = Fraction(9, 10)) -> Point:
-    base = sample_in_polydisc(rng, t.base, shrink)
-    from .scalars import ZERO
-
-    return base + (ZERO,) * t.fiber_dim
-
-
 # ---------------------------------------------------------------------------
 # float term tables and batched evaluation
 # ---------------------------------------------------------------------------

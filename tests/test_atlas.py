@@ -270,6 +270,13 @@ def test_scaling_pipeline_and_transitivity_chains():
     assert audit["violations"] == 0
 
 
+def test_transitivity_without_chains_reports_zero_attempts():
+    _, atlas = run_glue_pipeline(pinch_atlas(), samples=10)
+    audit = audit_transitivity(atlas.cover, chains=50, seed=1)
+    assert audit["attempts"] == 0
+    assert audit["chains_verified"] == audit["violations"] == 0
+
+
 def test_broken_cocycle_blocks_pipeline():
     with pytest.raises(ValidationFailure):
         run_glue_pipeline(broken_cocycle_atlas())
@@ -417,3 +424,20 @@ def test_triple_stage_composes_each_triple_once(monkeypatch):
     certs = enforce_triple_domains(cover)
     assert cover.halvings == 1
     assert 0 < len(calls) <= len(certs)
+
+
+def test_closedness_evaluates_each_sample_at_most_once(monkeypatch):
+    import germglue.atlas
+
+    cover = shrunk_cover(pinch_atlas())
+    calls = []
+    real = germglue.atlas.map_eval
+
+    def counted(f, x):
+        calls.append(x)
+        return real(f, x)
+
+    monkeypatch.setattr(germglue.atlas, "map_eval", counted)
+    closed = check_closed_relation(cover, samples=40, seed=3)
+    assert closed["audit"]["audited"] > 0
+    assert len(calls) <= 40

@@ -1,5 +1,7 @@
 """Round trips through the JSON document layer and schema rejection."""
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -213,3 +215,17 @@ def test_dump_report_is_canonical():
     b = dump_report({"a": {"x": 2, "y": F(1, 3)}, "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+def test_committed_sample_inputs_match_generator():
+    samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+    spec = importlib.util.spec_from_file_location(
+        "sample_inputs_generate", samples / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    docs = generate.build_documents()
+    assert sorted(docs) == sorted(p.name for p in samples.glob("*.json"))
+    for name, doc in docs.items():
+        expected = generate.document_text(doc).encode("utf-8")
+        assert (samples / name).read_bytes() == expected, name

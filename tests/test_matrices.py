@@ -22,7 +22,6 @@ from germglue.jets import (
 from germglue.matrices import (
     JetMatrix,
     coeff_det,
-    coeff_matmul,
     coeff_matvec,
     coeff_rank,
     column_span_rank,
@@ -31,7 +30,6 @@ from germglue.matrices import (
     matrix_eval,
     matrix_identity,
     matrix_inverse,
-    matrix_is_zero,
     matrix_mul,
     matrix_partial,
     matrix_sub,
@@ -178,10 +176,3 @@ def test_rank_bounds_and_det_consistency(rows):
     assert 0 <= r <= 3
     d = coeff_det(rows)
     assert (r == 3) == (not d.is_zero())
-
-
-def test_coeff_matmul_assoc():
-    a = [[frac(1), frac(2)], [frac(0), frac(1)]]
-    b = [[frac(1), frac(0)], [frac(3), frac(1)]]
-    c = [[frac(2), frac(1)], [frac(1), frac(1)]]
-    assert coeff_matmul(coeff_matmul(a, b), c) == coeff_matmul(a, coeff_matmul(b, c))

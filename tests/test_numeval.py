@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from germglue.atlas import GermTransition, run_glue_pipeline
+from germglue.atlas import GermTransition, audit_transitivity, run_glue_pipeline
 from germglue.jets import Jet, PolyMap, identity_map, jet_add, jet_const, map_eval
 from germglue.numeval import batch_eval_map, float_transition_audit
 from germglue.sampling import points_to_array
@@ -80,3 +80,12 @@ def test_float_audit_deterministic_for_seed():
     first = float_transition_audit(atlas.cover, chains=30, seed=9)
     second = float_transition_audit(atlas.cover, chains=30, seed=9)
     assert first == second
+
+
+def test_float_and_exact_audits_share_chain_selection():
+    _, atlas = run_glue_pipeline(scaling_atlas(), samples=10)
+    exact = audit_transitivity(atlas.cover, chains=30, seed=4)
+    numeric = float_transition_audit(atlas.cover, chains=30, seed=4)
+    assert exact["attempts"] > exact["chains_verified"] == 30
+    assert numeric["attempts"] == exact["attempts"]
+    assert numeric["chains_verified"] == exact["chains_verified"]

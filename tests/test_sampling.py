@@ -14,7 +14,6 @@ from germglue.sampling import (
     points_to_array,
     sample_in_polydisc,
     sample_in_tube,
-    sample_on_zero_section,
     term_table,
 )
 from germglue.scalars import Coeff
@@ -39,9 +38,6 @@ def test_tube_samples_inside():
     for _ in range(100):
         pt = sample_in_tube(rng, t)
         assert point_in_tube(pt, t, strict=True)
-    zs = sample_on_zero_section(rng, t)
-    assert zs[1].is_zero() and zs[2].is_zero()
-    assert point_in_tube(zs, t, strict=False)
 
 
 def test_sampling_deterministic_under_seed():
