@@ -246,13 +246,6 @@ class GluedAtlas:
 # ---------------------------------------------------------------------------
 
 
-def _first_violation_terms(residual: Jet) -> list[dict]:
-    out = []
-    for e, c in grlex_terms(residual):
-        out.append({"exponent": list(e), "value": c})
-    return out
-
-
 def _zero_section_residuals(inp: GermAtlasInput, f: PolyMap) -> list[tuple[int, Jet]]:
     """Component residuals of phi(t, 0) - (t, 0)."""
     fiber = list(inp.fiber_indices())
@@ -298,10 +291,10 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
                                "detail": "transition has a constant term"})
             continue
         for idx, residual in _zero_section_residuals(inp, f):
-            terms = _first_violation_terms(residual)
+            exp, value = grlex_terms(residual)[0]
             violations.append({
                 "kind": "zero_section", "pair": [i, j], "component": idx,
-                "exponent": terms[0]["exponent"], "value": terms[0]["value"],
+                "exponent": list(exp), "value": value,
             })
         if (j, i) not in inp.transitions:
             violations.append({"kind": "inverse_pair", "pair": [i, j],
@@ -321,10 +314,10 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
         residual = map_sub(composed, ident)
         for idx, comp in enumerate(residual.components):
             if not jet_is_zero(comp):
-                terms = _first_violation_terms(comp)
+                exp, value = grlex_terms(comp)[0]
                 violations.append({
                     "kind": "inverse_pair", "pair": [i, j], "component": idx,
-                    "exponent": terms[0]["exponent"], "value": terms[0]["value"],
+                    "exponent": list(exp), "value": value,
                 })
 
     cocycle_checked = 0
@@ -354,10 +347,10 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
                 cocycle_checked += 1
                 for idx, comp in enumerate(residual.components):
                     if not jet_is_zero(comp):
-                        terms = _first_violation_terms(comp)
+                        exp, value = grlex_terms(comp)[0]
                         violations.append({
                             "kind": "cocycle", "triple": [i, j, k], "component": idx,
-                            "exponent": terms[0]["exponent"], "value": terms[0]["value"],
+                            "exponent": list(exp), "value": value,
                         })
 
     report = {
@@ -1109,10 +1102,10 @@ def glue_chartwise_maps(
         bad = _zero_section_residuals(inp1, psi)
         if bad:
             idx, residual = bad[0]
-            terms = _first_violation_terms(residual)
+            exp, value = grlex_terms(residual)[0]
             raise ValidationFailure(
                 f"chart map {cid!r} is not the identity on the zero section "
-                f"(component {idx}, exponent {terms[0]['exponent']})"
+                f"(component {idx}, exponent {list(exp)})"
             )
 
     def trunc(m: PolyMap) -> PolyMap:
@@ -1128,10 +1121,10 @@ def glue_chartwise_maps(
         residual = map_sub(lhs, rhs)
         for idx, comp in enumerate(residual.components):
             if not jet_is_zero(comp):
-                terms = _first_violation_terms(comp)
+                exp, value = grlex_terms(comp)[0]
                 raise AgreementError(
                     f"chart maps disagree on overlap {(i, j)!r}: component {idx}, "
-                    f"exponent {terms[0]['exponent']}, value {terms[0]['value']!r}"
+                    f"exponent {list(exp)}, value {value!r}"
                 )
 
     epsilons: Dict[object, Fraction] = {}

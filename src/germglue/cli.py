@@ -81,7 +81,11 @@ class JobSpec:
 def _floor(job: JobSpec):
     if job.radius_floor is None:
         return RADIUS_FLOOR_DEFAULT
-    return fraction_from_json(job.radius_floor)
+    floor = fraction_from_json(job.radius_floor)
+    if floor <= 0:
+        # the radius-halving loops only stop at a positive floor
+        raise SchemaError(f"--radius-floor must be positive, got {job.radius_floor}")
+    return floor
 
 
 def _float_audit(job: JobSpec, cover) -> dict:

@@ -4,14 +4,15 @@ Exact scalars travel as fraction strings ("3/4", "-2"); a complex value
 with nonzero imaginary part becomes {"re": ..., "im": ...}.  Jets are term
 lists under their declared variable count and order; maps, matrices, and
 regions nest those.  Every input document carries a "schema" field naming
-its contract version, and is checked against the matching JSON Schema
-shipped in ``germglue/schemas`` before decoding.  Structural violations
+its contract version, and each decoder checks it against the matching JSON
+Schema shipped in ``germglue/schemas`` before decoding.  Structural violations
 raise SchemaError; semantic violations found later (germ axioms, cocycle
 failures) keep their own error types.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -38,27 +39,34 @@ SCHEMA_IDS = {
 }
 
 
-def _schema_for(kind: str) -> dict:
+@functools.cache
+def _validator(kind: str):
+    """The kind's schema, read and meta-checked once per process."""
     name = f"{kind}.v1.json"
     path = resources.files("germglue").joinpath("schemas", name)
-    return json.loads(path.read_text())
+    schema = json.loads(path.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_document(doc: object, kind: str) -> dict:
     """Check a parsed document against the published schema for ``kind``."""
     if kind not in SCHEMA_IDS:
         raise SchemaError(f"unknown document kind {kind!r}")
-    try:
-        jsonschema.validate(doc, _schema_for(kind))
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{kind} document rejected: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
+    if error is not None:
+        raise SchemaError(f"{kind} document rejected: {error.message}") from error
     return doc
 
 
 def load_document(path: str, kind: str) -> dict:
+    """Read and parse a JSON document of the given kind.
+
+    The schema check is left to the kind's decoder (``atlas_input_from_json``
+    and its siblings), so each document is checked once."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return validate_document(doc, kind)
+        return json.load(handle)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from germglue import documents
 from germglue.cli import main
 from germglue.documents import validate_document
 
@@ -150,6 +151,42 @@ def test_wrong_document_kind_exits_4(tmp_path):
     code, envelope, _ = run_cli(tmp_path, "glue", SAMPLES / "rank2-sheaf.json")
     assert code == 4
     assert envelope["error"]["kind"] == "SchemaError"
+    assert envelope["error"]["message"] == (
+        "atlas-input document rejected: 'base_dim' is a required property"
+    )
+
+
+@pytest.mark.parametrize("floor", ["0", "-1/2"])
+def test_nonpositive_radius_floor_exits_4(tmp_path, floor):
+    code, envelope, _ = run_cli(
+        tmp_path, "glue", SAMPLES / "identity-atlas.json", f"--radius-floor={floor}"
+    )
+    assert code == 4
+    assert envelope["error"]["kind"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (["glue", SAMPLES / "identity-atlas.json"], 1),
+        (["glue-sheaf", SAMPLES / "rank2-sheaf.json",
+          "--atlas", SAMPLES / "pinch-atlas.json"], 2),
+        # the outer document, its atlas and sheaf, and each of 3 charts
+        (["glue-tep", SAMPLES / "tep-glue.json"], 6),
+    ],
+    ids=["glue", "glue-sheaf", "glue-tep"],
+)
+def test_each_document_is_schema_checked_once(tmp_path, monkeypatch, argv, checks):
+    calls = []
+
+    def counted(doc, kind):
+        calls.append(kind)
+        return validate_document(doc, kind)
+
+    monkeypatch.setattr(documents, "validate_document", counted)
+    code = main([*map(str, argv), "--samples", "10", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == checks
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

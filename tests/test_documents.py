@@ -189,6 +189,11 @@ def test_unexpected_keys_rejected():
         validate_document(doc, "atlas-input")
 
 
+def test_unknown_document_kind_rejected():
+    with pytest.raises(SchemaError, match="unknown document kind"):
+        validate_document({}, "nope")
+
+
 def test_report_envelope_schema():
     envelope = {
         "schema": "germglue/report/v1",
