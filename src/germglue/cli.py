@@ -88,6 +88,15 @@ def _floor(job: JobSpec):
     return floor
 
 
+def _check_budgets(job: JobSpec) -> None:
+    # a negative sample count would be written into the report as run, and
+    # a search depth below 1 would end as a false gluing obstruction
+    if job.samples < 0:
+        raise SchemaError(f"--samples must be >= 0, got {job.samples}")
+    if job.n_max < 1:
+        raise SchemaError(f"--n-max must be >= 1, got {job.n_max}")
+
+
 def _float_audit(job: JobSpec, cover) -> dict:
     return float_transition_audit(
         cover, chains=job.samples, seed=job.seed, tolerance=job.tolerance
@@ -220,6 +229,7 @@ def _error_payload(exc: Exception) -> dict:
 def run(job: JobSpec) -> int:
     """Execute a job, write its report document, print a summary."""
     try:
+        _check_budgets(job)
         ok, payload, code = _COMMANDS[job.command](job)
     except ValidationFailure as exc:
         ok, payload, code = False, _error_payload(exc), EXIT_VALIDATION

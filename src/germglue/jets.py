@@ -7,6 +7,15 @@ germs of holomorphic functions along a zero section: two germs are treated as
 equal when their jets agree, and every certificate produced downstream
 records the order at which identities were checked.
 
+``Jet.terms`` is the only stored representation and stays canonical
+(normalised fractions, no zero coefficients).  The hot kernels
+(:func:`jet_mul`, :func:`jet_compose`, :func:`jet_eval`, and
+:func:`germglue.regions.recenter`) work on a transient integer view instead:
+:func:`jet_numerators` writes a jet as Gaussian-integer numerators over one
+shared denominator, the kernel runs on plain ints (real parts only when every
+operand is real), and :func:`jet_from_numerators` normalises each output
+term once.  No fraction is reduced inside an inner loop.
+
 A :class:`PolyMap` is a tuple of jets sharing one source variable count and
 one order, and models a map germ.  Composition and inversion are only defined
 for maps all of whose components are constant-free; that is exactly the
@@ -25,6 +34,9 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import (
@@ -137,6 +149,73 @@ def _check_same_shape(a: Jet, b: Jet) -> None:
         )
 
 
+Numerators = Dict[Exponent, int]
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def jet_numerators(f: Jet) -> tuple[int, Numerators, Numerators]:
+    """``f`` as ``(d, re, im)``: f = sum over e of (re[e] + i*im[e]) / d * x^e.
+
+    ``d`` is the lcm of the coefficient denominators.  Each dict holds only
+    the exponents whose part is nonzero, so ``im`` is empty for a real jet."""
+    items = f.terms.items()
+    res = [(e, c.re.as_integer_ratio()) for e, c in items]
+    ims = [(e, c.im.as_integer_ratio()) for e, c in items]
+    d = math.lcm(*{m for _, (_, m) in res}, *{m for _, (_, m) in ims})
+    re = {e: n * (d // m) for e, (n, m) in res if n}
+    im = {e: n * (d // m) for e, (n, m) in ims if n}
+    return d, re, im
+
+
+def jet_from_numerators(
+    num_vars: int, order: int, d: int, re: Numerators, im: Numerators
+) -> Jet:
+    """The jet sum over e of (re[e] + i*im[e]) / d * x^e, one normalised
+    coefficient per nonzero term (the inverse of :func:`jet_numerators`)."""
+    if not im:
+        terms = {e: Coeff(Fraction(n, d), _FRACTION_ZERO) for e, n in re.items() if n}
+    else:
+        terms = {}
+        for e in {**re, **im}:
+            a, b = re.get(e, 0), im.get(e, 0)
+            if a or b:
+                terms[e] = Coeff(Fraction(a, d), Fraction(b, d))
+    return Jet(num_vars, order, terms)
+
+
+def gaussian_powers(re: int, im: int, k: int) -> list[tuple[int, int]]:
+    """(re + i*im)^t for t = 0..k, each as an (re, im) pair of ints."""
+    out = [(1, 0)]
+    for _ in range(k):
+        a, b = out[-1]
+        out.append((a * re - b * im, a * im + b * re))
+    return out
+
+
+def _convolve_into(out: Numerators, a: Numerators, b: Numerators, order: int,
+                   sign: int = 1) -> None:
+    """out += sign * a * b, dropping products above total degree ``order``."""
+    bs = sorted((sum(e), e, v) for e, v in b.items())
+    for ea, va in a.items():
+        room = order - sum(ea)
+        if room < 0:
+            continue
+        va *= sign
+        for db, eb, vb in bs:
+            if db > room:
+                break
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + va * vb
+
+
+def _axpy_into(out: Numerators, s: int, src: Numerators) -> None:
+    """out += s * src."""
+    if s:
+        for e, v in src.items():
+            out[e] = out.get(e, 0) + s * v
+
+
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_same_shape(a, b)
     out = dict(a.terms)
@@ -170,31 +249,22 @@ def jet_scale(a: Jet, s: Coeff) -> Jet:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated product; degree pairs above ``order`` are never formed."""
+    """Truncated product; degree pairs above ``order`` are never formed.
+
+    Runs on integer numerators over the product of the operands' shared
+    denominators; the imaginary convolutions run only for a complex operand."""
     _check_same_shape(a, b)
     order = a.order
-    if not a.terms or not b.terms:
-        return Jet(a.num_vars, order, {})
-    bs = sorted(((sum(e), e, c) for e, c in b.terms.items()))
-    out: Terms = {}
-    for ea, ca in a.terms.items():
-        da = sum(ea)
-        room = order - da
-        if room < 0:
-            continue
-        for db, eb, cb in bs:
-            if db > room:
-                break
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = ca * cb
-            acc = out.get(e)
-            if acc is not None:
-                v = acc + v
-            if v.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return Jet(a.num_vars, order, out)
+    da, ar, ai = jet_numerators(a)
+    db, br, bi = jet_numerators(b)
+    re: Numerators = {}
+    im: Numerators = {}
+    _convolve_into(re, ar, br, order)
+    if ai or bi:
+        _convolve_into(re, ai, bi, order, -1)
+        _convolve_into(im, ar, bi, order)
+        _convolve_into(im, ai, br, order)
+    return jet_from_numerators(a.num_vars, order, da * db, re, im)
 
 
 def jet_pow(a: Jet, k: int) -> Jet:
@@ -274,28 +344,42 @@ def jet_mul_var(a: Jet, var: int, power: int = 1) -> Jet:
 
 
 def jet_eval(a: Jet, point: Sequence[Coeff]) -> Coeff:
-    """Exact evaluation at a point (tuple of Coeff)."""
+    """Exact evaluation at a point (tuple of Coeff).
+
+    With the point written as p / q over one shared denominator q and K the
+    order, the value is sum over e of a_e * p^e * q^(K - |e|), divided by
+    d * q^K, all in integers; one fraction is normalised per part."""
     if len(point) != a.num_vars:
         raise ShapeError("evaluation point has wrong length")
-    powers: list[dict[int, Coeff]] = [{0: ONE} for _ in range(a.num_vars)]
-
-    def pw(i: int, k: int) -> Coeff:
-        cache = powers[i]
-        got = cache.get(k)
-        if got is None:
-            got = cache[k - 1] if k - 1 in cache else pw(i, k - 1)
-            got = got * point[i]
-            cache[k] = got
-        return got
-
-    acc = ZERO
-    for e, c in a.terms.items():
-        term = c
-        for i, k in enumerate(e):
-            if k:
-                term = term * pw(i, k)
-        acc = acc + term
-    return acc
+    d, fr, fi = jet_numerators(a)
+    q = math.lcm(*(x.re.denominator for x in point), *(x.im.denominator for x in point))
+    pr = [x.re.numerator * (q // x.re.denominator) for x in point]
+    pi = [x.im.numerator * (q // x.im.denominator) for x in point]
+    k = a.order
+    qk = [q**j for j in range(k + 1)]
+    den = d * qk[k]
+    if not (fi or any(pi)):
+        pows = [[p**j for j in range(k + 1)] for p in pr]
+        total = 0
+        for e, v in fr.items():
+            t = v * qk[k - sum(e)]
+            for pw, j in zip(pows, e):
+                if j:
+                    t *= pw[j]
+            total += t
+        return Coeff(Fraction(total, den), _FRACTION_ZERO)
+    gpows = [gaussian_powers(ur, ui, k) for ur, ui in zip(pr, pi)]
+    sr = si = 0
+    for e in {**fr, **fi}:
+        s = qk[k - sum(e)]
+        tr, ti = fr.get(e, 0) * s, fi.get(e, 0) * s
+        for pw, j in zip(gpows, e):
+            if j:
+                ur, ui = pw[j]
+                tr, ti = tr * ur - ti * ui, tr * ui + ti * ur
+        sr += tr
+        si += ti
+    return Coeff(Fraction(sr, den), Fraction(si, den))
 
 
 def jet_substitute_zero(a: Jet, vars_to_zero: Sequence[int]) -> Jet:
@@ -455,10 +539,20 @@ def jet_compose(f: Jet, g: PolyMap) -> Jet:
         cache[e] = val
         return val
 
-    acc = jet_zero(nv, order)
-    for e, c in sorted(f.terms.items(), key=_grlex_key):
-        acc = jet_add(acc, jet_scale(monomial(e), c))
-    return acc
+    # sum of c_e * monomial(e) over the lcm of the monomials' denominators
+    d, fr, fi = jet_numerators(f)
+    parts = [(jet_numerators(monomial(e)), fr.get(e, 0), fi.get(e, 0))
+             for e in {**fr, **fi}]
+    lcm = math.lcm(*(m[0] for m, _, _ in parts))
+    re: Numerators = {}
+    im: Numerators = {}
+    for (dm, mr, mi), cr, ci in parts:
+        s = lcm // dm
+        _axpy_into(re, cr * s, mr)
+        _axpy_into(re, -ci * s, mi)
+        _axpy_into(im, cr * s, mi)
+        _axpy_into(im, ci * s, mr)
+    return jet_from_numerators(nv, order, d * lcm, re, im)
 
 
 def map_compose(g: PolyMap, f: PolyMap) -> PolyMap:

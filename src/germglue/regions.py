@@ -21,8 +21,17 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import CoverageLossError, ShapeError
-from .jets import Jet, PolyMap, jet_const, jet_eval, jet_sub
-from .scalars import Coeff, ONE, ZERO, coeff_abs_ub, sqrt_ub
+from .jets import (
+    Jet,
+    PolyMap,
+    gaussian_powers,
+    jet_const,
+    jet_eval,
+    jet_from_numerators,
+    jet_numerators,
+    jet_sub,
+)
+from .scalars import Coeff, ZERO, coeff_abs_ub, sqrt_ub
 
 Point = Tuple[Coeff, ...]
 
@@ -350,39 +359,52 @@ def point_in_tube(x: Sequence[Coeff], t: TubeDomain, strict: bool = True) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _shift_variable(terms: dict, var: int, c: Coeff, num_vars: int) -> dict:
-    """Exact polynomial substitution x_var -> x_var + c."""
-    if c.is_zero():
-        return terms
-    out: dict = {}
-    pows = [ONE]
-    for e, coeff in terms.items():
-        k = e[var]
-        while len(pows) <= k:
-            pows.append(pows[-1] * c)
-        for j in range(k + 1):
-            d = list(e)
-            d[var] = j
-            v = coeff * Coeff(Fraction(math.comb(k, j))) * pows[k - j]
-            key = tuple(d)
-            acc = out.get(key)
-            v = v if acc is None else acc + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
+def _shift_into(out: dict, num: dict, var: int, weights: list) -> None:
+    """out += num with x_var^m replaced by sum over j of weights[m][j] x_var^j."""
+    for e, v in num.items():
+        m = e[var]
+        head, tail = e[:var], e[var + 1:]
+        for j, w in enumerate(weights[m]):
+            if w:
+                key = head + (j,) + tail
+                out[key] = out.get(key, 0) + v * w
 
 
 def recenter(f: Jet, center: Sequence[Coeff]) -> Jet:
     """The polynomial u -> f(center + u), exact (no truncation loss: the
-    total degree never grows under the shift)."""
+    total degree never grows under the shift).
+
+    Runs on the integer numerators of f.  For each shift x_i -> x_i + p/q
+    (p a Gaussian integer) the whole polynomial is scaled by q^k, k the
+    largest power of x_i, so (x_i + p/q)^m expands with the integer weights
+    C(m, j) p^(m-j) q^(k-m+j); the coefficients are normalised once, at the
+    end."""
     if len(center) != f.num_vars:
         raise ShapeError("center has wrong dimension")
-    terms = f.terms
-    for i, c in enumerate(center):
-        terms = _shift_variable(terms, i, c, f.num_vars)
-    return Jet(f.num_vars, f.order, dict(terms))
+    d, re, im = jet_numerators(f)
+    for var, c in enumerate(center):
+        if c.is_zero():
+            continue
+        k = max((e[var] for e in {**re, **im}), default=0)
+        q = math.lcm(c.re.denominator, c.im.denominator)
+        pr = c.re.numerator * (q // c.re.denominator)
+        pi = c.im.numerator * (q // c.im.denominator)
+        # p^t q^(k-t) for t = 0..k
+        scaled = [(a * q ** (k - t), b * q ** (k - t))
+                  for t, (a, b) in enumerate(gaussian_powers(pr, pi, k))]
+        wr = [[math.comb(m, j) * scaled[m - j][0] for j in range(m + 1)]
+              for m in range(k + 1)]
+        new_re: dict = {}
+        new_im: dict = {}
+        _shift_into(new_re, re, var, wr)
+        _shift_into(new_im, im, var, wr)
+        if pi:
+            wi = [[math.comb(m, j) * scaled[m - j][1] for j in range(m + 1)]
+                  for m in range(k + 1)]
+            _shift_into(new_re, im, var, [[-w for w in row] for row in wi])
+            _shift_into(new_im, re, var, wi)
+        re, im, d = new_re, new_im, d * q**k
+    return jet_from_numerators(f.num_vars, f.order, d, re, im)
 
 
 def range_bound(f: Jet, d: Polydisc) -> Fraction:

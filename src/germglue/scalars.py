@@ -43,7 +43,7 @@ class Coeff:
         return Coeff(-self.re, -self.im)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        # Real-only fast path; this is the hot loop of jet multiplication.
+        # Real-only fast path.
         if not (self.im or other.im):
             return Coeff(self.re * other.re)
         return Coeff(

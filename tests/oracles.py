@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything in this module is deliberately naive: quadratic-time convolution,
-substitute-then-truncate composition, direct Lagrange inversion in one
-variable.  None of it imports algorithmic code from the package beyond the
-plain data containers, so agreement between the two sides is meaningful.
+substitute-then-truncate composition, term-by-term evaluation with repeated
+Fraction products, direct Lagrange inversion in one variable.  None of it
+imports algorithmic code from the package beyond the plain data containers,
+so agreement between the two sides is meaningful.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ def oracle_mul(a: Jet, b: Jet) -> Jet:
             out[e] = out.get(e, ZERO) + ca * cb
     out = {e: c for e, c in out.items() if not c.is_zero()}
     return Jet(a.num_vars, a.order, out)
+
+
+def oracle_eval(f: Jet, point) -> Coeff:
+    """Value of f at a point of Coeff, term by term: each monomial is a
+    product of repeated (re, im) Fraction multiplications."""
+    assert len(point) == f.num_vars
+    total_re, total_im = Fraction(0), Fraction(0)
+    for e, c in f.terms.items():
+        re, im = c.re, c.im
+        for x, k in zip(point, e):
+            for _ in range(k):
+                re, im = re * x.re - im * x.im, re * x.im + im * x.re
+        total_re += re
+        total_im += im
+    return Coeff(total_re, total_im)
 
 
 def _poly_mul_exact(a: dict, b: dict, num_vars: int) -> dict:

@@ -1,7 +1,7 @@
 """Exit codes, report documents, and determinism of the command line."""
 
+import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -163,6 +163,58 @@ def test_nonpositive_radius_floor_exits_4(tmp_path, floor):
     )
     assert code == 4
     assert envelope["error"]["kind"] == "SchemaError"
+
+
+@pytest.mark.parametrize("flag", ["--samples=-1", "--n-max=0", "--n-max=-1"])
+def test_out_of_range_budget_exits_4(tmp_path, flag):
+    code, envelope, _ = run_cli(
+        tmp_path, "glue", SAMPLES / "identity-atlas.json", flag
+    )
+    assert code == 4
+    assert envelope["error"]["kind"] == "SchemaError"
+    assert "closedness" not in envelope["report"]
+
+
+# Exit code and report sha256 of each exact-mode command on the committed
+# sample inputs (default flags), recorded before the integer jet kernels
+# replaced the per-term Coeff loops: exact arithmetic must not move a byte.
+SAMPLE_REPORTS = [
+    (["validate", "identity-atlas.json"], 0,
+     "c776f923ead93901c2dc6409dc8e3184d51ac5fbf08e859bdb7ed5313c7c7c18"),
+    (["validate", "scaling-atlas.json"], 0,
+     "5c2d302b0c96b1194488e9334c530341d49ec3fce15f06c1689e6bde1b9836a0"),
+    (["validate", "pinch-atlas.json"], 0,
+     "95181a6313b83cb9d6ab2ccb8342bca78296bed837acef0289a88e2c908d78fb"),
+    (["validate", "broken-cocycle-atlas.json"], 2,
+     "17c30820d675a72dbf38e9667600be4e55cda5a43b955b38eccb4ebbce69fda9"),
+    (["glue", "identity-atlas.json"], 0,
+     "43056c93ce78946ff1c4d09571606d9665f581b6e77b82d7b8f64ae8c7881bc0"),
+    (["glue", "scaling-atlas.json"], 0,
+     "03382a2014ae14d2cfb236607b31a00ecd4d6e9989bab781a3d7b18a707e81c2"),
+    (["glue", "pinch-atlas.json"], 0,
+     "e58a38718c5489e8d26e2ccf939d06ea72790073e149558eaf7a6191d94b700d"),
+    (["glue", "broken-cocycle-atlas.json"], 2,
+     "6484d11a646e70c0f0a302d10a856591bdefddbb7b955bf229fbf23a38d0dbf8"),
+    (["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"], 0,
+     "dd704822258caa39041b2a45098a2d214cb13bb147481a340be150f7e46a0bcf"),
+    (["tep-check", "flat-tep.json"], 0,
+     "8e2da0229142477968df7d5eea4582b910b0d3e0bc4f2502bb18c30b595a85e8"),
+    (["tep-check", "antisym-tep.json"], 2,
+     "de75454e04b4960355556f7c935130b96f2ff887d518c0116950619d9ffdbc83"),
+    (["glue-tep", "tep-glue.json"], 0,
+     "a7d1268cad9e331226d8367a640f451bf0c8a23e1b305b2d337bb040961457f2"),
+]
+
+
+def test_sample_reports_are_byte_stable(tmp_path):
+    seen = []
+    for argv, _, _ in SAMPLE_REPORTS:
+        out = tmp_path / str(len(seen))
+        args = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+        code = main([*args, "--out", str(out)])
+        report = (out / f"{argv[0]}-report.json").read_bytes()
+        seen.append((argv, code, hashlib.sha256(report).hexdigest()))
+    assert seen == SAMPLE_REPORTS
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Jet arithmetic, composition and inversion against independent oracles."""
+"""Jet arithmetic, composition, evaluation, recentring and inversion against
+independent oracles."""
 
 from __future__ import annotations
 
@@ -44,9 +45,15 @@ from germglue.jets import (
     map_to_hom,
     map_eval,
 )
+from germglue.regions import recenter
 from germglue.scalars import Coeff, ONE, ZERO
 
-from .oracles import oracle_compose, oracle_mul, oracle_series_inverse_1var
+from .oracles import (
+    oracle_compose,
+    oracle_eval,
+    oracle_mul,
+    oracle_series_inverse_1var,
+)
 
 
 def frac(p, q=1):
@@ -57,26 +64,45 @@ def frac(p, q=1):
 # hypothesis strategies
 # ---------------------------------------------------------------------------
 
+# denominators up to 97 are mostly pairwise coprime, so the shared
+# denominators of the integer kernels grow as they would on real data
 small_fraction = st.builds(
     Fraction,
     st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=97),
 )
-small_coeff = st.builds(Coeff, small_fraction, small_fraction)
+
+
+def coeffs(real: bool):
+    """Real coefficients, or Gaussian ones with both parts drawn."""
+    return st.builds(Coeff, small_fraction, st.just(0) if real else small_fraction)
 
 
 @st.composite
-def jets(draw, num_vars=None, order=None, min_degree=0):
+def jets(draw, num_vars=None, order=None, min_degree=0, real=None):
+    """Jets with real or Gaussian coefficients (drawn when ``real`` is None),
+    so both the real and the Gaussian integer kernels run."""
     nv = num_vars if num_vars is not None else draw(st.integers(1, 3))
     k = order if order is not None else draw(st.integers(1, 4))
+    real = draw(st.booleans()) if real is None else real
     exps = st.lists(
         st.tuples(*[st.integers(0, k) for _ in range(nv)]).filter(
             lambda e: min_degree <= sum(e) <= k
         ),
         max_size=6,
     )
-    terms = [(e, draw(small_coeff)) for e in draw(exps)]
+    terms = [(e, draw(coeffs(real))) for e in draw(exps)]
     return jet_from_terms(nv, k, terms)
+
+
+def points(num_vars: int, real: bool):
+    return st.tuples(*[coeffs(real) for _ in range(num_vars)])
+
+
+def assert_canonical(f: Jet) -> None:
+    """Every stored term is nonzero and within the truncation order."""
+    assert all(not c.is_zero() for c in f.terms.values())
+    assert all(sum(e) <= f.order for e in f.terms)
 
 
 @st.composite
@@ -148,7 +174,9 @@ def test_ring_axioms(abc):
 def test_mul_matches_oracle(a, b):
     if a.num_vars != b.num_vars or a.order != b.order:
         b = jet_from_terms(a.num_vars, a.order, [])
-    assert jet_eq(jet_mul(a, b), oracle_mul(a, b))
+    product = jet_mul(a, b)
+    assert_canonical(product)
+    assert jet_eq(product, oracle_mul(a, b))
 
 
 def test_mul_truncates():
@@ -156,6 +184,17 @@ def test_mul_truncates():
     sq = jet_mul(x, x)
     assert sq.terms == {(2,): ONE}
     assert jet_is_zero(jet_mul(sq, x))
+
+
+def test_kernels_drop_cancelled_terms():
+    x = jet_var(1, 3, 0)
+    one = jet_const(1, 3, ONE)
+    i = jet_const(1, 3, Coeff(0, 1))
+    assert jet_mul(jet_add(one, x), jet_sub(one, x)).terms == {(0,): ONE, (2,): -ONE}
+    assert jet_mul(jet_add(x, i), jet_sub(x, i)).terms == {(0,): ONE, (2,): ONE}
+    # x^2 - 2x recentred at 1 is u^2 - 1
+    f = jet_sub(jet_pow(x, 2), jet_scale(x, frac(2)))
+    assert recenter(f, (ONE,)).terms == {(0,): -ONE, (2,): ONE}
 
 
 def test_scale_and_pow():
@@ -203,6 +242,27 @@ def test_eval_exact():
     assert v == Coeff(Fraction(1, 2) * Fraction(-2) + Fraction(-8))
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "gaussian"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eval_matches_oracle(real, data):
+    f = data.draw(jets(real=real))
+    x = data.draw(points(f.num_vars, real))
+    assert jet_eval(f, x) == oracle_eval(f, x)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "gaussian"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_recenter_is_shifted_evaluation(real, data):
+    f = data.draw(jets(real=real))
+    c = data.draw(points(f.num_vars, real))
+    u = data.draw(points(f.num_vars, real))
+    g = recenter(f, c)
+    assert_canonical(g)
+    assert oracle_eval(g, u) == oracle_eval(f, tuple(a + b for a, b in zip(c, u)))
+
+
 def test_flip_var():
     z = jet_var(1, 3, 0)
     f = jet_add(z, jet_pow(z, 2))
@@ -244,7 +304,9 @@ def test_compose_known_value():
 def test_compose_matches_oracle(data):
     inner = data.draw(constant_free_maps())
     f = data.draw(jets(num_vars=inner.target_vars, order=inner.order))
-    assert jet_eq(jet_compose(f, inner), oracle_compose(f, inner))
+    composite = jet_compose(f, inner)
+    assert_canonical(composite)
+    assert jet_eq(composite, oracle_compose(f, inner))
 
 
 @settings(max_examples=30, deadline=None)
