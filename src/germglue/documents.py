@@ -8,6 +8,14 @@ its contract version, and each decoder checks it against the matching JSON
 Schema shipped in ``germglue/schemas`` before decoding.  Structural violations
 raise SchemaError; semantic violations found later (germ axioms, cocycle
 failures) keep their own error types.
+
+The check that decides is ``compile_schema``: each shipped schema becomes,
+once per process, a tree of closures over the few keywords the schemas use,
+and an accepted document costs one walk of it.  Only a rejected document
+imports ``jsonschema``, whose ``best_match`` words the ``SchemaError``.
+JSON Schema's integer type admits integral floats such as ``3.0``; the
+decoders reject those, naming the field, because the exact pipeline counts
+with Python ints.
 """
 
 from __future__ import annotations
@@ -17,9 +25,7 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, Optional, Sequence, Tuple
-
-import jsonschema
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .atlas import GermAtlasInput, GermTransition
 from .errors import SchemaError, ValidationFailure
@@ -40,20 +46,195 @@ SCHEMA_IDS = {
 
 
 @functools.cache
+def shipped_schema(kind: str) -> dict:
+    """The kind's JSON Schema, read once per process."""
+    path = resources.files("germglue").joinpath("schemas", f"{kind}.v1.json")
+    return json.loads(path.read_text())
+
+
+# ---------------------------------------------------------------------------
+# compiled schema checks
+# ---------------------------------------------------------------------------
+
+Check = Callable[[object], bool]
+
+
+def _is_integer(v: object) -> bool:
+    # jsonschema's "integer": a bool is not one, an integral float is.
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_TYPES: Dict[str, Check] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": _is_integer,
+    "boolean": lambda v: isinstance(v, bool),
+}
+_OBJECT = {"properties", "required", "additionalProperties", "minProperties"}
+_ARRAY = {"items", "minItems", "maxItems"}
+_KEYWORDS = _OBJECT | _ARRAY | {
+    "type", "minimum", "maximum", "const", "enum", "pattern", "oneOf", "$ref",
+    "$schema", "$defs", "title",
+}
+
+
+def compile_schema(schema: dict) -> Check:
+    """A predicate giving jsonschema's verdict on ``schema`` for JSON values.
+
+    Covers the keywords of the shipped schemas: ``type``, ``properties``,
+    ``required``, ``additionalProperties``, ``minProperties``, ``items``,
+    ``minItems``/``maxItems``, ``minimum``/``maximum``, ``const``/``enum``
+    over strings, ``pattern`` (``re.search``, as jsonschema), ``oneOf``
+    and ``$ref`` into the root's ``$defs``.  Any other keyword raises
+    ValueError, so a schema edit cannot silently widen what is accepted."""
+    defs = schema.get("$defs", {})
+    done: Dict[str, Check] = {}
+
+    def ref(target: str) -> Check:
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in defs:
+            raise ValueError(f"cannot compile $ref {target!r}")
+        if name not in done:
+            done[name] = node(defs[name])
+        return done[name]
+
+    def node(s: dict) -> Check:
+        unknown = set(s) - _KEYWORDS
+        if unknown:
+            raise ValueError(f"cannot compile schema keywords {sorted(unknown)}")
+        kind = s.get("type")
+        if kind is not None and (not isinstance(kind, str) or kind not in _TYPES):
+            raise ValueError(f"cannot compile type {kind!r}")
+        checks = []
+        if kind is not None and kind not in ("object", "array"):
+            checks.append(_TYPES[kind])
+        if kind == "object" or _OBJECT & s.keys():
+            checks.append(_object_check(s, kind == "object", node))
+        if kind == "array" or _ARRAY & s.keys():
+            checks.append(_array_check(s, kind == "array", node))
+        if "minimum" in s or "maximum" in s:
+            checks.append(_bounds_check(s.get("minimum"), s.get("maximum")))
+        if "const" in s or "enum" in s:
+            allowed = (s["const"],) if "const" in s else tuple(s["enum"])
+            if not all(isinstance(a, str) for a in allowed):
+                raise ValueError(f"cannot compile non-string const/enum {allowed!r}")
+            checks.append(lambda v: v in allowed)
+        if "pattern" in s:
+            search = re.compile(s["pattern"]).search
+            checks.append(lambda v: not isinstance(v, str) or search(v) is not None)
+        if "oneOf" in s:
+            checks.append(_one_of([node(b) for b in s["oneOf"]]))
+        if "$ref" in s:
+            checks.append(ref(s["$ref"]))
+        return _all_of(checks)
+
+    return node(schema)
+
+
+def _object_check(s: dict, strict: bool, node: Callable[[dict], Check]) -> Check:
+    props = {key: node(sub) for key, sub in s.get("properties", {}).items()}
+    required = tuple(s.get("required", ()))
+    least = s.get("minProperties", 0)
+    extra = s.get("additionalProperties", True)
+    if extra is True:
+        extra = None
+    elif extra is False:
+        extra = lambda v: False
+    else:
+        extra = node(extra)
+
+    def check(v: object) -> bool:
+        if not isinstance(v, dict):
+            return not strict
+        if len(v) < least:
+            return False
+        for key in required:
+            if key not in v:
+                return False
+        for key, value in v.items():
+            sub = props.get(key, extra)
+            if sub is not None and not sub(value):
+                return False
+        return True
+
+    return check
+
+
+def _array_check(s: dict, strict: bool, node: Callable[[dict], Check]) -> Check:
+    item = node(s["items"]) if "items" in s else None
+    least, most = s.get("minItems", 0), s.get("maxItems")
+
+    def check(v: object) -> bool:
+        if not isinstance(v, list):
+            return not strict
+        if len(v) < least or (most is not None and len(v) > most):
+            return False
+        return item is None or all(map(item, v))
+
+    return check
+
+
+def _bounds_check(low, high) -> Check:
+    def check(v: object) -> bool:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return True
+        return not ((low is not None and v < low) or (high is not None and v > high))
+
+    return check
+
+
+def _all_of(checks: Sequence[Check]) -> Check:
+    if len(checks) == 1:
+        return checks[0]
+    if len(checks) == 2:
+        first, second = checks
+        return lambda v: first(v) and second(v)
+    return lambda v: all(c(v) for c in checks)
+
+
+def _one_of(branches: Sequence[Check]) -> Check:
+    def check(v: object) -> bool:
+        matched = False
+        for branch in branches:
+            if branch(v):
+                if matched:
+                    return False
+                matched = True
+        return matched
+
+    return check
+
+
+@functools.cache
+def _checker(kind: str) -> Check:
+    return compile_schema(shipped_schema(kind))
+
+
+@functools.cache
 def _validator(kind: str):
-    """The kind's schema, read and meta-checked once per process."""
-    name = f"{kind}.v1.json"
-    path = resources.files("germglue").joinpath("schemas", name)
-    schema = json.loads(path.read_text())
+    """jsonschema's validator for the kind, meta-checked; built on rejection."""
+    import jsonschema
+
+    schema = shipped_schema(kind)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
 
 def validate_document(doc: object, kind: str) -> dict:
-    """Check a parsed document against the published schema for ``kind``."""
+    """Check a parsed document against the published schema for ``kind``.
+
+    The compiled checker decides; a rejected document is re-checked by
+    jsonschema, whose best-matching error becomes the SchemaError message."""
     if kind not in SCHEMA_IDS:
         raise SchemaError(f"unknown document kind {kind!r}")
+    if _checker(kind)(doc):
+        return doc
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
     if error is not None:
         raise SchemaError(f"{kind} document rejected: {error.message}") from error
@@ -78,16 +259,23 @@ def fraction_to_json(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-_FRACTION_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def fraction_from_json(v: object) -> Fraction:
-    if not isinstance(v, str) or not _FRACTION_RE.match(v):
+    if not isinstance(v, str) or not _FRACTION_RE.fullmatch(v):
         raise SchemaError(f"bad fraction {v!r}")
     try:
         return Fraction(v)
     except ZeroDivisionError as exc:
         raise SchemaError(f"bad fraction {v!r}") from exc
+
+
+def _integer(value: object, field: str) -> int:
+    """A decoded integer field; JSON Schema lets an integral float through."""
+    if isinstance(value, float):
+        raise SchemaError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def coeff_to_json(c: Coeff) -> object:
@@ -118,14 +306,17 @@ def jet_to_json(f: Jet) -> dict:
 
 
 def jet_from_json(doc: dict) -> Jet:
-    num_vars = doc["vars"]
-    order = doc["order"]
+    num_vars = _integer(doc["vars"], "vars")
+    order = _integer(doc["order"], "order")
     terms: Dict[tuple, Coeff] = {}
     for item in doc["terms"]:
         exp = tuple(item["exponent"])
         if len(exp) != num_vars:
             raise SchemaError(f"exponent {list(exp)} has wrong length")
-        if sum(exp) > order:
+        degree = sum(exp)
+        if isinstance(degree, float):
+            raise SchemaError(f"exponent entries must be integers, got {list(exp)}")
+        if degree > order:
             raise SchemaError(f"term {list(exp)} exceeds the declared order")
         if exp in terms:
             raise SchemaError(f"duplicate term {list(exp)}")
@@ -147,7 +338,7 @@ def map_from_json(doc: dict, order: Optional[int] = None) -> PolyMap:
     if order is not None:
         comps = [jet_with_order(c, order) for c in comps]
     try:
-        return PolyMap(doc["source_vars"], comps)
+        return PolyMap(_integer(doc["source_vars"], "source_vars"), comps)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -166,7 +357,7 @@ def matrix_from_json(doc: dict) -> JetMatrix:
         m = JetMatrix(entries)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    if m.rows != doc["rows"] or m.cols != doc["cols"]:
+    if m.rows != _integer(doc["rows"], "rows") or m.cols != _integer(doc["cols"], "cols"):
         raise SchemaError("matrix shape disagrees with declared rows/cols")
     return m
 
@@ -207,7 +398,7 @@ def tube_from_json(doc: dict) -> TubeDomain:
         return TubeDomain(
             doc["chart"],
             polydisc_from_json(doc["base"]),
-            doc["fiber_dim"],
+            _integer(doc["fiber_dim"], "fiber_dim"),
             fraction_from_json(doc["fiber_radius"]),
         )
     except ValueError as exc:
@@ -249,7 +440,8 @@ def atlas_input_to_json(inp: GermAtlasInput) -> dict:
 
 def atlas_input_from_json(doc: dict, order: Optional[int] = None) -> GermAtlasInput:
     validate_document(doc, "atlas-input")
-    target = order if order is not None else doc["order"]
+    declared = _integer(doc["order"], "order")
+    target = order if order is not None else declared
     charts = {cid: polydisc_from_json(w) for cid, w in doc["charts"].items()}
     transitions = [
         GermTransition(
@@ -263,7 +455,9 @@ def atlas_input_from_json(doc: dict, order: Optional[int] = None) -> GermAtlasIn
     points = [point_from_json(p) for p in doc.get("base_points", [])]
     try:
         return GermAtlasInput(
-            doc["base_dim"], doc["fiber_dim"], target, charts, transitions, points
+            _integer(doc["base_dim"], "base_dim"),
+            _integer(doc["fiber_dim"], "fiber_dim"),
+            target, charts, transitions, points,
         )
     except ValidationFailure:
         raise
@@ -335,7 +529,7 @@ def sheaf_input_from_json(doc: dict) -> SheafInput:
         cid: matrix_from_json(m) for cid, m in doc.get("presentations", {}).items()
     } or None
     return SheafInput(
-        ranks=dict(doc["ranks"]),
+        ranks={cid: _integer(r, f"ranks[{cid!r}]") for cid, r in doc["ranks"].items()},
         domains=domains,
         matrices=_pair_matrices(doc["matrices"]),
         triple_domains=triple_domains,
@@ -387,17 +581,18 @@ def tep_data_from_json(
     z_order: Optional[int] = None,
 ) -> TEPData:
     validate_document(doc, "tep-input")
-    m = doc["m"]
+    m = _integer(doc["m"], "m")
     if len(doc["A"]) != m:
         raise SchemaError(f"need exactly {m} connection matrices, got {len(doc['A'])}")
-    t_cap = t_order if t_order is not None else doc["orders"]["t"]
-    z_cap = z_order if z_order is not None else doc["orders"]["z"]
+    orders = {key: _integer(doc["orders"][key], f"orders.{key}") for key in ("t", "z")}
+    t_cap = t_order if t_order is not None else orders["t"]
+    z_cap = z_order if z_order is not None else orders["z"]
     trunc = lambda mat: _box_truncate(matrix_from_json(mat), m, t_cap, z_cap)
     domain = polydisc_from_json(doc["domain"]) if "domain" in doc else None
     try:
         return TEPData(
             base_dim=m,
-            rank=doc["rank"],
+            rank=_integer(doc["rank"], "rank"),
             t_order=t_cap,
             z_order=z_cap,
             a_mats=[trunc(a) for a in doc["A"]],

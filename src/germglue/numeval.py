@@ -6,23 +6,27 @@ sampled points: chains are selected by ``atlas.sample_chains`` (the exact
 rational sampler and exact membership tests), and the three map
 evaluations per chain then run through the batched numpy term-table
 kernel.  Residuals above the tolerance count as violations; for exactly
-closed transition families the residual is pure float rounding.
+closed transition families the residual is pure float rounding.  numpy
+is imported inside the float functions, so exact runs never load it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .atlas import ShrunkCover, sample_chains
 from .jets import PolyMap
 from .regions import Point
 from .sampling import batch_eval, points_to_array
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def batch_eval_map(f: PolyMap, points: np.ndarray) -> np.ndarray:
     """Evaluate every component of f over a (P, source_vars) float array."""
+    import numpy as np
+
     pts = np.ascontiguousarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[1] != f.source_vars:
         raise ValueError("points must have shape (P, source_vars)")
@@ -43,6 +47,8 @@ def float_transition_audit(
     seed; the residuals are then evaluated in batches through the numpy
     kernel.  Returns a report with the backend, the worst residual seen,
     and the count of residuals above tolerance."""
+    import numpy as np
+
     transitions = cover.input.transitions
     accepted, attempts = sample_chains(cover, chains, seed)
     selected: Dict[Tuple, List[Point]] = {}

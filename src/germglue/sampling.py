@@ -6,19 +6,21 @@ with rejection), so membership tests and residual evaluations stay exact.
 Separately, :func:`batch_eval` turns a jet into a flat term table (exponent
 matrix + complex coefficients) and evaluates it over many points at once
 with numpy; the float-mode audit in :mod:`germglue.numeval` runs on it.
+numpy is imported by those float functions, so exact runs never load it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .jets import Jet
 from .regions import Point, Polydisc, TubeDomain, tube_as_polydisc
 from .scalars import Coeff
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,8 @@ def sample_in_tube(rng: random.Random, t: TubeDomain,
 
 def term_table(f: Jet) -> tuple[np.ndarray, np.ndarray]:
     """(T, num_vars) int64 exponent matrix and length-T complex coefficients."""
+    import numpy as np
+
     if not f.terms:
         return (
             np.zeros((0, f.num_vars), dtype=np.int64),
@@ -73,6 +77,8 @@ def term_table(f: Jet) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_eval(f: Jet, points: np.ndarray) -> np.ndarray:
     """Evaluate f at an array of complex points, shape (P, num_vars)."""
+    import numpy as np
+
     points = np.ascontiguousarray(points, dtype=np.complex128)
     if points.ndim != 2 or points.shape[1] != f.num_vars:
         raise ValueError("points must have shape (P, num_vars)")
@@ -89,6 +95,8 @@ def batch_eval(f: Jet, points: np.ndarray) -> np.ndarray:
 
 
 def points_to_array(points: Sequence[Point]) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [[complex(c.re, c.im) for c in pt] for pt in points], dtype=np.complex128
     )

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import germglue
 from germglue import documents
 from germglue.cli import main
 from germglue.documents import validate_document
@@ -154,6 +158,55 @@ def test_wrong_document_kind_exits_4(tmp_path):
     assert envelope["error"]["message"] == (
         "atlas-input document rejected: 'base_dim' is a required property"
     )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(order=3.0), "order must be an integer, got 3.0"),
+        (lambda doc: doc["charts"]["A"].update(centers=["1\n"]), "bad fraction '1\\n'"),
+    ],
+    ids=["integral-float-order", "fraction-with-newline"],
+)
+def test_input_accepted_by_json_schema_but_not_decodable_exits_4(tmp_path, edit, message):
+    doc = json.loads((SAMPLES / "identity-atlas.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, envelope, _ = run_cli(tmp_path, "glue", path)
+    assert code == 4
+    assert envelope["error"] == {"kind": "SchemaError", "message": message}
+
+
+# Runs one command through germglue.cli.main in a fresh interpreter and
+# prints which of the optional heavy imports it loaded.
+_IMPORT_PROBE = """
+import json, sys
+from germglue.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "jsonschema" in sys.modules, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["glue", "identity-atlas.json"], [0, False, False]),
+        (["glue", "identity-atlas.json", "--mode", "float", "--samples", "10"],
+         [0, False, True]),
+        (["glue", "rank2-sheaf.json"], [4, True, False]),
+    ],
+    ids=["exact", "float", "rejected"],
+)
+def test_heavy_imports_load_only_when_needed(tmp_path, argv, expected):
+    args = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+    src = str(Path(germglue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *args, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
 
 
 @pytest.mark.parametrize("floor", ["0", "-1/2"])

@@ -1,17 +1,29 @@
 """Round trips through the JSON document layer and schema rejection."""
 
+import contextlib
+import copy
+import functools
 import importlib.util
+import io
+import json
 import pathlib
 import random
+import re
+import tempfile
 from fractions import Fraction as F
 
+import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from germglue.cli import main
 from germglue.documents import (
+    SCHEMA_IDS,
     atlas_input_from_json,
     atlas_input_to_json,
     coeff_from_json,
     coeff_to_json,
+    compile_schema,
     dump_report,
     jet_from_json,
     jet_to_json,
@@ -24,6 +36,7 @@ from germglue.documents import (
     polydisc_to_json,
     sheaf_input_from_json,
     sheaf_input_to_json,
+    shipped_schema,
     tep_data_from_json,
     tep_data_to_json,
     tep_glue_input_from_json,
@@ -41,6 +54,8 @@ from .test_atlas import identity_atlas, pinch_atlas
 from .test_numeval import random_jet
 from .test_sheaf import rank2_input
 from .test_tep import glue_frame, identity_bundle
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 def test_coeff_forms_round_trip():
@@ -223,7 +238,7 @@ def test_dump_report_is_canonical():
 
 
 def test_committed_sample_inputs_match_generator():
-    samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+    samples = SAMPLES
     spec = importlib.util.spec_from_file_location(
         "sample_inputs_generate", samples / "generate.py"
     )
@@ -234,3 +249,178 @@ def test_committed_sample_inputs_match_generator():
     for name, doc in docs.items():
         expected = generate.document_text(doc).encode("utf-8")
         assert (samples / name).read_bytes() == expected, name
+
+
+# ---------------------------------------------------------------------------
+# the compiled schema checker against jsonschema
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _jsonschema_validator(kind):
+    schema = shipped_schema(kind)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+@functools.cache
+def _compiled(kind):
+    return compile_schema(shipped_schema(kind))
+
+
+@functools.cache
+def _sample_documents():
+    """(kind, document) for every committed sample input, the atlas, sheaf
+    and chart documents nested in ``tep-glue.json``, and report envelopes
+    of an accepted, a failed and a rejected run."""
+    kinds = {v: k for k, v in SCHEMA_IDS.items()}
+    docs = []
+    for path in sorted(SAMPLES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        docs.append((kinds[doc["schema"]], doc))
+        if doc["schema"] == SCHEMA_IDS["tep-glue-input"]:
+            docs += [("atlas-input", doc["atlas"]), ("sheaf-input", doc["sheaf"])]
+            docs += [("tep-input", chart) for chart in doc["charts"].values()]
+    with tempfile.TemporaryDirectory() as out:
+        for name in ("identity-atlas.json", "broken-cocycle-atlas.json", "rank2-sheaf.json"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["validate", str(SAMPLES / name), "--out", out])
+            envelope = json.loads((pathlib.Path(out) / "validate-report.json").read_text())
+            docs.append(("report", envelope))
+    return docs
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) pair of a JSON document, the root included."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _nodes(value, path + (index,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return out
+
+
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+# (what the mutation does, which nodes it applies to, the replacement values)
+MUTATIONS = [
+    ("delete a key", lambda p, v: isinstance(v, dict) and bool(v),
+     lambda v: st.sampled_from(sorted(v)).map(
+         lambda k: {x: y for x, y in v.items() if x != k})),
+    ("add a key", lambda p, v: isinstance(v, dict),
+     lambda v: st.just({**v, "extra": 1})),
+    ("wrong type", lambda p, v: True,
+     lambda v: st.sampled_from([None, True, 7, 0.5, "x", [], {}])),
+    ("bool or integral float for an integer", lambda p, v: type(v) is int,
+     lambda v: st.sampled_from([True, False, float(v)])),
+    ("negative order", lambda p, v: p[-1:] == ("order",),
+     lambda v: st.just(-1)),
+    ("bad fraction string", lambda p, v: isinstance(v, str) and bool(_FRACTION.fullmatch(v)),
+     lambda v: st.sampled_from(["1.5", "1/", "", "x", "- 1", v + "\n", v + "/"])),
+    ("coeff object with an extra key", lambda p, v: isinstance(v, dict) and set(v) == {"re", "im"},
+     lambda v: st.just({**v, "extra": "0"})),
+    ("too-short charts list", lambda p, v: p[-1:] == ("charts",) and isinstance(v, list),
+     lambda v: st.just(v[:-1])),
+]
+
+
+def test_compiled_checker_agrees_with_jsonschema_on_samples():
+    for kind, doc in _sample_documents():
+        assert _compiled(kind)(doc), kind
+        assert _jsonschema_validator(kind).is_valid(doc), kind
+        assert validate_document(doc, kind) is doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_compiled_checker_agrees_with_jsonschema_on_mutations(data):
+    kind, doc = data.draw(st.sampled_from(_sample_documents()))
+    nodes = list(_nodes(doc))
+    usable = [m for m in MUTATIONS if any(m[1](p, v) for p, v in nodes)]
+    _, applies, replacements = data.draw(st.sampled_from(usable))
+    path, value = data.draw(st.sampled_from([(p, v) for p, v in nodes if applies(p, v)]))
+    mutant = _replaced(doc, path, data.draw(replacements(value)))
+    verdict = _jsonschema_validator(kind).is_valid(mutant)
+    assert _compiled(kind)(mutant) == verdict
+    if not verdict:
+        with pytest.raises(SchemaError, match=f"^{kind} document rejected: "):
+            validate_document(mutant, kind)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "patternProperties": {"^x": {"type": "string"}}},
+    {"properties": {"a": {"type": "string", "format": "date"}}},
+    {"$defs": {"n": {"type": "number"}}, "$ref": "#/$defs/n"},
+    {"$defs": {"n": {"anyOf": [{"type": "string"}]}}, "items": {"$ref": "#/$defs/n"}},
+    {"$ref": "other.json#/$defs/n"},
+    {"const": 1},
+])
+def test_compiling_an_unsupported_schema_raises(schema):
+    with pytest.raises(ValueError, match="cannot compile"):
+        compile_schema(schema)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_IDS))
+def test_shipped_schemas_are_valid_json_schemas(kind):
+    schema = shipped_schema(kind)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    compile_schema(schema)
+
+
+# (sample input, path to an integer field, the name the rejection gives it)
+INTEGER_FIELDS = [
+    ("identity-atlas.json", ("base_dim",), "base_dim"),
+    ("identity-atlas.json", ("fiber_dim",), "fiber_dim"),
+    ("identity-atlas.json", ("order",), "order"),
+    ("identity-atlas.json", ("transitions", 0, "domain", "fiber_dim"), "fiber_dim"),
+    ("identity-atlas.json", ("transitions", 0, "map", "source_vars"), "source_vars"),
+    ("identity-atlas.json", ("transitions", 0, "map", "components", 0, "vars"), "vars"),
+    ("identity-atlas.json", ("transitions", 0, "map", "components", 0, "order"), "order"),
+    ("identity-atlas.json",
+     ("transitions", 0, "map", "components", 0, "terms", 0, "exponent", 0), "exponent"),
+    ("rank2-sheaf.json", ("ranks", "A"), "ranks"),
+    ("rank2-sheaf.json", ("matrices", 0, "matrix", "rows"), "rows"),
+    ("rank2-sheaf.json", ("matrices", 0, "matrix", "cols"), "cols"),
+    ("flat-tep.json", ("m",), "m"),
+    ("flat-tep.json", ("rank",), "rank"),
+    ("flat-tep.json", ("orders", "t"), "orders.t"),
+    ("flat-tep.json", ("orders", "z"), "orders.z"),
+]
+DECODERS = {
+    "atlas-input": atlas_input_from_json,
+    "sheaf-input": sheaf_input_from_json,
+    "tep-input": tep_data_from_json,
+}
+
+
+@pytest.mark.parametrize("name,path,field", INTEGER_FIELDS)
+def test_integral_float_in_an_integer_field_is_rejected(name, path, field):
+    doc = json.loads((SAMPLES / name).read_text())
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    assert type(node[path[-1]]) is int
+    mutant = _replaced(doc, path, float(node[path[-1]]))
+    kind = next(k for k, v in SCHEMA_IDS.items() if v == doc["schema"])
+    # JSON Schema's integer admits 3.0, so only the decoder can refuse it.
+    assert _compiled(kind)(mutant) and _jsonschema_validator(kind).is_valid(mutant)
+    with pytest.raises(SchemaError, match=re.escape(field)):
+        DECODERS[kind](mutant)
+
+
+def test_fraction_with_trailing_newline_rejected():
+    with pytest.raises(SchemaError, match="bad fraction"):
+        coeff_from_json("1\n")
+    with pytest.raises(SchemaError, match="bad fraction"):
+        coeff_from_json({"re": "0", "im": "1/2\n"})
