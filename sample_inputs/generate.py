@@ -85,10 +85,13 @@ def scaling_map(c: F, order: int) -> PolyMap:
     return PolyMap(2, [t, fiber])
 
 
-def scaling_atlas(order: int = 4) -> GermAtlasInput:
+def scaling_atlas(order: int = 4, weights=(F(1), F(2), F(4))) -> GermAtlasInput:
+    """Charts A, B, C with phi_ij the scaling map by weights[j] / weights[i].
+
+    With weights (1, 4, 16) at order 3 the triple stage halves a radius."""
     ids = ["A", "B", "C"]
     centers = [F(0), F(1, 10), F(1, 5)]
-    weights = dict(zip(ids, (F(1), F(2), F(4))))
+    weights = dict(zip(ids, weights))
     charts = {cid: disc_chart(c) for cid, c in zip(ids, centers)}
     transitions = [
         GermTransition(
@@ -99,6 +102,23 @@ def scaling_atlas(order: int = 4) -> GermAtlasInput:
         if i != j
     ]
     return GermAtlasInput(1, 1, order, charts, transitions)
+
+
+def identity_chain_atlas() -> GermAtlasInput:
+    """Four unit line charts at spacing 1/10 with identity transitions.
+
+    The triple stage reaches the radius floor: a false obstruction of the
+    disc-only region geometry."""
+    ids = [f"C{k:03d}" for k in range(4)]
+    discs = {cid: disc_chart(k * F(1, 10)) for k, cid in enumerate(ids)}
+    ident = identity_map(2, 3)
+    transitions = [
+        GermTransition(i, j, full_tube(i, discs[i]), ident)
+        for i in ids
+        for j in ids
+        if i != j
+    ]
+    return GermAtlasInput(1, 1, 3, discs, transitions)
 
 
 def broken_cocycle_atlas(order: int = 4) -> GermAtlasInput:
@@ -178,6 +198,10 @@ def build_documents() -> dict:
         "identity-atlas.json": atlas_input_to_json(identity_atlas()),
         "pinch-atlas.json": atlas_input_to_json(pinch_atlas()),
         "scaling-atlas.json": atlas_input_to_json(scaling_atlas()),
+        "scaling-halving-atlas.json": atlas_input_to_json(
+            scaling_atlas(order=3, weights=(F(1), F(4), F(16)))
+        ),
+        "identity-chain-atlas.json": atlas_input_to_json(identity_chain_atlas()),
         "broken-cocycle-atlas.json": atlas_input_to_json(broken_cocycle_atlas()),
         "rank2-sheaf.json": sheaf_input_to_json(rank2_sheaf()),
         "flat-tep.json": tep_data_to_json(flat_frame()),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -193,7 +194,7 @@ class PairCertificate:
 
 class ShrunkCover:
     __slots__ = ("input", "triples", "overlaps", "n_index", "radii", "tubes",
-                 "pairs", "pair_n", "halvings")
+                 "pairs", "pair_n", "halvings", "memo")
 
     def __init__(self, input, triples, overlaps, n_index, radii, tubes, pairs,
                  pair_n=None, halvings=0):
@@ -206,6 +207,7 @@ class ShrunkCover:
         self.pairs = pairs              # (i, j) -> PairCertificate
         self.pair_n = pair_n or {}      # (i, j) -> accepted search exponent
         self.halvings = halvings
+        self.memo = {}                  # pair or triple -> (r_i, value at r_i)
 
 
 class TripleCertificate:
@@ -600,17 +602,29 @@ def _set_chart_n(cover: ShrunkCover, cid, n: int) -> None:
     )
 
 
+def _at_radius(cover: ShrunkCover, key, decide):
+    """decide() for a pair or triple key, reused while the radius r_i of the
+    key's first chart is unchanged; only the latest (r_i, value) is kept."""
+    hit = cover.memo.get(key)
+    if hit is None or hit[0] != cover.radii[key[0]]:
+        hit = cover.memo[key] = (cover.radii[key[0]], decide())
+    return hit[1]
+
+
 def _refresh_pair_certificates(cover: ShrunkCover) -> Optional[Pair]:
-    """Recompute every pair bound at the current radii.  Returns the first
+    """Re-certify every pair at the current radii.  Returns the first
     pair whose (c) margin cannot be re-certified (the caller shrinks that
     chart further and retries: the bounds converge onto the witness core as
-    the fiber radius drops), or None when all certificates hold."""
+    the fiber radius drops), or None when all certificates hold.
+
+    The bound for Q_ij depends only on the input and r_i: it is computed
+    once per r_i."""
     inp = cover.input
     pairs: Dict[Pair, PairCertificate] = {}
     for (i, j), data in cover.overlaps.items():
-        bound = _pair_outer_bound(
+        bound = _at_radius(cover, (i, j), lambda: _pair_outer_bound(
             inp, cover.triples, cover.overlaps, i, j, cover.radii[i]
-        )
+        ))
         if bound is None:
             pairs[(i, j)] = PairCertificate(i, j, cover.pair_n.get((i, j)), None, None, True)
             continue
@@ -638,10 +652,35 @@ def _bound_for(cover: ShrunkCover, i, j) -> Optional[TubeDomain]:
 
 
 def _cocycle_residual(inp: GermAtlasInput, i, j, k) -> PolyMap:
-    left = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, k)].map) \
-        if k != i else map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, i)].map)
+    left = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, k)].map)
     right = inp.transitions[(i, k)].map if k != i else identity_map(inp.total_vars, inp.order)
     return map_sub(left, right)
+
+
+def _triple_outcome(cover: ShrunkCover, i, j, k):
+    """Condition (d) for (i, j, k) at the current radii: its certificate
+    (vacuous, or with the margin of the image bound in O_jk, None when that
+    bound only touches it) or the reason (d) is not certified."""
+    inp = cover.input
+    t_ij = _bound_for(cover, i, j)
+    t_ik = _bound_for(cover, i, k)
+    base = None if t_ij is None or t_ik is None \
+        else polydisc_intersection_outer(t_ij.base, t_ik.base)
+    if base is None:
+        return TripleCertificate((i, j, k), True, None, True, "vacuous")
+    target = cover.overlaps.get((j, k))
+    if target is None or target.vacuous:
+        return "no certified overlap domain O_jk for the image"
+    gauge = TubeDomain(i, base, inp.fiber_dim, min(t_ij.fiber_radius, t_ik.fiber_radius))
+    image = map_image_bound(
+        inp.transitions[(i, j)].map, gauge, inp.base_dim, target_chart=j
+    )
+    if not tube_contains(image, target.o_inner):
+        return "image bound escapes O_jk"
+    return TripleCertificate(
+        (i, j, k), False, tube_rel_compact(image, target.o_inner), True,
+        "derived from (d), (e) and the definitions of Q_ij, Q_jk",
+    )
 
 
 def enforce_triple_domains(
@@ -654,20 +693,18 @@ def enforce_triple_domains(
 
     Triples with j == k or i == j hold by the definitions of Q_ij and (c),
     so only the remaining ones are enforced; that includes (i, j, i), whose
-    condition reads Q_ij ⊆ phi_ij^{-1}(O_ji)."""
+    condition reads Q_ij ⊆ phi_ij^{-1}(O_ji).
+
+    A (d) outcome reads O_jk and the bounds for Q_ij and Q_ik (Q_i when
+    k == i), so it depends only on the input and r_i: it is decided once
+    per r_i."""
     inp = cover.input
     chart_ids = sorted(inp.charts, key=repr)
-    work: list[Triple] = []
-    for i in chart_ids:
-        for j in chart_ids:
-            if i == j or (i, j) not in inp.transitions:
-                continue
-            for k in chart_ids:
-                if k == j:
-                    continue
-                if k != i and ((i, k) not in inp.transitions):
-                    continue
-                work.append((i, j, k))
+    work = [
+        (i, j, k) for i in chart_ids for j in chart_ids for k in chart_ids
+        if i != j != k and (i, j) in inp.transitions
+        and (k == i or (i, k) in inp.transitions)
+    ]
 
     certs: Dict[Triple, TripleCertificate] = {}
     # the residual depends only on the input: decide it once per triple
@@ -676,29 +713,11 @@ def enforce_triple_domains(
     while True:
         blocking = None
         for (i, j, k) in work:
-            t_ij = _bound_for(cover, i, j)
-            t_ik = _bound_for(cover, i, k)
-            if t_ij is None or t_ik is None:
-                certs[(i, j, k)] = TripleCertificate((i, j, k), True, None, True, "vacuous")
-                continue
-            base = polydisc_intersection_outer(t_ij.base, t_ik.base)
-            if base is None:
-                certs[(i, j, k)] = TripleCertificate((i, j, k), True, None, True, "vacuous")
-                continue
-            target_pair = (j, k) if k != i else (j, i)
-            target = cover.overlaps.get(target_pair)
-            if target is None or target.vacuous:
-                blocking = (i, j, k, "no certified overlap domain O_jk for the image")
+            cert = _at_radius(cover, (i, j, k), lambda: _triple_outcome(cover, i, j, k))
+            if isinstance(cert, str):
+                blocking = (i, j, k, cert)
                 break
-            gauge = TubeDomain(i, base, inp.fiber_dim, min(t_ij.fiber_radius, t_ik.fiber_radius))
-            image = map_image_bound(
-                inp.transitions[(i, j)].map, gauge, inp.base_dim, target_chart=j
-            )
-            if not tube_contains(image, target.o_inner):
-                blocking = (i, j, k, "image bound escapes O_jk")
-                break
-            margin = tube_rel_compact(image, target.o_inner)
-            if (i, j, k) not in residual_checked:
+            if not cert.vacuous and (i, j, k) not in residual_checked:
                 residual = _cocycle_residual(inp, i, j, k)
                 if not all(jet_is_zero(c) for c in residual.components):
                     raise ValidationFailure(
@@ -706,13 +725,7 @@ def enforce_triple_domains(
                         f"{inp.order} on a nonempty triple domain"
                     )
                 residual_checked.add((i, j, k))
-            certs[(i, j, k)] = TripleCertificate(
-                (i, j, k),
-                False,
-                margin,
-                True,
-                "derived from (d), (e) and the definitions of Q_ij, Q_jk",
-            )
+            certs[(i, j, k)] = cert
         if blocking is None:
             break
         i, j, k, why = blocking
@@ -822,19 +835,11 @@ def zero_section_map(base_dim: int, fiber_dim: int, order: int) -> PolyMap:
 def cover_nerve(discs: Dict[object, Polydisc]) -> tuple[list, list]:
     """Pairs and triples of the cover with a certified common point."""
     ids = sorted(discs, key=repr)
-    pairs = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if polydisc_common_point([discs[ids[a]], discs[ids[b]]]) is not None:
-                pairs.append((ids[a], ids[b]))
-    triples = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            for c in range(b + 1, len(ids)):
-                if polydisc_common_point(
-                    [discs[ids[a]], discs[ids[b]], discs[ids[c]]]
-                ) is not None:
-                    triples.append((ids[a], ids[b], ids[c]))
+    pairs, triples = (
+        [s for s in combinations(ids, size)
+         if polydisc_common_point([discs[c] for c in s]) is not None]
+        for size in (2, 3)
+    )
     return pairs, triples
 
 
@@ -940,8 +945,7 @@ def audit_cover_certificates(
     composites = {}
     for (i, j, k) in live_triples:
         composites[(i, j, k)] = map_compose(
-            inp.transitions[(i, j)].map,
-            inp.transitions[(j, k)].map if k != i else inp.transitions[(j, i)].map,
+            inp.transitions[(i, j)].map, inp.transitions[(j, k)].map
         )
 
     for _ in range(samples):
@@ -984,7 +988,7 @@ def audit_cover_certificates(
                 in_ik = k == i or _q_pair_image(cover, i, k, y) is not None
                 if image is not None and in_ik:
                     counts["d"] += 1
-                    target = cover.overlaps[(j, k) if k != i else (j, i)]
+                    target = cover.overlaps[(j, k)]
                     if not point_in_tube(image, target.o_inner, strict=False):
                         violations["d"] += 1
                     counts["e"] += 1

@@ -259,16 +259,15 @@ def fraction_to_json(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def fraction_from_json(v: object) -> Fraction:
-    if not isinstance(v, str) or not _FRACTION_RE.fullmatch(v):
+    match = _FRACTION_RE.fullmatch(v) if isinstance(v, str) else None
+    den = int(match[2] or 1) if match else 0
+    if not den:
         raise SchemaError(f"bad fraction {v!r}")
-    try:
-        return Fraction(v)
-    except ZeroDivisionError as exc:
-        raise SchemaError(f"bad fraction {v!r}") from exc
+    return Fraction(int(match[1]), den)
 
 
 def _integer(value: object, field: str) -> int:

@@ -441,3 +441,64 @@ def test_closedness_evaluates_each_sample_at_most_once(monkeypatch):
     closed = check_closed_relation(cover, samples=40, seed=3)
     assert closed["audit"]["audited"] > 0
     assert len(calls) <= 40
+
+
+def test_triple_stage_decides_each_triple_once_per_radius(monkeypatch):
+    import sys
+
+    import germglue.atlas
+
+    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(4), F(16))))
+    decided = []
+    real = germglue.atlas.map_image_bound
+
+    def counted(f, gauge, base_dim, target_chart):
+        caller = sys._getframe(1).f_locals  # the triple stage names its (i, j, k)
+        triple = (caller["i"], caller["j"], caller["k"])
+        decided.append((triple, cover.radii[triple[0]]))
+        return real(f, gauge, base_dim, target_chart=target_chart)
+
+    monkeypatch.setattr(germglue.atlas, "map_image_bound", counted)
+    enforce_triple_domains(cover)
+    assert cover.halvings == 1
+    assert decided and len(set(decided)) == len(decided)
+
+
+def test_reused_certificates_match_a_fresh_recomputation():
+    from germglue.atlas import ShrunkCover, _refresh_pair_certificates
+
+    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(4), F(16))))
+    certs = enforce_triple_domains(cover)
+    assert cover.halvings == 1
+    fresh = ShrunkCover(
+        cover.input, cover.triples, cover.overlaps, dict(cover.n_index),
+        dict(cover.radii), dict(cover.tubes), {}, cover.pair_n,
+    )
+    assert _refresh_pair_certificates(fresh) is None
+    fresh_certs = enforce_triple_domains(fresh)
+    assert fresh.halvings == 0
+
+    def pair_view(pairs):
+        return [(key, c.n, c.bound, c.margin, c.vacuous) for key, c in pairs.items()]
+
+    def triple_view(triple_certs):
+        return [(key, c.vacuous, c.domain_margin, c.residual_zero, c.remark)
+                for key, c in triple_certs.items()]
+
+    assert pair_view(cover.pairs) == pair_view(fresh.pairs)
+    assert triple_view(certs) == triple_view(fresh_certs)
+
+
+def test_triple_without_relative_compactness_margin_stays_nonvacuous(monkeypatch):
+    import germglue.atlas
+
+    expected = enforce_triple_domains(shrunk_cover(identity_atlas()))
+    cover = shrunk_cover(identity_atlas())
+    monkeypatch.setattr(germglue.atlas, "tube_rel_compact", lambda inner, outer: None)
+    certs = enforce_triple_domains(cover)
+    assert cover.halvings == 0
+    assert [(k, c.vacuous) for k, c in certs.items()] == [
+        (k, c.vacuous) for k, c in expected.items()
+    ]
+    live = [c for c in certs.values() if not c.vacuous]
+    assert live and all(c.domain_margin is None for c in live)

@@ -67,6 +67,16 @@ def test_glue_exhausted_search_exits_3(tmp_path):
     assert envelope["error"]["kind"] == "ShrinkExhausted"
 
 
+def test_glue_radius_floor_names_the_blocking_triple(tmp_path):
+    code, envelope, _ = run_cli(tmp_path, "glue", SAMPLES / "identity-chain-atlas.json")
+    assert code == 3
+    assert envelope["error"] == {
+        "kind": "ShrinkExhausted",
+        "message": "triple ('C000', 'C002', 'C003'): image bound escapes O_jk; "
+                   "radius floor 1/1048576 reached",
+    }
+
+
 def test_glue_reports_are_byte_identical(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     args = ["glue", str(SAMPLES / "scaling-atlas.json"), "--samples", "50",
@@ -248,6 +258,14 @@ SAMPLE_REPORTS = [
      "e58a38718c5489e8d26e2ccf939d06ea72790073e149558eaf7a6191d94b700d"),
     (["glue", "broken-cocycle-atlas.json"], 2,
      "6484d11a646e70c0f0a302d10a856591bdefddbb7b955bf229fbf23a38d0dbf8"),
+    # halves a radius in the triple stage; float mode's seeded audits read
+    # the order of the pair and triple certificates
+    (["glue", "scaling-halving-atlas.json"], 0,
+     "3c24ff4b3de20781b4e061ea590917ee42c1ab19cfb925eba1c909c07e40efa9"),
+    (["glue", "scaling-halving-atlas.json", "--mode", "float"], 0,
+     "83fe8e4589e9e09c4b4cc4ae080c610ce906daa294777c934ac4a26eb6170387"),
+    (["glue", "identity-chain-atlas.json"], 3,
+     "ca33494ae59ae57f0c6309a7d52730649102545cfe715495329cede57258ad7d"),
     (["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"], 0,
      "dd704822258caa39041b2a45098a2d214cb13bb147481a340be150f7e46a0bcf"),
     (["tep-check", "flat-tep.json"], 0,

@@ -25,6 +25,7 @@ from germglue.documents import (
     coeff_to_json,
     compile_schema,
     dump_report,
+    fraction_from_json,
     jet_from_json,
     jet_to_json,
     jsonable,
@@ -424,3 +425,18 @@ def test_fraction_with_trailing_newline_rejected():
         coeff_from_json("1\n")
     with pytest.raises(SchemaError, match="bad fraction"):
         coeff_from_json({"re": "0", "im": "1/2\n"})
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("-007/010", F(-7, 10)), ("5", F(5)), ("0/3", F(0)), ("-12/8", F(-3, 2))],
+)
+def test_fraction_is_read_from_its_matched_parts(text, value):
+    got = fraction_from_json(text)
+    assert got == value and type(got) is F
+
+
+@pytest.mark.parametrize("text", ["3/0", "-1/000", "1/-2", "1.5", " 1", "", 3])
+def test_malformed_or_zero_denominator_fraction_rejected(text):
+    with pytest.raises(SchemaError, match="bad fraction"):
+        fraction_from_json(text)
