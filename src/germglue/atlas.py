@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -264,9 +264,33 @@ def _zero_section_residuals(inp: GermAtlasInput, f: PolyMap) -> list[tuple[int, 
     return bad
 
 
+def _residual_violations(composed: PolyMap, target: PolyMap, head: dict) -> list[dict]:
+    """No violation when the maps are equal; otherwise one per nonzero
+    component of ``composed - target``: ``head`` plus its first term."""
+    if composed == target:
+        return []
+    out = []
+    for idx, comp in enumerate(map_sub(composed, target).components):
+        if not jet_is_zero(comp):
+            exp, value = grlex_terms(comp)[0]
+            out.append({**head, "component": idx, "exponent": list(exp), "value": value})
+    return out
+
+
 def validate_germ_data(inp: GermAtlasInput) -> dict:
     """Check identity-on-zero-section, inverse pairs, and the order-K cocycle
     on every triple with a certified nonempty base overlap.
+
+    Each unordered triple is certified from one ordering when it can be.
+    Truncated K-jets of constant-free maps with invertible linear part form
+    a group under truncated composition, and phi_ji o phi_ij = id at order K
+    already makes the linear parts inverse to each other.  So once the three
+    inverse pairs of a triple hold, phi_jk o phi_ij = phi_ik for its first
+    ordering (i < j < k by ``repr``) implies the other five.  If that
+    ordering fails, or an inverse pair of the triple failed, each ordering
+    is composed where the loop reaches it, so the violation list is the one
+    an all-orderings check gives.  ``cocycle_triples_checked`` counts the
+    ordered triples certified, directly or by implication.
 
     Returns the report when everything holds; raises ValidationFailure
     carrying the full report otherwise."""
@@ -308,52 +332,53 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
         return (i, j) in inp.transitions and (i, j) not in shape_bad
 
     seen_pairs = set()
+    inverse_ok = set()
     for (i, j) in sorted(inp.transitions, key=repr):
         if not usable(i, j) or not usable(j, i) or (j, i) in seen_pairs:
             continue
         seen_pairs.add((i, j))
         composed = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, i)].map)
-        residual = map_sub(composed, ident)
-        for idx, comp in enumerate(residual.components):
-            if not jet_is_zero(comp):
-                exp, value = grlex_terms(comp)[0]
-                violations.append({
-                    "kind": "inverse_pair", "pair": [i, j], "component": idx,
-                    "exponent": list(exp), "value": value,
-                })
+        found = _residual_violations(composed, ident, {"kind": "inverse_pair", "pair": [i, j]})
+        violations.extend(found)
+        if not found:
+            inverse_ok.add(frozenset((i, j)))
 
     cocycle_checked = 0
-    chart_ids = sorted(inp.charts, key=repr)
-    for i in chart_ids:
-        for j in chart_ids:
-            for k in chart_ids:
-                if len({i, j, k}) != 3:
-                    continue
-                witness = polydisc_common_point(
-                    [inp.charts[i], inp.charts[j], inp.charts[k]]
-                )
-                if witness is None:
-                    continue
-                if not (usable(i, j) and usable(j, k)):
-                    continue
-                if not usable(i, k):
-                    violations.append({
-                        "kind": "cocycle", "triple": [i, j, k],
-                        "detail": "missing transition (i,k) over a nonempty triple overlap",
-                    })
-                    continue
-                composed = map_compose(
-                    inp.transitions[(i, j)].map, inp.transitions[(j, k)].map
-                )
-                residual = map_sub(composed, inp.transitions[(i, k)].map)
-                cocycle_checked += 1
-                for idx, comp in enumerate(residual.components):
-                    if not jet_is_zero(comp):
-                        exp, value = grlex_terms(comp)[0]
-                        violations.append({
-                            "kind": "cocycle", "triple": [i, j, k], "component": idx,
-                            "exponent": list(exp), "value": value,
-                        })
+    has_point: dict = {}  # unordered triple -> the charts share a point
+    implied = set()  # unordered triples certified from their first ordering
+    for i, j, k in permutations(sorted(inp.charts, key=repr), 3):
+        triple = frozenset((i, j, k))
+        first = triple not in has_point
+        if first:
+            has_point[triple] = polydisc_common_point(
+                [inp.charts[i], inp.charts[j], inp.charts[k]]
+            ) is not None
+        if not has_point[triple]:
+            continue
+        if triple in implied:
+            cocycle_checked += 1
+            continue
+        if not (usable(i, j) and usable(j, k)):
+            continue
+        if not usable(i, k):
+            violations.append({
+                "kind": "cocycle", "triple": [i, j, k],
+                "detail": "missing transition (i,k) over a nonempty triple overlap",
+            })
+            continue
+        composed = map_compose(
+            inp.transitions[(i, j)].map, inp.transitions[(j, k)].map
+        )
+        found = _residual_violations(
+            composed, inp.transitions[(i, k)].map,
+            {"kind": "cocycle", "triple": [i, j, k]},
+        )
+        violations.extend(found)
+        cocycle_checked += 1
+        if first and not found and all(
+            frozenset(p) in inverse_ok for p in combinations((i, j, k), 2)
+        ):
+            implied.add(triple)
 
     report = {
         "valid": not violations,

@@ -194,14 +194,14 @@ def gaussian_powers(re: int, im: int, k: int) -> list[tuple[int, int]]:
 
 
 def _convolve_into(out: Numerators, a: Numerators, b: Numerators, order: int,
-                   sign: int = 1) -> None:
-    """out += sign * a * b, dropping products above total degree ``order``."""
+                   scale: int = 1) -> None:
+    """out += scale * a * b, dropping products above total degree ``order``."""
     bs = sorted((sum(e), e, v) for e, v in b.items())
     for ea, va in a.items():
         room = order - sum(ea)
         if room < 0:
             continue
-        va *= sign
+        va *= scale
         for db, eb, vb in bs:
             if db > room:
                 break
@@ -249,22 +249,30 @@ def jet_scale(a: Jet, s: Coeff) -> Jet:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated product; degree pairs above ``order`` are never formed.
-
-    Runs on integer numerators over the product of the operands' shared
-    denominators; the imaginary convolutions run only for a complex operand."""
+    """Truncated product; degree pairs above ``order`` are never formed."""
     _check_same_shape(a, b)
-    order = a.order
-    da, ar, ai = jet_numerators(a)
-    db, br, bi = jet_numerators(b)
+    return sum_of_products(a.num_vars, a.order,
+                           [(jet_numerators(a), jet_numerators(b))])
+
+
+def sum_of_products(num_vars: int, order: int, pairs) -> Jet:
+    """The truncated sum of a_k * b_k over ``pairs`` of
+    :func:`jet_numerators` triples ``(a_k, b_k)``.
+
+    Every product is accumulated on integers over one denominator, the lcm
+    of the products' denominators, and the sum is normalised once; the
+    imaginary convolutions run only for a complex operand."""
+    lcm = math.lcm(*(da * db for (da, _, _), (db, _, _) in pairs))
     re: Numerators = {}
     im: Numerators = {}
-    _convolve_into(re, ar, br, order)
-    if ai or bi:
-        _convolve_into(re, ai, bi, order, -1)
-        _convolve_into(im, ar, bi, order)
-        _convolve_into(im, ai, br, order)
-    return jet_from_numerators(a.num_vars, order, da * db, re, im)
+    for (da, ar, ai), (db, br, bi) in pairs:
+        s = lcm // (da * db)
+        _convolve_into(re, ar, br, order, s)
+        if ai or bi:
+            _convolve_into(re, ai, bi, order, -s)
+            _convolve_into(im, ar, bi, order, s)
+            _convolve_into(im, ai, br, order, s)
+    return jet_from_numerators(num_vars, order, lcm, re, im)
 
 
 def jet_pow(a: Jet, k: int) -> Jet:
@@ -525,23 +533,12 @@ def jet_compose(f: Jet, g: PolyMap) -> Jet:
         )
     order = f.order
     nv = g.source_vars
-    one = jet_const(nv, order, ONE)
-    cache: dict[Exponent, Jet] = {(0,) * f.num_vars: one}
+    table: dict[Exponent, Jet] = {(0,) * f.num_vars: jet_const(nv, order, ONE)}
 
-    def monomial(e: Exponent) -> Jet:
-        got = cache.get(e)
-        if got is not None:
-            return got
-        i = next(k for k, v in enumerate(e) if v > 0)
-        prev = list(e)
-        prev[i] -= 1
-        val = jet_mul(monomial(tuple(prev)), g.components[i])
-        cache[e] = val
-        return val
-
-    # sum of c_e * monomial(e) over the lcm of the monomials' denominators
+    # sum of c_e * g^e over the lcm of the monomials' denominators
     d, fr, fi = jet_numerators(f)
-    parts = [(jet_numerators(monomial(e)), fr.get(e, 0), fi.get(e, 0))
+    parts = [(jet_numerators(_monomial(table, e, g.components)),
+              fr.get(e, 0), fi.get(e, 0))
              for e in {**fr, **fi}]
     lcm = math.lcm(*(m[0] for m, _, _ in parts))
     re: Numerators = {}
@@ -553,6 +550,22 @@ def jet_compose(f: Jet, g: PolyMap) -> Jet:
         _axpy_into(im, cr * s, mi)
         _axpy_into(im, ci * s, mr)
     return jet_from_numerators(nv, order, d * lcm, re, im)
+
+
+def _monomial(table: dict, e: Exponent, components: Sequence[Jet]) -> Jet:
+    """The product g^e of the ``components``, memoised in ``table``.
+
+    A module-level function rather than a closure over ``table``: a
+    self-referencing closure is a reference cycle, which would keep the
+    table alive after the composition until the cyclic collector runs."""
+    got = table.get(e)
+    if got is None:
+        i = next(k for k, v in enumerate(e) if v > 0)
+        prev = list(e)
+        prev[i] -= 1
+        got = table[e] = jet_mul(_monomial(table, tuple(prev), components),
+                                 components[i])
+    return got
 
 
 def map_compose(g: PolyMap, f: PolyMap) -> PolyMap:

@@ -23,6 +23,7 @@ from .jets import (
     jet_is_zero,
     jet_mul,
     jet_neg,
+    jet_numerators,
     jet_partial,
     jet_scale,
     jet_sub,
@@ -30,6 +31,7 @@ from .jets import (
     jet_var,
     jet_with_order,
     jet_zero,
+    sum_of_products,
 )
 from .scalars import Coeff, ONE, ZERO
 
@@ -106,18 +108,19 @@ def matrix_scale_jet(a: JetMatrix, f: Jet) -> JetMatrix:
 
 
 def matrix_mul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
+    """Product over the jet ring.  Each operand entry is converted to
+    integer numerators once, and each product entry is one
+    :func:`sum_of_products` over one denominator."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = jet_zero(a.num_vars, a.order)
-            for k in range(a.cols):
-                acc = jet_add(acc, jet_mul(a.entries[i][k], b.entries[k][j]))
-            row.append(acc)
-        out.append(row)
-    return JetMatrix(out)
+    if (a.num_vars, a.order) != (b.num_vars, b.order):
+        raise ShapeError("matrix factors must share one jet shape")
+    rows = [[jet_numerators(x) for x in row] for row in a.entries]
+    cols = [[jet_numerators(x) for x in col] for col in zip(*b.entries)]
+    return JetMatrix([
+        [sum_of_products(a.num_vars, a.order, list(zip(row, col))) for col in cols]
+        for row in rows
+    ])
 
 
 def matrix_transpose(a: JetMatrix) -> JetMatrix:

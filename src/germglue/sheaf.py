@@ -22,6 +22,7 @@ isomorphism certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
     ValidationFailure,
 )
 from .jets import (
+    Jet,
     grlex_terms,
     jet_const,
     jet_eval,
@@ -157,13 +159,12 @@ class GluedMorphism:
         self.note = note
 
 
-def _det_unit_certificate(g: JetMatrix, tube: TubeDomain, base_dim: int):
-    """Lower bound for |det g| on the tube, or None.
+def _det_unit_certificate(det: Jet, tube: TubeDomain):
+    """Lower bound for |det| on the tube, or None.
 
     Writes det = c (1 - u) with c the value at the tube's center on the zero
     section; range-bounding u (the reciprocal's denominator deviation) below
     1 certifies the determinant has no zero on the tube."""
-    det = matrix_det(g)
     center = tube.base.centers + (ZERO,) * tube.fiber_dim
     c = jet_eval(det, center)
     if c.is_zero():
@@ -175,9 +176,41 @@ def _det_unit_certificate(g: JetMatrix, tube: TubeDomain, base_dim: int):
     return coeff_abs_lb(c) * (1 - bound)
 
 
-def validate_sheaf_cocycle(inp: SheafInput) -> dict:
+def _residual_violation(product: JetMatrix, target: JetMatrix, head: dict) -> Optional[dict]:
+    """None when the matrices are equal; otherwise ``head`` plus the first
+    nonzero entry of ``product - target``."""
+    if product == target:
+        return None
+    hit = _matrix_first_nonzero(matrix_sub(product, target))
+    return {**head, "entry": hit[:2], "exponent": hit[2], "value": hit[3]}
+
+
+def _orderings(skey: tuple):
+    """The six orderings of a sorted triple, (i, j, k) first."""
+    for a in range(3):
+        i, j, k = skey[a], skey[(a + 1) % 3], skey[(a + 2) % 3]
+        yield i, j, k
+        yield i, k, j
+
+
+def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict:
     """Shape, symmetry, inverse-pair, cocycle, and determinant checks; in
     presentation mode the lift certificate psi_ij * xi_i = xi_j * chi_ij.
+
+    Invertible matrices over the truncated jet ring form a group, and a
+    square matrix over a commutative ring with a one-sided inverse is
+    invertible.  So an inverse pair of equal ranks is certified by
+    g_ji * g_ij = 1 alone; g_ij * g_ji is multiplied out only when that
+    fails.  Once the three inverse pairs of a triple hold, the cocycle for
+    its first ordering (i < j < k by ``repr``) implies the other five; if
+    that ordering fails, or an inverse pair of the triple failed, every
+    ordering is checked, so the violation list is the one an
+    all-orderings check gives.  ``triples_checked`` counts the triple
+    domains, each certified directly or by implication.
+
+    ``dets``, when given, receives det g_ij for every pair whose
+    determinant is certified on A_ij, so that :func:`glue_sheaf` bounds the
+    same jet on the restricted tube without recomputing it.
 
     Returns the report when valid, raises ValidationFailure carrying it
     otherwise."""
@@ -210,6 +243,7 @@ def validate_sheaf_cocycle(inp: SheafInput) -> dict:
 
     if inp.mode == "locally_free":
         seen = set()
+        inverse_ok = set()
         for (i, j) in sorted(inp.matrices, key=repr):
             if not usable(i, j):
                 continue
@@ -221,48 +255,48 @@ def validate_sheaf_cocycle(inp: SheafInput) -> dict:
                 continue
             seen.add((i, j))
             g, h = inp.matrices[(i, j)], inp.matrices[(j, i)]
-            for left, right, rank, pair in (
-                (h, g, inp.ranks[i], [i, j]),
-                (g, h, inp.ranks[j], [j, i]),
-            ):
-                residual = matrix_sub(
-                    matrix_mul(left, right),
-                    matrix_identity(rank, g.num_vars, g.order),
+            li, lj = inp.ranks[i], inp.ranks[j]
+            hg = _residual_violation(
+                matrix_mul(h, g), matrix_identity(li, g.num_vars, g.order),
+                {"kind": "inverse_pair", "pair": [i, j]},
+            )
+            if hg is None and li == lj:
+                inverse_ok.add(frozenset((i, j)))
+                continue
+            gh = _residual_violation(
+                matrix_mul(g, h), matrix_identity(lj, g.num_vars, g.order),
+                {"kind": "inverse_pair", "pair": [j, i]},
+            )
+            violations.extend(v for v in (hg, gh) if v is not None)
+        for skey in sorted(inp.triple_domains, key=repr):
+            invertible = all(frozenset(p) in inverse_ok for p in combinations(skey, 2))
+            for n, (x, y, z) in enumerate(_orderings(skey)):
+                if not (usable(x, y) and usable(y, z) and usable(x, z)):
+                    continue
+                hit = _residual_violation(
+                    matrix_mul(inp.matrices[(y, z)], inp.matrices[(x, y)]),
+                    inp.matrices[(x, z)],
+                    {"kind": "cocycle", "triple": [x, y, z]},
                 )
-                hit = _matrix_first_nonzero(residual)
                 if hit is not None:
-                    violations.append({
-                        "kind": "inverse_pair", "pair": pair, "entry": hit[:2],
-                        "exponent": hit[2], "value": hit[3],
-                    })
-        for skey, dom in sorted(inp.triple_domains.items(), key=repr):
-            for a in range(3):
-                i, j, k = skey[a], skey[(a + 1) % 3], skey[(a + 2) % 3]
-                for (x, y, z) in ((i, j, k), (i, k, j)):
-                    if not (usable(x, y) and usable(y, z) and usable(x, z)):
-                        continue
-                    residual = matrix_sub(
-                        matrix_mul(inp.matrices[(y, z)], inp.matrices[(x, y)]),
-                        inp.matrices[(x, z)],
-                    )
-                    hit = _matrix_first_nonzero(residual)
-                    if hit is not None:
-                        violations.append({
-                            "kind": "cocycle", "triple": [x, y, z],
-                            "entry": hit[:2], "exponent": hit[2], "value": hit[3],
-                        })
+                    violations.append(hit)
+                elif n == 0 and invertible:
+                    break
         for (i, j), g in sorted(inp.matrices.items(), key=repr):
             if not usable(i, j):
                 continue
             dom = inp.domain(i, j)
             if dom is None:
                 continue
-            lb = _det_unit_certificate(g, dom, dom.base.dim)
+            det = matrix_det(g)
+            lb = _det_unit_certificate(det, dom)
             if lb is None:
                 violations.append({"kind": "determinant", "pair": [i, j],
                                    "detail": "no certified nonzero determinant on A_ij"})
             else:
                 det_bounds[(i, j)] = lb
+                if dets is not None:
+                    dets[(i, j)] = det
     else:
         for (i, j) in sorted(inp.matrices, key=repr):
             if not usable(i, j):
@@ -273,15 +307,12 @@ def validate_sheaf_cocycle(inp: SheafInput) -> dict:
                 violations.append({"kind": "presentation", "pair": [i, j],
                                    "detail": "missing xi or chi data"})
                 continue
-            residual = matrix_sub(
-                matrix_mul(inp.matrices[(i, j)], xi_i), matrix_mul(xi_j, chi)
+            hit = _residual_violation(
+                matrix_mul(inp.matrices[(i, j)], xi_i), matrix_mul(xi_j, chi),
+                {"kind": "presentation", "pair": [i, j]},
             )
-            hit = _matrix_first_nonzero(residual)
             if hit is not None:
-                violations.append({
-                    "kind": "presentation", "pair": [i, j], "entry": hit[:2],
-                    "exponent": hit[2], "value": hit[3],
-                })
+                violations.append(hit)
 
     for (i, j), base_m in sorted(inp.base_transitions.items(), key=repr):
         if not usable(i, j):
@@ -371,7 +402,8 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=Fraction(1, 2**20)) -> Glued
     fiber radii of triples at i; base inclusions of the (outer-bounded)
     pairwise and triple overlaps into the declared domains are certified
     directly and do not depend on eps."""
-    report = validate_sheaf_cocycle(inp)
+    dets: Dict[Pair, Jet] = {}
+    validate_sheaf_cocycle(inp, dets)
     cover = atlas.cover
     charts = cover.input.charts
     for cid in inp.ranks:
@@ -424,7 +456,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=Fraction(1, 2**20)) -> Glued
         pair_tubes[(i, j)] = TubeDomain(i, dom.base, dom.fiber_dim, fiber)
         zero_section[(i, j)] = _zero_section_matrix(g, base_dim)
         if inp.mode == "locally_free":
-            lb = _det_unit_certificate(g, pair_tubes[(i, j)], base_dim)
+            lb = _det_unit_certificate(dets[(i, j)], pair_tubes[(i, j)])
             if lb is None:
                 raise ShrinkExhausted(
                     f"determinant certificate lost on restricted tube {(i, j)!r}"
@@ -461,12 +493,10 @@ def glue_sheaf_morphism(
     for (i, j) in sorted(s1.matrices, key=repr):
         if i == j or (i, j) not in s2.matrices:
             continue
-        residual = matrix_sub(
-            matrix_mul(s2.matrices[(i, j)], maps[i]),
-            matrix_mul(maps[j], s1.matrices[(i, j)]),
-        )
-        hit = _matrix_first_nonzero(residual)
-        if hit is not None:
+        left = matrix_mul(s2.matrices[(i, j)], maps[i])
+        right = matrix_mul(maps[j], s1.matrices[(i, j)])
+        if left != right:
+            hit = _matrix_first_nonzero(matrix_sub(left, right))
             raise AgreementError(
                 f"chart matrices incompatible with transitions on {(i, j)!r}: "
                 f"entry {tuple(hit[:2])}, exponent {hit[2]}, value {hit[3]!r}"

@@ -2,7 +2,8 @@
 
 Everything in this module is deliberately naive: quadratic-time convolution,
 substitute-then-truncate composition, term-by-term evaluation with repeated
-Fraction products, direct Lagrange inversion in one variable.  None of it
+Fraction products, direct Lagrange inversion in one variable, and cocycle
+checks that compose every ordering of every triple.  None of it
 imports algorithmic code from the package beyond the plain data containers,
 so agreement between the two sides is meaningful.
 """
@@ -13,6 +14,7 @@ import itertools
 from fractions import Fraction
 
 from germglue.jets import Jet, PolyMap
+from germglue.matrices import JetMatrix
 from germglue.scalars import Coeff, ONE, ZERO
 
 
@@ -125,3 +127,144 @@ def exhaustive_exponents(num_vars: int, order: int):
     for e in itertools.product(range(order + 1), repeat=num_vars):
         if sum(e) <= order:
             yield e
+
+
+def _first_term(a: Jet, b: Jet):
+    """The first term of a - b in graded-lexicographic order, or None."""
+    diff = []
+    for e in set(a.terms) | set(b.terms):
+        c = a.terms.get(e, ZERO) - b.terms.get(e, ZERO)
+        if not c.is_zero():
+            diff.append(((sum(e), e), e, c))
+    if not diff:
+        return None
+    _, e, c = min(diff, key=lambda t: t[0])
+    return list(e), c
+
+
+def _map_violations(composed: list, target: PolyMap, head: dict) -> list:
+    out = []
+    for idx, (a, b) in enumerate(zip(composed, target.components)):
+        hit = _first_term(a, b)
+        if hit is not None:
+            out.append({**head, "component": idx, "exponent": hit[0], "value": hit[1]})
+    return out
+
+
+def _inside(point, disc) -> bool:
+    return all(
+        (x - c).re ** 2 + (x - c).im ** 2 < r * r
+        for x, c, r in zip(point, disc.centers, disc.radii)
+    )
+
+
+def oracle_atlas_cocycle(inp) -> tuple[list, int]:
+    """Inverse-pair and cocycle violations of an atlas input, and the count
+    of ordered triples checked, composing every ordering of every triple.
+
+    For inputs whose transitions are all well shaped, constant-free, the
+    identity on the zero section and paired with their reverse.  Three
+    charts count as overlapping when the mean of their centres lies inside
+    all three, which is exact for the tightly packed covers of the tests."""
+    nv, order = inp.total_vars, inp.order
+    ident = PolyMap(nv, [
+        Jet(nv, order, {tuple(int(v == k) for v in range(nv)): ONE})
+        for k in range(nv)
+    ])
+
+    def compose(inner: PolyMap, outer: PolyMap) -> list:
+        return [oracle_compose(f, inner) for f in outer.components]
+
+    phi = {key: tr.map for key, tr in inp.transitions.items()}
+    violations: list = []
+    seen = set()
+    for i, j in sorted(phi, key=repr):
+        if (j, i) in seen:
+            continue
+        seen.add((i, j))
+        violations += _map_violations(
+            compose(phi[(i, j)], phi[(j, i)]), ident,
+            {"kind": "inverse_pair", "pair": [i, j]},
+        )
+    checked = 0
+    ids = sorted(inp.charts, key=repr)
+    for i in ids:
+        for j in ids:
+            for k in ids:
+                if len({i, j, k}) != 3:
+                    continue
+                discs = [inp.charts[c] for c in (i, j, k)]
+                mean = [sum((d.centers[n] for d in discs), ZERO) * Coeff(Fraction(1, 3))
+                        for n in range(inp.base_dim)]
+                if not all(_inside(mean, d) for d in discs):
+                    continue
+                checked += 1
+                violations += _map_violations(
+                    compose(phi[(i, j)], phi[(j, k)]), phi[(i, k)],
+                    {"kind": "cocycle", "triple": [i, j, k]},
+                )
+    return violations, checked
+
+
+def oracle_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
+    """Entry (r, c) is the sum over k of oracle_mul(a[r][k], b[k][c])."""
+    rows = []
+    for ra in a.entries:
+        row = []
+        for c in range(b.cols):
+            acc: dict = {}
+            for k, x in enumerate(ra):
+                for e, v in oracle_mul(x, b.entries[k][c]).terms.items():
+                    acc[e] = acc.get(e, ZERO) + v
+            row.append(Jet(a.num_vars, a.order,
+                           {e: v for e, v in acc.items() if not v.is_zero()}))
+        rows.append(row)
+    return JetMatrix(rows)
+
+
+def _matrix_violation(product: JetMatrix, target: JetMatrix, head: dict) -> list:
+    for r, (pa, ta) in enumerate(zip(product.entries, target.entries)):
+        for c, (x, y) in enumerate(zip(pa, ta)):
+            hit = _first_term(x, y)
+            if hit is not None:
+                return [{**head, "entry": (r, c), "exponent": hit[0], "value": hit[1]}]
+    return []
+
+
+def oracle_sheaf_cocycle(inp) -> list:
+    """Inverse-pair (both products) and cocycle violations of a locally free
+    sheaf input, checking all six orderings of every triple domain in the
+    order (i, j, k), (i, k, j) for each rotation of the sorted triple.
+
+    For inputs whose off-diagonal matrices all have the right shapes."""
+    m = inp.matrices
+
+    def identity(n: int, like: JetMatrix) -> JetMatrix:
+        one = Jet(like.num_vars, like.order, {(0,) * like.num_vars: ONE})
+        zero = Jet(like.num_vars, like.order, {})
+        return JetMatrix([[one if r == c else zero for c in range(n)] for r in range(n)])
+
+    violations: list = []
+    seen = set()
+    for i, j in sorted(m, key=repr):
+        if i == j or (j, i) in seen:
+            continue
+        seen.add((i, j))
+        g, h = m[(i, j)], m[(j, i)]
+        violations += _matrix_violation(
+            oracle_matmul(h, g), identity(inp.ranks[i], g),
+            {"kind": "inverse_pair", "pair": [i, j]},
+        )
+        violations += _matrix_violation(
+            oracle_matmul(g, h), identity(inp.ranks[j], g),
+            {"kind": "inverse_pair", "pair": [j, i]},
+        )
+    for skey in sorted(inp.triple_domains, key=repr):
+        for a in range(3):
+            i, j, k = skey[a], skey[(a + 1) % 3], skey[(a + 2) % 3]
+            for x, y, z in ((i, j, k), (i, k, j)):
+                violations += _matrix_violation(
+                    oracle_matmul(m[(y, z)], m[(x, y)]), m[(x, z)],
+                    {"kind": "cocycle", "triple": [x, y, z]},
+                )
+    return violations

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germglue.atlas import (
     GermAtlasInput,
@@ -31,12 +32,15 @@ from germglue.errors import (
 from germglue.jets import (
     PolyMap,
     identity_map,
+    jet_add,
     jet_from_terms,
     map_compose,
     map_inverse,
 )
 from germglue.regions import Polydisc, TubeDomain
 from germglue.scalars import Coeff
+
+from .oracles import oracle_atlas_cocycle
 
 F = Fraction
 
@@ -179,6 +183,99 @@ def test_validate_names_cocycle_triple_and_exponent():
     assert set(first["triple"]) == {"A", "B", "C"}
     assert first["component"] == 0
     assert first["exponent"] == [0, 2]
+
+
+def germ(order: int, a, b, c, d) -> PolyMap:
+    """(t, z) -> (t + a z^2, b z + c t z + d z^2), the identity on z = 0."""
+    return PolyMap(2, [
+        jet_from_terms(2, order, [((1, 0), Coeff(1)), ((0, 2), Coeff(a))]),
+        jet_from_terms(2, order, [((0, 1), Coeff(b)), ((1, 1), Coeff(c)),
+                                  ((0, 2), Coeff(d))]),
+    ])
+
+
+def cocycle_atlas(order: int = 3) -> GermAtlasInput:
+    """Four packed line charts with phi_ij = h_j^-1 o h_i: a non-commuting
+    exact cocycle."""
+    h = {
+        "A": germ(order, F(1, 2), F(1), F(1, 3), F(0)),
+        "B": germ(order, F(0), F(2), F(-1, 4), F(1, 5)),
+        "C": germ(order, F(-1, 3), F(1, 2), F(0), F(1, 7)),
+        "D": germ(order, F(1, 5), F(3, 2), F(1, 6), F(-1, 2)),
+    }
+    charts = {cid: disc_chart(F(n, 10)) for n, cid in enumerate(h)}
+    transitions = [
+        GermTransition(i, j, full_tube(i, charts[i]),
+                       map_compose(h[i], map_inverse(h[j])))
+        for i in h
+        for j in h
+        if i != j
+    ]
+    return GermAtlasInput(1, 1, order, charts, transitions)
+
+
+def validation_report(inp) -> dict:
+    try:
+        return validate_germ_data(inp)
+    except ValidationFailure as exc:
+        return exc.report
+
+
+def test_cocycle_atlas_validates_with_all_orderings_counted():
+    inp = cocycle_atlas()
+    report = validate_germ_data(inp)
+    assert report["valid"]
+    assert report["cocycle_triples_checked"] == 24
+    assert oracle_atlas_cocycle(inp) == ([], 24)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    pair=st.sampled_from([(i, j) for i in "ABCD" for j in "ABCD" if i != j]),
+    keep_inverse=st.booleans(),
+    component=st.integers(0, 1),
+    exponent=st.sampled_from([(1, 1), (0, 2), (2, 1), (1, 2), (0, 3)]),
+    coeff=st.sampled_from([F(1), F(-1, 2), F(3, 7), F(-5, 3)]),
+)
+def test_validation_matches_all_orderings_oracle(pair, keep_inverse, component,
+                                                 exponent, coeff):
+    # Perturb one transition of a valid atlas by a term of positive fiber
+    # degree (so the zero section stays fixed); with keep_inverse its
+    # reverse becomes its exact inverse, and only cocycles can fail.
+    inp = cocycle_atlas()
+    i, j = pair
+    old = inp.transitions[pair]
+    comps = list(old.map.components)
+    comps[component] = jet_add(
+        comps[component], jet_from_terms(2, inp.order, [(exponent, Coeff(coeff))])
+    )
+    bumped = PolyMap(2, comps)
+    inp.transitions[pair] = GermTransition(i, j, old.domain, bumped)
+    if keep_inverse:
+        rev = inp.transitions[(j, i)]
+        inp.transitions[(j, i)] = GermTransition(j, i, rev.domain, map_inverse(bumped))
+    report = validation_report(inp)
+    violations, checked = oracle_atlas_cocycle(inp)
+    assert report["violations"] == violations
+    assert report["cocycle_triples_checked"] == checked
+    assert not report["valid"]
+
+
+def test_validation_composes_one_ordering_per_triple(monkeypatch):
+    import germglue.atlas
+
+    calls = []
+    real = germglue.atlas.map_compose
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(germglue.atlas, "map_compose", counted)
+    report = validate_germ_data(scaling_atlas())
+    assert report["valid"] and report["cocycle_triples_checked"] == 6
+    # three inverse pairs and one ordering of the one triple
+    assert len(calls) == 4
 
 
 def test_diagonal_transition_must_be_identity():

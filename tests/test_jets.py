@@ -3,6 +3,7 @@ independent oracles."""
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,22 @@ def test_compose_matches_oracle(data):
     composite = jet_compose(f, inner)
     assert_canonical(composite)
     assert jet_eq(composite, oracle_compose(f, inner))
+
+
+def test_compose_leaves_no_reference_cycle():
+    # The table of powers g^e must be freed when the call returns, not when
+    # the cyclic collector next runs.
+    x = jet_var(2, 4, 0)
+    y = jet_var(2, 4, 1)
+    f = jet_add(jet_pow(x, 3), jet_mul(x, jet_pow(y, 2)))
+    g = PolyMap(2, [jet_add(x, jet_mul(x, y)), jet_add(y, jet_pow(x, 2))])
+    gc.collect()
+    gc.disable()
+    try:
+        jet_compose(f, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=30, deadline=None)

@@ -37,6 +37,9 @@ from germglue.matrices import (
 )
 from germglue.scalars import Coeff, ONE, ZERO
 
+from .oracles import oracle_matmul
+from .test_jets import jets
+
 
 def frac(p, q=1):
     return Coeff(Fraction(p, q))
@@ -59,6 +62,23 @@ def test_identity_and_mul():
     assert matrix_mul(i2, m) == m
     sq = matrix_mul(m, m)
     assert jet_eq(sq.entries[0][1], jet_add(jet_mul(t, z), jet_mul(t, z)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mul_matches_oracle(data):
+    nv, k = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    n, m, p = (data.draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return JetMatrix([[data.draw(jets(num_vars=nv, order=k)) for _ in range(cols)]
+                          for _ in range(rows)])
+
+    a, b = matrix(n, m), matrix(m, p)
+    product = matrix_mul(a, b)
+    assert all(not c.is_zero() for row in product.entries for x in row
+               for c in x.terms.values())
+    assert product == oracle_matmul(a, b)
 
 
 def test_transpose_involution():

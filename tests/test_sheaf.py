@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germglue.atlas import run_glue_pipeline
 from germglue.errors import AgreementError, ShrinkExhausted, ValidationFailure
-from germglue.jets import jet_from_terms
-from germglue.matrices import JetMatrix, jet_reciprocal, matrix_identity, matrix_mul
+from germglue.jets import jet_add, jet_from_terms, jet_neg
+from germglue.matrices import (
+    JetMatrix,
+    jet_reciprocal,
+    matrix_identity,
+    matrix_inverse,
+    matrix_mul,
+)
 from germglue.regions import Polydisc, TubeDomain
 from germglue.scalars import Coeff
 from germglue.sheaf import (
@@ -20,6 +28,7 @@ from germglue.sheaf import (
     validate_sheaf_cocycle,
 )
 
+from .oracles import oracle_matmul, oracle_sheaf_cocycle
 from .test_atlas import identity_atlas, pinch_atlas
 
 F = Fraction
@@ -134,6 +143,88 @@ def test_cocycle_perturbation_names_triple_and_entry():
     assert cocycle[0]["exponent"] == [1, 0]
 
 
+def gauge_sheaf(ids: str = "ABCD", order: int = 3) -> SheafInput:
+    """Rank-2 cocycle g_ij = G_j G_i^-1 with non-commuting unimodular gauges
+    G_i = [[1, 0], [q_i, 1]] [[1, p_i], [0, 1]]; a domain on every pair and
+    every triple."""
+    one, zero = jet(2, order, [((0, 0), 1)]), jet(2, order, [])
+    gauges = {}
+    for n, cid in enumerate(ids):
+        p = jet(2, order, [((1, 0), F(1, 3 + n)), ((0, 1), F(-1, 4))])
+        q = jet(2, order, [((0, 1), F(1, 5)), ((1, 1), F(n, 3))])
+        lower = JetMatrix([[one, zero], [q, one]])
+        upper = JetMatrix([[one, p], [zero, one]])
+        lower_inv = JetMatrix([[one, zero], [jet_neg(q), one]])
+        upper_inv = JetMatrix([[one, jet_neg(p)], [zero, one]])
+        gauges[cid] = (oracle_matmul(lower, upper), oracle_matmul(upper_inv, lower_inv))
+    base = Polydisc([Coeff(F(1, 10))], [F(1)])
+    return SheafInput(
+        ranks={c: 2 for c in ids},
+        domains={key: TubeDomain(key[0], base, 1, F(1, 4))
+                 for key in combinations(ids, 2)},
+        matrices={(i, j): oracle_matmul(gauges[j][0], gauges[i][1])
+                  for i in ids for j in ids if i != j},
+        triple_domains={key: TubeDomain(key[0], base, 1, F(1, 4))
+                        for key in combinations(ids, 3)},
+    )
+
+
+def validation_report(inp) -> dict:
+    try:
+        return validate_sheaf_cocycle(inp)
+    except ValidationFailure as exc:
+        return exc.report
+
+
+def test_gauge_sheaf_validates():
+    report = validate_sheaf_cocycle(gauge_sheaf())
+    assert report["valid"]
+    assert report["triples_checked"] == 4
+    assert oracle_sheaf_cocycle(gauge_sheaf()) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    pair=st.sampled_from([(i, j) for i in "ABCD" for j in "ABCD" if i != j]),
+    keep_inverse=st.booleans(),
+    entry=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    exponent=st.sampled_from([(0, 1), (1, 1), (0, 2), (2, 1)]),
+    coeff=st.sampled_from([F(1), F(-1, 2), F(3, 7), F(-1, 3)]),
+)
+def test_validation_matches_all_orderings_oracle(pair, keep_inverse, entry,
+                                                 exponent, coeff):
+    # Perturb one matrix of a valid sheaf by a term that vanishes on the
+    # zero section (so its determinant stays certified); with keep_inverse
+    # the reverse matrix becomes its exact inverse, and only cocycles fail.
+    inp = gauge_sheaf()
+    rows = [list(row) for row in inp.matrices[pair].entries]
+    r, c = entry
+    rows[r][c] = jet_add(rows[r][c], jet(2, 3, [(exponent, coeff)]))
+    inp.matrices[pair] = JetMatrix(rows)
+    if keep_inverse:
+        inp.matrices[pair[::-1]] = matrix_inverse(inp.matrices[pair])
+    report = validation_report(inp)
+    assert report["violations"] == oracle_sheaf_cocycle(inp)
+    assert report["triples_checked"] == len(inp.triple_domains)
+    assert not report["valid"]
+
+
+def test_validation_multiplies_one_side_and_one_ordering(monkeypatch):
+    import germglue.sheaf
+
+    calls = []
+    real = germglue.sheaf.matrix_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(germglue.sheaf, "matrix_mul", counted)
+    assert validate_sheaf_cocycle(gauge_sheaf())["valid"]
+    # six inverse pairs on one side, one ordering of each of four triples
+    assert len(calls) == 10
+
+
 def test_inverse_pair_violation_reported():
     inp = rank2_input()
     inp.matrices[("B", "A")] = unipotent_tz(6)
@@ -224,6 +315,25 @@ def test_glue_identity_sheaf_keeps_atlas_radii(identity_glued):
     )
     sheaf = glue_sheaf(inp, identity_glued)
     assert sheaf.epsilons == identity_glued.cover.radii
+
+
+def test_glue_computes_each_determinant_once(identity_glued, monkeypatch):
+    import germglue.sheaf
+
+    inp = gauge_sheaf("ABC")
+    expected = validate_sheaf_cocycle(inp)["det_lower_bounds"]
+    calls = []
+    real = germglue.sheaf.matrix_det
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(germglue.sheaf, "matrix_det", counted)
+    sheaf = glue_sheaf(inp, identity_glued)
+    assert len(calls) == len(sheaf.pair_tubes) == 6
+    assert sheaf.det_bounds.keys() == expected.keys()
+    assert all(b > 0 for b in sheaf.det_bounds.values())
 
 
 def test_glue_single_chart_free_module(identity_glued):
