@@ -285,12 +285,17 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
     Truncated K-jets of constant-free maps with invertible linear part form
     a group under truncated composition, and phi_ji o phi_ij = id at order K
     already makes the linear parts inverse to each other.  So once the three
-    inverse pairs of a triple hold, phi_jk o phi_ij = phi_ik for its first
-    ordering (i < j < k by ``repr``) implies the other five.  If that
-    ordering fails, or an inverse pair of the triple failed, each ordering
-    is composed where the loop reaches it, so the violation list is the one
-    an all-orderings check gives.  ``cocycle_triples_checked`` counts the
-    ordered triples certified, directly or by implication.
+    inverse pairs of a triple hold, phi_jk o phi_ij = phi_ik for any one
+    ordering implies the other five.  The orderings are visited in sorted
+    order (by ``repr``); each one is checked only where its own witness
+    point exists, since ``polydisc_common_point`` narrows the discs in list
+    order and may find a point for some orderings of three charts and not
+    for others.  Once a composed ordering holds and the triple's inverse
+    pairs passed, the later orderings with a witness are counted without
+    composing them.  Until then each ordering with a witness is composed,
+    so the violation list is the one an all-orderings check gives.
+    ``cocycle_triples_checked`` counts the ordered triples with a witness
+    certified, directly or by implication.
 
     Returns the report when everything holds; raises ValidationFailure
     carrying the full report otherwise."""
@@ -344,17 +349,11 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
             inverse_ok.add(frozenset((i, j)))
 
     cocycle_checked = 0
-    has_point: dict = {}  # unordered triple -> the charts share a point
-    implied = set()  # unordered triples certified from their first ordering
+    implied = set()  # unordered triples certified by one composed ordering
     for i, j, k in permutations(sorted(inp.charts, key=repr), 3):
-        triple = frozenset((i, j, k))
-        first = triple not in has_point
-        if first:
-            has_point[triple] = polydisc_common_point(
-                [inp.charts[i], inp.charts[j], inp.charts[k]]
-            ) is not None
-        if not has_point[triple]:
+        if polydisc_common_point([inp.charts[i], inp.charts[j], inp.charts[k]]) is None:
             continue
+        triple = frozenset((i, j, k))
         if triple in implied:
             cocycle_checked += 1
             continue
@@ -375,7 +374,7 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
         )
         violations.extend(found)
         cocycle_checked += 1
-        if first and not found and all(
+        if not found and all(
             frozenset(p) in inverse_ok for p in combinations((i, j, k), 2)
         ):
             implied.add(triple)

@@ -158,14 +158,24 @@ def _inside(point, disc) -> bool:
     )
 
 
-def oracle_atlas_cocycle(inp) -> tuple[list, int]:
+def _mean_inside_all(discs) -> bool:
+    mean = [sum((d.centers[n] for d in discs), ZERO) * Coeff(Fraction(1, 3))
+            for n in range(len(discs[0].centers))]
+    return all(_inside(mean, d) for d in discs)
+
+
+def oracle_atlas_cocycle(inp, overlapping=None) -> tuple[list, int]:
     """Inverse-pair and cocycle violations of an atlas input, and the count
     of ordered triples checked, composing every ordering of every triple.
 
     For inputs whose transitions are all well shaped, constant-free, the
-    identity on the zero section and paired with their reverse.  Three
-    charts count as overlapping when the mean of their centres lies inside
-    all three, which is exact for the tightly packed covers of the tests."""
+    identity on the zero section and paired with their reverse.  An ordered
+    triple (i, j, k) is checked when ``overlapping(i, j, k)`` holds; by
+    default, when the mean of the three centres lies inside all three
+    charts, which is exact for the tightly packed covers of the tests."""
+    if overlapping is None:
+        def overlapping(*ids):
+            return _mean_inside_all([inp.charts[c] for c in ids])
     nv, order = inp.total_vars, inp.order
     ident = PolyMap(nv, [
         Jet(nv, order, {tuple(int(v == k) for v in range(nv)): ONE})
@@ -193,10 +203,7 @@ def oracle_atlas_cocycle(inp) -> tuple[list, int]:
             for k in ids:
                 if len({i, j, k}) != 3:
                     continue
-                discs = [inp.charts[c] for c in (i, j, k)]
-                mean = [sum((d.centers[n] for d in discs), ZERO) * Coeff(Fraction(1, 3))
-                        for n in range(inp.base_dim)]
-                if not all(_inside(mean, d) for d in discs):
+                if not overlapping(i, j, k):
                     continue
                 checked += 1
                 violations += _map_violations(

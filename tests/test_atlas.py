@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from germglue.jets import (
     map_compose,
     map_inverse,
 )
-from germglue.regions import Polydisc, TubeDomain
+from germglue.regions import Polydisc, TubeDomain, polydisc_common_point
 from germglue.scalars import Coeff
 
 from .oracles import oracle_atlas_cocycle
@@ -259,6 +260,35 @@ def test_validation_matches_all_orderings_oracle(pair, keep_inverse, component,
     assert report["violations"] == violations
     assert report["cocycle_triples_checked"] == checked
     assert not report["valid"]
+
+
+def test_cocycle_checked_on_each_ordering_with_its_own_witness():
+    # Inner-lens narrowing depends on the order of the discs: A and B meet
+    # in a lens that misses C, while A and C meet in a thin lens that meets
+    # B.  Only the orderings that narrow A with C first have a witness.
+    charts = {
+        "A": disc_chart(F(0)),
+        "B": Polydisc([Coeff(F(95, 100), F(1))], [F(1001, 1000)]),
+        "C": disc_chart(F(19, 10)),
+    }
+    with_witness = [
+        t for t in itertools.permutations("ABC")
+        if polydisc_common_point([charts[c] for c in t]) is not None
+    ]
+    assert with_witness == [("A", "C", "B"), ("C", "A", "B")]
+    broken = broken_cocycle_atlas()
+    inp = GermAtlasInput(1, 1, broken.order, charts, [
+        GermTransition(i, j, full_tube(i, charts[i]), tr.map)
+        for (i, j), tr in broken.transitions.items()
+    ])
+    report = validation_report(inp)
+    violations, checked = oracle_atlas_cocycle(
+        inp, overlapping=lambda *t: t in with_witness
+    )
+    assert checked == 2 and violations
+    assert {tuple(v["triple"]) for v in violations} == set(with_witness)
+    assert report["violations"] == violations
+    assert report["cocycle_triples_checked"] == checked
 
 
 def test_validation_composes_one_ordering_per_triple(monkeypatch):
