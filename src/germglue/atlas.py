@@ -161,14 +161,18 @@ class OverlapData:
     certified inside the true overlap domain O_ij; ``witness`` is the
     relatively compact witness P, the 0.9-fraction tube between core and
     o_inner.  ``vacuous`` marks pairs whose U-level base overlap is
-    certifiably empty."""
+    certifiably empty.  ``escape`` holds the base-escape jets of phi_ij
+    (base component k minus t_k), which every range bound of the pair
+    reads."""
 
-    __slots__ = ("i", "j", "vacuous", "core", "delta", "o_inner", "witness", "margins")
+    __slots__ = ("i", "j", "vacuous", "escape", "core", "delta", "o_inner",
+                 "witness", "margins")
 
-    def __init__(self, i, j, vacuous, core, delta, o_inner, witness, margins):
+    def __init__(self, i, j, vacuous, escape, core, delta, o_inner, witness, margins):
         self.i = i
         self.j = j
         self.vacuous = vacuous
+        self.escape = escape
         self.core = core
         self.delta = delta
         self.o_inner = o_inner
@@ -177,27 +181,29 @@ class OverlapData:
 
 
 class PairCertificate:
-    """Condition (c) data for one ordered pair: the search exponent n_ij,
-    the certified outer tube bound for Q_ij (None when certified empty), and
-    the relative-compactness margin against the O_ij inner tube."""
+    """Condition (c) data for one ordered pair: the certified outer tube
+    bound for Q_ij (None when certified empty) and the relative-compactness
+    margin against the O_ij inner tube."""
 
-    __slots__ = ("i", "j", "n", "bound", "margin", "vacuous")
+    __slots__ = ("i", "j", "bound", "margin", "vacuous")
 
-    def __init__(self, i, j, n, bound, margin, vacuous):
+    def __init__(self, i, j, bound, margin, vacuous):
         self.i = i
         self.j = j
-        self.n = n
         self.bound = bound
         self.margin = margin
         self.vacuous = vacuous
 
 
 class ShrunkCover:
-    __slots__ = ("input", "triples", "overlaps", "n_index", "radii", "tubes",
-                 "pairs", "pair_n", "halvings", "memo")
+    """The shrunk cover: per-chart fiber radii r_i = 1/n(i), the tubes Q_i
+    over U_i, the pair certificates at those radii, and the count of
+    triple-stage halvings."""
 
-    def __init__(self, input, triples, overlaps, n_index, radii, tubes, pairs,
-                 pair_n=None, halvings=0):
+    __slots__ = ("input", "triples", "overlaps", "n_index", "radii", "tubes",
+                 "pairs", "halvings", "memo")
+
+    def __init__(self, input, triples, overlaps, n_index, radii, tubes, pairs):
         self.input = input
         self.triples = triples          # chart id -> CoverTriple
         self.overlaps = overlaps        # (i, j) -> OverlapData
@@ -205,8 +211,7 @@ class ShrunkCover:
         self.radii = radii              # chart id -> Fraction r_i
         self.tubes = tubes              # chart id -> TubeDomain Q_i
         self.pairs = pairs              # (i, j) -> PairCertificate
-        self.pair_n = pair_n or {}      # (i, j) -> accepted search exponent
-        self.halvings = halvings
+        self.halvings = 0
         self.memo = {}                  # pair or triple -> (r_i, value at r_i)
 
 
@@ -400,14 +405,6 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _base_escape_components(inp: GermAtlasInput, f: PolyMap) -> list[Jet]:
-    """E_k = base component k of f minus the coordinate t_k."""
-    return [
-        jet_sub(f.components[k], jet_var(inp.total_vars, inp.order, k))
-        for k in range(inp.base_dim)
-    ]
-
-
 def _witness_base(u_i: Polydisc, u_j: Polydisc, v_i: Polydisc, v_j: Polydisc):
     """Per-coordinate outer lens disc of (U_i, U_j), with its certified
     margin inside both V discs.  Returns (polydisc, delta) or a reason.
@@ -453,18 +450,24 @@ def compute_overlaps(
     O_ij: inside the V overlap, inside the declared tube N_ij, and mapped by
     phi_ij into the V overlap (base-escape range bounds at most delta).
     Also fixes the relatively compact witness P (fraction 0.9 of the margin
-    layer and fiber)."""
+    layer and fiber), and keeps each pair's base-escape jets, vacuous pairs
+    included, for the pair bounds."""
     overlaps: Dict[Pair, OverlapData] = {}
     for (i, j), tr in inp.transitions.items():
         u_i, v_i = triples[i].U, triples[i].V
         u_j, v_j = triples[j].U, triples[j].V
         if polydisc_intersection_outer(v_i, v_j) is None:
             continue  # V-level overlap certifiably empty: no pair domain
+        # E_k = base component k of phi_ij minus the coordinate t_k
+        escape = [
+            jet_sub(tr.map.components[k], jet_var(inp.total_vars, inp.order, k))
+            for k in range(inp.base_dim)
+        ]
         built, reason = _witness_base(u_i, u_j, v_i, v_j)
         if built is None:
             if reason == "empty":
                 overlaps[(i, j)] = OverlapData(
-                    i, j, True, None, None, None, None, {}
+                    i, j, True, escape, None, None, None, None, {}
                 )
                 continue
             raise ShrinkExhausted(
@@ -480,7 +483,6 @@ def compute_overlaps(
                     "declared transition tube"
                 )
         inflated = polydisc_inflate(core, delta)
-        escape = _base_escape_components(inp, tr.map)
         rho = tr.domain.fiber_radius
         while True:
             probe = TubeDomain(i, inflated, inp.fiber_dim, rho)
@@ -504,7 +506,9 @@ def compute_overlaps(
             "witness_base": delta / 10,
             "witness_fiber": rho / 10,
         }
-        overlaps[(i, j)] = OverlapData(i, j, False, core, delta, o_inner, witness, margins)
+        overlaps[(i, j)] = OverlapData(
+            i, j, False, escape, core, delta, o_inner, witness, margins
+        )
     return overlaps
 
 
@@ -540,10 +544,9 @@ def _pair_outer_bound(
         return None
     fiber = min(fiber_radius, tr.domain.fiber_radius)
     coarse = TubeDomain(i, coarse_base, inp.fiber_dim, fiber)
-    escape = _base_escape_components(inp, tr.map)
-    etas = [range_bound_tube(e, coarse) for e in escape]
-    data = overlaps.get((i, j))
-    witness_base = None if data is None or data.vacuous else data.witness.base
+    data = overlaps[(i, j)]
+    etas = [range_bound_tube(e, coarse) for e in data.escape]
+    witness_base = None if data.vacuous else data.witness.base
     centers, radii = [], []
     for k in range(inp.base_dim):
         candidates = disc_lens_outer_candidates(
@@ -576,36 +579,17 @@ def shrink_tubes(
 ) -> ShrunkCover:
     """Find fiber radii r_i = 1/n(i) so that every pair satisfies (c).
 
-    Per pair the search runs n = 1, 2, 4, ... up to n_max, accepting the
-    first n whose certified outer bound for Q_ij lands inside the witness P
-    (or is certified empty); then n(i) is the maximum over the pairs at i,
-    which preserves every accepted inclusion (the bounds shrink with n)."""
-    n_pair: Dict[Pair, int] = {}
-    for (i, j), data in overlaps.items():
-        n = 1
-        while True:
-            bound = _pair_outer_bound(inp, triples, overlaps, i, j, Fraction(1, n))
-            if bound is None:
-                n_pair[(i, j)] = n
-                break
-            if not data.vacuous and tube_contains(bound, data.witness):
-                n_pair[(i, j)] = n
-                break
-            if n >= n_max:
-                raise ShrinkExhausted(
-                    f"pair {(i, j)!r} not certified at n_max = {n_max}"
-                )
-            n *= 2
-
+    Every chart starts at n = 1.  While some pair's certificate fails at the
+    current radii, n doubles at that pair's first chart, whose radius is the
+    only one its bound reads; a pair still blocking once the doubled n would
+    pass n_max raises ShrinkExhausted."""
     n_index = {cid: 1 for cid in inp.charts}
-    for (i, j), n in n_pair.items():
-        n_index[i] = max(n_index[i], n)
-    radii = {cid: Fraction(1, n) for cid, n in n_index.items()}
+    radii = {cid: Fraction(1) for cid in inp.charts}
     tubes = {
         cid: TubeDomain(cid, triples[cid].U, inp.fiber_dim, radii[cid])
         for cid in inp.charts
     }
-    cover = ShrunkCover(inp, triples, overlaps, n_index, radii, tubes, {}, dict(n_pair))
+    cover = ShrunkCover(inp, triples, overlaps, n_index, radii, tubes, {})
     while True:
         blocking = _refresh_pair_certificates(cover)
         if blocking is None:
@@ -635,29 +619,38 @@ def _at_radius(cover: ShrunkCover, key, decide):
     return hit[1]
 
 
+def _pair_outcome(cover: ShrunkCover, i, j) -> Optional[PairCertificate]:
+    """Condition (c) for (i, j) at the current radii: its certificate, or
+    None when the outer bound for Q_ij is neither certified empty nor
+    relatively compact in O_ij around the witness P."""
+    data = cover.overlaps[(i, j)]
+    bound = _pair_outer_bound(
+        cover.input, cover.triples, cover.overlaps, i, j, cover.radii[i]
+    )
+    if bound is None:
+        return PairCertificate(i, j, None, None, True)
+    if data.vacuous:
+        return None
+    margin = tube_rel_compact(bound, data.o_inner)
+    if margin is None or margin <= 0 or not tube_contains(bound, data.witness):
+        return None
+    return PairCertificate(i, j, bound, margin, False)
+
+
 def _refresh_pair_certificates(cover: ShrunkCover) -> Optional[Pair]:
     """Re-certify every pair at the current radii.  Returns the first
     pair whose (c) margin cannot be re-certified (the caller shrinks that
     chart further and retries: the bounds converge onto the witness core as
     the fiber radius drops), or None when all certificates hold.
 
-    The bound for Q_ij depends only on the input and r_i: it is computed
-    once per r_i."""
-    inp = cover.input
+    A pair's outcome depends only on the input and r_i: it is decided once
+    per r_i."""
     pairs: Dict[Pair, PairCertificate] = {}
-    for (i, j), data in cover.overlaps.items():
-        bound = _at_radius(cover, (i, j), lambda: _pair_outer_bound(
-            inp, cover.triples, cover.overlaps, i, j, cover.radii[i]
-        ))
-        if bound is None:
-            pairs[(i, j)] = PairCertificate(i, j, cover.pair_n.get((i, j)), None, None, True)
-            continue
-        if data.vacuous:
+    for (i, j) in cover.overlaps:
+        cert = _at_radius(cover, (i, j), lambda: _pair_outcome(cover, i, j))
+        if cert is None:
             return (i, j)
-        margin = tube_rel_compact(bound, data.o_inner)
-        if margin is None or margin <= 0 or not tube_contains(bound, data.witness):
-            return (i, j)
-        pairs[(i, j)] = PairCertificate(i, j, cover.pair_n.get((i, j)), bound, margin, False)
+        pairs[(i, j)] = cert
     cover.pairs = pairs
     return None
 

@@ -97,10 +97,24 @@ def _check_budgets(job: JobSpec) -> None:
         raise SchemaError(f"--n-max must be >= 1, got {job.n_max}")
 
 
-def _float_audit(job: JobSpec, cover) -> dict:
-    return float_transition_audit(
-        cover, chains=job.samples, seed=job.seed, tolerance=job.tolerance
+def _glue_atlas(job: JobSpec, inp, radius_floor):
+    return run_glue_pipeline(
+        inp,
+        n_max=job.n_max,
+        radius_floor=radius_floor,
+        samples=job.samples,
+        seed=job.seed,
     )
+
+
+def _result(job: JobSpec, ok: bool, payload: dict, cover):
+    """(ok, payload, exit code); float mode adds the numeric chain audit."""
+    if job.mode == "float":
+        audit = payload["float_audit"] = float_transition_audit(
+            cover, chains=job.samples, seed=job.seed, tolerance=job.tolerance
+        )
+        ok = ok and audit["ok"]
+    return ok, payload, EXIT_OK if ok else EXIT_VALIDATION
 
 
 def _cmd_validate(job: JobSpec):
@@ -116,13 +130,7 @@ def _cmd_validate(job: JobSpec):
 
 def _cmd_glue(job: JobSpec):
     inp = atlas_input_from_json(load_document(job.input, "atlas-input"), job.order)
-    report, atlas = run_glue_pipeline(
-        inp,
-        n_max=job.n_max,
-        radius_floor=_floor(job),
-        samples=job.samples,
-        seed=job.seed,
-    )
+    report, atlas = _glue_atlas(job, inp, _floor(job))
     payload = {
         "validation": report,
         "certificates": atlas.certificates,
@@ -134,12 +142,7 @@ def _cmd_glue(job: JobSpec):
         "radii": dict(sorted(atlas.cover.radii.items())),
         "n_index": dict(sorted(atlas.cover.n_index.items())),
     }
-    ok = True
-    if job.mode == "float":
-        audit = _float_audit(job, atlas.cover)
-        payload["float_audit"] = audit
-        ok = audit["ok"]
-    return ok, payload, EXIT_OK if ok else EXIT_VALIDATION
+    return _result(job, True, payload, atlas.cover)
 
 
 def _cmd_glue_sheaf(job: JobSpec):
@@ -147,14 +150,9 @@ def _cmd_glue_sheaf(job: JobSpec):
         raise SchemaError("glue-sheaf needs --atlas pointing at an atlas document")
     atlas_inp = atlas_input_from_json(load_document(job.atlas, "atlas-input"), job.order)
     sheaf_inp = sheaf_input_from_json(load_document(job.input, "sheaf-input"))
-    _, atlas = run_glue_pipeline(
-        atlas_inp,
-        n_max=job.n_max,
-        radius_floor=_floor(job),
-        samples=job.samples,
-        seed=job.seed,
-    )
-    glued = glue_sheaf(sheaf_inp, atlas, radius_floor=_floor(job))
+    floor = _floor(job)
+    _, atlas = _glue_atlas(job, atlas_inp, floor)
+    glued = glue_sheaf(sheaf_inp, atlas, radius_floor=floor)
     payload = {
         "mode": glued.mode,
         "order": glued.order,
@@ -169,12 +167,7 @@ def _cmd_glue_sheaf(job: JobSpec):
         },
         "atlas_certificates": atlas.certificates,
     }
-    ok = True
-    if job.mode == "float":
-        audit = _float_audit(job, atlas.cover)
-        payload["float_audit"] = audit
-        ok = audit["ok"]
-    return ok, payload, EXIT_OK if ok else EXIT_VALIDATION
+    return _result(job, True, payload, atlas.cover)
 
 
 def _cmd_tep_check(job: JobSpec):
@@ -200,13 +193,10 @@ def _cmd_glue_tep(job: JobSpec):
         samples=job.samples,
         seed=job.seed,
     )
-    payload = {"certificate": glued.certificate}
-    ok = glued.certificate["valid"]
-    if job.mode == "float":
-        audit = _float_audit(job, glued.atlas.cover)
-        payload["float_audit"] = audit
-        ok = ok and audit["ok"]
-    return ok, payload, EXIT_OK if ok else EXIT_VALIDATION
+    return _result(
+        job, glued.certificate["valid"], {"certificate": glued.certificate},
+        glued.atlas.cover,
+    )
 
 
 _COMMANDS = {
@@ -343,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tolerance", type=float, default=1e-9,
                         help="float-mode residual tolerance")
         sp.add_argument("--n-max", dest="n_max", type=int, default=N_MAX_DEFAULT,
-                        help="shrinking search depth")
+                        help="cap on each chart's n (radius 1/n) in the pair stage")
         sp.add_argument("--radius-floor", dest="radius_floor", default=None,
                         help="smallest allowed tube radius, as p/q")
         sp.add_argument("--samples", type=int, default=200,

@@ -30,10 +30,6 @@ class NotInvertibleError(GermGlueError, ValueError):
     """A linear part, matrix or jet required to be invertible is singular."""
 
 
-class InvalidHomError(GermGlueError, ValueError):
-    """Generator images do not define an ideal-preserving algebra map."""
-
-
 class ValidationFailure(GermGlueError):
     """Input data violates a structural condition (germ identities, cocycle,
     pairing axiom, ...).  Carries the machine-readable report when raised by

@@ -22,12 +22,6 @@ for maps all of whose components are constant-free; that is exactly the
 condition under which the truncated composite depends on the operands only
 through their jets.
 
-An :class:`AlgebraHom` records images of the coordinate generators of a
-fibred polynomial algebra.  The dictionary between ideal-preserving algebra
-homomorphisms and map germs is implemented by :func:`hom_to_map` /
-:func:`map_to_hom`; it is literally a re-labelling once the ideal condition
-("fiber images vanish on the zero section") has been checked.
-
 All operations are pure: they never mutate their operands, so values can be
 shared freely across threads.
 """
@@ -41,7 +35,6 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import (
     CompositionDomainError,
-    InvalidHomError,
     NotInvertibleError,
     ShapeError,
 )
@@ -637,59 +630,3 @@ def map_inverse(f: PolyMap) -> PolyMap:
         g = g_next
     return g
 
-
-# ---------------------------------------------------------------------------
-# Algebra homomorphisms along a zero section
-# ---------------------------------------------------------------------------
-
-
-class AlgebraHom:
-    """Generator images of an algebra endomorphism of a fibred jet algebra.
-
-    ``base_vars`` of the generators are base coordinates, the rest are fiber
-    coordinates; images of fiber generators must vanish on the zero section
-    (every term carries positive fiber degree), which is the ideal condition
-    making the hom correspond to a map germ along the section.
-    """
-
-    __slots__ = ("base_vars", "images")
-
-    def __init__(self, base_vars: int, images: Sequence[Jet]):
-        images = tuple(images)
-        if not images:
-            raise InvalidHomError("a homomorphism needs generator images")
-        nv = images[0].num_vars
-        order = images[0].order
-        if any(j.num_vars != nv or j.order != order for j in images):
-            raise InvalidHomError("generator images must share one shape")
-        if len(images) != nv:
-            raise InvalidHomError("need as many generator images as variables")
-        if not 0 <= base_vars <= nv:
-            raise InvalidHomError("base_vars out of range")
-        fiber = range(base_vars, nv)
-        for idx in range(base_vars, nv):
-            img = images[idx]
-            for e in img.terms:
-                if all(e[i] == 0 for i in fiber):
-                    raise InvalidHomError(
-                        f"image of fiber generator {idx} has a term {e} that "
-                        "survives on the zero section"
-                    )
-        self.base_vars = base_vars
-        self.images = images
-
-    def __repr__(self) -> str:
-        return f"AlgebraHom({self.base_vars} base of {len(self.images)} generators)"
-
-
-def hom_to_map(h: AlgebraHom) -> PolyMap:
-    """The map germ whose coordinate functions are the generator images."""
-    return PolyMap(h.images[0].num_vars, h.images)
-
-
-def map_to_hom(f: PolyMap, base_vars: int) -> AlgebraHom:
-    """The algebra homomorphism sending each generator to the matching
-    component of ``f``; validates the ideal condition."""
-    if f.source_vars != f.target_vars:
-        raise InvalidHomError("only endomorphism-shaped maps define homs")
-    return AlgebraHom(base_vars, f.components)

@@ -30,27 +30,21 @@ if TYPE_CHECKING:
 GRID_DENOMINATOR = 64
 
 
-def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction,
-                   shrink: Fraction = Fraction(9, 10)) -> Coeff:
-    """Exact rational point with |result - center| <= shrink * radius."""
-    bound = shrink * shrink
+def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction) -> Coeff:
+    """Exact rational point with |result - center| <= 9/10 * radius."""
     while True:
         a = Fraction(rng.randrange(-GRID_DENOMINATOR, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
         b = Fraction(rng.randrange(-GRID_DENOMINATOR, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
-        if a * a + b * b <= bound:
+        if a * a + b * b <= Fraction(81, 100):
             return center + Coeff(a * radius, b * radius)
 
 
-def sample_in_polydisc(rng: random.Random, p: Polydisc,
-                       shrink: Fraction = Fraction(9, 10)) -> Point:
-    return tuple(
-        sample_in_disc(rng, c, r, shrink) for c, r in zip(p.centers, p.radii)
-    )
+def sample_in_polydisc(rng: random.Random, p: Polydisc) -> Point:
+    return tuple(sample_in_disc(rng, c, r) for c, r in zip(p.centers, p.radii))
 
 
-def sample_in_tube(rng: random.Random, t: TubeDomain,
-                   shrink: Fraction = Fraction(9, 10)) -> Point:
-    return sample_in_polydisc(rng, tube_as_polydisc(t), shrink)
+def sample_in_tube(rng: random.Random, t: TubeDomain) -> Point:
+    return sample_in_polydisc(rng, tube_as_polydisc(t))
 
 
 # ---------------------------------------------------------------------------

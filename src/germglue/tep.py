@@ -77,7 +77,7 @@ PAIRING_CONVENTION = (
 # Symbolic determinant expansion is affordable up to this rank; larger
 # miniversality questions fall back to seeded randomized evaluation.
 SYMBOLIC_RANK_CAP = 5
-RANDOM_TRIALS_DEFAULT = 12
+RANDOM_TRIALS = 12
 _RANDOM_RANGE = 10**6
 
 
@@ -313,9 +313,7 @@ def check_IC(d: TEPData, y: Optional[Sequence[Coeff]] = None) -> bool:
     return column_span_rank(cols) == d.base_dim
 
 
-def check_GC(
-    d: TEPData, y: Optional[Sequence[Coeff]] = None, depth_cap: Optional[int] = None
-) -> tuple[bool, list[int]]:
+def check_GC(d: TEPData, y: Optional[Sequence[Coeff]] = None) -> tuple[bool, list[int]]:
     """Generation of the fiber at (y, 0) by iterated covariant derivatives.
 
     Words are built with the z-direction operator applied outside the base
@@ -324,7 +322,7 @@ def check_GC(
     grown at an order high enough that no operator application truncates.
     """
     pt = _eval_point(d, y)
-    cap = d.rank if depth_cap is None else depth_cap
+    cap = d.rank
     wg = (cap + 1) * (d.t_order + d.z_order) + 2 * cap + 2
     z = d.z_index
     amats = [matrix_with_order(a, wg) for a in d.a_mats]
@@ -357,10 +355,7 @@ def check_GC(
 
 
 def check_miniversal(
-    d: TEPData,
-    y: Optional[Sequence[Coeff]] = None,
-    seed: int = 0,
-    trials: int = RANDOM_TRIALS_DEFAULT,
+    d: TEPData, y: Optional[Sequence[Coeff]] = None, seed: int = 0
 ) -> tuple[bool, dict]:
     """Existence of x with [A_1(y,0)x | ... | A_m(y,0)x] invertible.
 
@@ -403,13 +398,25 @@ def check_miniversal(
             "witness_term": list(witness[0]) if witness else None,
         }
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(RANDOM_TRIALS):
         x = [Coeff(Fraction(rng.randint(-_RANDOM_RANGE, _RANDOM_RANGE))) for _ in range(n)]
         cols = [coeff_matvec(mat, x) for mat in mats]
         det = coeff_det([list(row) for row in zip(*cols)])
         if not det.is_zero():
             return True, {"method": "randomized", "seed": seed, "witness": x}
-    return False, {"method": "randomized", "seed": seed, "trials": trials, "witness": None}
+    return False, {"method": "randomized", "seed": seed, "trials": RANDOM_TRIALS,
+                   "witness": None}
+
+
+def _hypotheses(d: TEPData, y: Optional[Sequence[Coeff]], seed: int) -> dict:
+    """The injectivity, generation and miniversality verdicts at (y, 0)."""
+    gc_holds, gc_trace = check_GC(d, y)
+    mini_holds, mini_info = check_miniversal(d, y, seed=seed)
+    return {
+        "IC": check_IC(d, y),
+        "GC": {"holds": gc_holds, "trace": gc_trace},
+        "miniversal": {"holds": mini_holds, **mini_info},
+    }
 
 
 def tep_report(d: TEPData, y: Optional[Sequence[Coeff]] = None, seed: int = 0) -> dict:
@@ -422,19 +429,12 @@ def tep_report(d: TEPData, y: Optional[Sequence[Coeff]] = None, seed: int = 0) -
     pt = _eval_point(d, y)
     flatness = validate_tep_flatness(d)
     pairing = validate_tep_pairing(d)
-    ic = check_IC(d, y)
-    gc_holds, gc_trace = check_GC(d, y)
-    mini_holds, mini_info = check_miniversal(d, y, seed=seed)
-    mini = {"holds": mini_holds}
-    mini.update(mini_info)
     return {
         "valid": flatness["flat"] and pairing["valid"],
         "point": list(pt[: d.base_dim]),
         "flatness": flatness,
         "pairing": pairing,
-        "IC": ic,
-        "GC": {"holds": gc_holds, "trace": gc_trace},
-        "miniversal": mini,
+        **_hypotheses(d, y, seed),
     }
 
 
@@ -593,20 +593,8 @@ def glue_tep(
             raise CompositionDomainError(
                 f"sample point lies outside the glued tube of chart {cid!r}"
             )
-        d = charts[cid]
-        ic = check_IC(d, pt)
-        gc_holds, gc_trace = check_GC(d, pt)
-        mini_holds, mini_info = check_miniversal(d, pt, seed=seed)
-        mini = {"holds": mini_holds}
-        mini.update(mini_info)
         point_checks.append(
-            {
-                "chart": cid,
-                "point": list(pt),
-                "IC": ic,
-                "GC": {"holds": gc_holds, "trace": gc_trace},
-                "miniversal": mini,
-            }
+            {"chart": cid, "point": list(pt), **_hypotheses(charts[cid], pt, seed)}
         )
 
     valid = not residuals and all(r["valid"] for r in chart_reports.values())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -591,6 +592,25 @@ def test_triple_stage_decides_each_triple_once_per_radius(monkeypatch):
     assert decided and len(set(decided)) == len(decided)
 
 
+@pytest.mark.parametrize("name", ["identity-atlas.json", "scaling-atlas.json"])
+def test_shrink_bounds_each_pair_once_per_radius(monkeypatch, name):
+    import germglue.atlas
+    from germglue.documents import atlas_input_from_json, load_document
+
+    path = Path(__file__).resolve().parent.parent / "sample_inputs" / name
+    inp = atlas_input_from_json(load_document(str(path), "atlas-input"))
+    bounded = []
+    real = germglue.atlas._pair_outer_bound
+
+    def counted(inp, triples, overlaps, i, j, fiber_radius):
+        bounded.append((i, j, fiber_radius))
+        return real(inp, triples, overlaps, i, j, fiber_radius)
+
+    monkeypatch.setattr(germglue.atlas, "_pair_outer_bound", counted)
+    shrunk_cover(inp)
+    assert bounded and len(set(bounded)) == len(bounded)
+
+
 def test_reused_certificates_match_a_fresh_recomputation():
     from germglue.atlas import ShrunkCover, _refresh_pair_certificates
 
@@ -599,14 +619,14 @@ def test_reused_certificates_match_a_fresh_recomputation():
     assert cover.halvings == 1
     fresh = ShrunkCover(
         cover.input, cover.triples, cover.overlaps, dict(cover.n_index),
-        dict(cover.radii), dict(cover.tubes), {}, cover.pair_n,
+        dict(cover.radii), dict(cover.tubes), {},
     )
     assert _refresh_pair_certificates(fresh) is None
     fresh_certs = enforce_triple_domains(fresh)
     assert fresh.halvings == 0
 
     def pair_view(pairs):
-        return [(key, c.n, c.bound, c.margin, c.vacuous) for key, c in pairs.items()]
+        return [(key, c.bound, c.margin, c.vacuous) for key, c in pairs.items()]
 
     def triple_view(triple_certs):
         return [(key, c.vacuous, c.domain_margin, c.residual_zero, c.remark)

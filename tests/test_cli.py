@@ -67,6 +67,19 @@ def test_glue_exhausted_search_exits_3(tmp_path):
     assert envelope["error"]["kind"] == "ShrinkExhausted"
 
 
+def test_n_max_caps_every_chart_n(tmp_path):
+    args = ["glue", SAMPLES / "scaling-atlas.json", "--samples", "10"]
+    code, envelope, _ = run_cli(tmp_path, *args, "--n-max", "40")
+    assert code == 3
+    assert envelope["error"] == {
+        "kind": "ShrinkExhausted",
+        "message": "pair ('A', 'C') not certified at n_max = 40",
+    }
+    code, envelope, _ = run_cli(tmp_path, *args, "--n-max", "64")
+    assert code == 0
+    assert max(envelope["report"]["n_index"].values()) == 64
+
+
 def test_glue_radius_floor_names_the_blocking_triple(tmp_path):
     code, envelope, _ = run_cli(tmp_path, "glue", SAMPLES / "identity-chain-atlas.json")
     assert code == 3

@@ -11,15 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from germglue.errors import (
     CompositionDomainError,
-    InvalidHomError,
     NotInvertibleError,
     ShapeError,
 )
 from germglue.jets import (
-    AlgebraHom,
     Jet,
     PolyMap,
-    hom_to_map,
     identity_map,
     jet_add,
     jet_compose,
@@ -43,7 +40,6 @@ from germglue.jets import (
     linear_part,
     map_compose,
     map_inverse,
-    map_to_hom,
     map_eval,
 )
 from germglue.regions import recenter
@@ -438,42 +434,3 @@ def test_linear_part_and_eval():
     assert lp[1][1] == frac(3)
     assert map_eval(f, (frac(1), frac(2))) == (frac(5), frac(6))
 
-
-# ---------------------------------------------------------------------------
-# algebra homomorphisms
-# ---------------------------------------------------------------------------
-
-
-def test_hom_requires_fiber_vanishing():
-    t, z = jet_var(2, 3, 0), jet_var(2, 3, 1)
-    with pytest.raises(InvalidHomError):
-        AlgebraHom(1, [t, jet_add(z, jet_pow(t, 2))])
-    h = AlgebraHom(1, [jet_add(t, jet_pow(z, 2)), jet_mul(t, z)])
-    assert h.base_vars == 1
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_hom_map_round_trip(data):
-    order = data.draw(st.integers(1, 3))
-    t, z = jet_var(2, order if order > 1 else 2, 0), jet_var(2, order if order > 1 else 2, 1)
-    order = t.order
-    fz = jet_mul(z, data.draw(jets(num_vars=2, order=order)))
-    fz = jet_add(z, jet_truncate(jet_with_order(fz, order), order))
-    ft = jet_add(t, data.draw(jets(num_vars=2, order=order, min_degree=1)))
-    f = PolyMap(2, [ft, fz])
-    h = map_to_hom(f, 1)
-    assert hom_to_map(h) == f
-
-
-def test_hom_composition_is_reversed_map_composition():
-    # (f o g)* = g* o f*: substituting images of h2 into images of h1
-    # equals the hom of the composite map applied in the other order.
-    order = 4
-    t, z = jet_var(2, order, 0), jet_var(2, order, 1)
-    f = PolyMap(2, [jet_add(t, jet_pow(z, 2)), z])
-    g = PolyMap(2, [t, jet_add(z, jet_mul(t, z))])
-    fog = map_compose(g, f)  # apply g then f
-    hf, hg = map_to_hom(f, 1), map_to_hom(g, 1)
-    pulled = [jet_compose(img, hom_to_map(hg)) for img in hf.images]
-    assert all(jet_eq(a, b) for a, b in zip(pulled, fog.components))
