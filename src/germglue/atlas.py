@@ -668,10 +668,10 @@ def _bound_for(cover: ShrunkCover, i, j) -> Optional[TubeDomain]:
     return None if cert is None else cert.bound
 
 
-def _cocycle_residual(inp: GermAtlasInput, i, j, k) -> PolyMap:
+def _cocycle_holds(inp: GermAtlasInput, i, j, k) -> bool:
     left = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, k)].map)
     right = inp.transitions[(i, k)].map if k != i else identity_map(inp.total_vars, inp.order)
-    return map_sub(left, right)
+    return left == right
 
 
 def _triple_outcome(cover: ShrunkCover, i, j, k):
@@ -735,8 +735,7 @@ def enforce_triple_domains(
                 blocking = (i, j, k, cert)
                 break
             if not cert.vacuous and (i, j, k) not in residual_checked:
-                residual = _cocycle_residual(inp, i, j, k)
-                if not all(jet_is_zero(c) for c in residual.components):
+                if not _cocycle_holds(inp, i, j, k):
                     raise ValidationFailure(
                         f"triple {(i, j, k)!r}: cocycle residual nonzero at order "
                         f"{inp.order} on a nonempty triple domain"

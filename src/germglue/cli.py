@@ -10,7 +10,7 @@ one seed are byte identical.
 
 Exit codes: 0 all requested certificates obtained; 2 validation failure
 (germ, cocycle, or axiom violation); 3 gluing obstruction (shrinking
-exhausted below the radius floor); 4 input, schema, or I/O error.
+exhausted below the radius floor); 4 usage, input, schema, or I/O error.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .atlas import (
     N_MAX_DEFAULT,
@@ -60,65 +58,37 @@ EXIT_OBSTRUCTION = 3
 EXIT_INPUT = 4
 
 
-@dataclass
-class JobSpec:
-    """One CLI invocation: command, inputs, and numeric policy."""
-
-    command: str
-    input: str
-    atlas: Optional[str] = None
-    order: Optional[int] = None
-    z_order: Optional[int] = None
-    mode: str = "exact"
-    tolerance: float = 1e-9
-    n_max: int = N_MAX_DEFAULT
-    radius_floor: Optional[str] = None
-    samples: int = 200
-    seed: int = 0
-    out: Optional[str] = None
-
-
-def _floor(job: JobSpec):
-    if job.radius_floor is None:
+def _floor(args):
+    if args.radius_floor is None:
         return RADIUS_FLOOR_DEFAULT
-    floor = fraction_from_json(job.radius_floor)
+    floor = fraction_from_json(args.radius_floor)
     if floor <= 0:
         # the radius-halving loops only stop at a positive floor
-        raise SchemaError(f"--radius-floor must be positive, got {job.radius_floor}")
+        raise SchemaError(f"--radius-floor must be positive, got {args.radius_floor}")
     return floor
 
 
-def _check_budgets(job: JobSpec) -> None:
+def _check_budgets(args) -> None:
     # a negative sample count would be written into the report as run, and
     # a search depth below 1 would end as a false gluing obstruction
-    if job.samples < 0:
-        raise SchemaError(f"--samples must be >= 0, got {job.samples}")
-    if job.n_max < 1:
-        raise SchemaError(f"--n-max must be >= 1, got {job.n_max}")
+    if args.samples < 0:
+        raise SchemaError(f"--samples must be >= 0, got {args.samples}")
+    if args.n_max < 1:
+        raise SchemaError(f"--n-max must be >= 1, got {args.n_max}")
 
 
-def _glue_atlas(job: JobSpec, inp, radius_floor):
-    return run_glue_pipeline(
-        inp,
-        n_max=job.n_max,
-        radius_floor=radius_floor,
-        samples=job.samples,
-        seed=job.seed,
-    )
-
-
-def _result(job: JobSpec, ok: bool, payload: dict, cover):
+def _result(args, ok: bool, payload: dict, cover):
     """(ok, payload, exit code); float mode adds the numeric chain audit."""
-    if job.mode == "float":
+    if args.mode == "float":
         audit = payload["float_audit"] = float_transition_audit(
-            cover, chains=job.samples, seed=job.seed, tolerance=job.tolerance
+            cover, chains=args.samples, seed=args.seed, tolerance=args.tolerance
         )
         ok = ok and audit["ok"]
     return ok, payload, EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _cmd_validate(job: JobSpec):
-    inp = atlas_input_from_json(load_document(job.input, "atlas-input"), job.order)
+def _cmd_validate(args):
+    inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
     report = validate_germ_data(inp)
     payload = {
         "validation": report,
@@ -128,9 +98,13 @@ def _cmd_validate(job: JobSpec):
     return True, payload, EXIT_OK
 
 
-def _cmd_glue(job: JobSpec):
-    inp = atlas_input_from_json(load_document(job.input, "atlas-input"), job.order)
-    report, atlas = _glue_atlas(job, inp, _floor(job))
+def _cmd_glue(args):
+    _check_budgets(args)
+    inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
+    report, atlas = run_glue_pipeline(
+        inp, n_max=args.n_max, radius_floor=_floor(args), samples=args.samples,
+        seed=args.seed,
+    )
     payload = {
         "validation": report,
         "certificates": atlas.certificates,
@@ -142,16 +116,20 @@ def _cmd_glue(job: JobSpec):
         "radii": dict(sorted(atlas.cover.radii.items())),
         "n_index": dict(sorted(atlas.cover.n_index.items())),
     }
-    return _result(job, True, payload, atlas.cover)
+    return _result(args, True, payload, atlas.cover)
 
 
-def _cmd_glue_sheaf(job: JobSpec):
-    if not job.atlas:
+def _cmd_glue_sheaf(args):
+    _check_budgets(args)
+    if not args.atlas:
         raise SchemaError("glue-sheaf needs --atlas pointing at an atlas document")
-    atlas_inp = atlas_input_from_json(load_document(job.atlas, "atlas-input"), job.order)
-    sheaf_inp = sheaf_input_from_json(load_document(job.input, "sheaf-input"))
-    floor = _floor(job)
-    _, atlas = _glue_atlas(job, atlas_inp, floor)
+    atlas_inp = atlas_input_from_json(load_document(args.atlas, "atlas-input"), args.order)
+    sheaf_inp = sheaf_input_from_json(load_document(args.input, "sheaf-input"))
+    floor = _floor(args)
+    _, atlas = run_glue_pipeline(
+        atlas_inp, n_max=args.n_max, radius_floor=floor, samples=args.samples,
+        seed=args.seed,
+    )
     glued = glue_sheaf(sheaf_inp, atlas, radius_floor=floor)
     payload = {
         "mode": glued.mode,
@@ -167,44 +145,62 @@ def _cmd_glue_sheaf(job: JobSpec):
         },
         "atlas_certificates": atlas.certificates,
     }
-    return _result(job, True, payload, atlas.cover)
+    return _result(args, True, payload, atlas.cover)
 
 
-def _cmd_tep_check(job: JobSpec):
-    doc = load_document(job.input, "tep-input")
-    data = tep_data_from_json(doc, t_order=job.order, z_order=job.z_order)
-    report = tep_report(data, seed=job.seed)
+def _cmd_tep_check(args):
+    doc = load_document(args.input, "tep-input")
+    data = tep_data_from_json(doc, t_order=args.order, z_order=args.z_order)
+    report = tep_report(data, seed=args.seed)
     ok = report["valid"]
     return ok, {"tep": report}, EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _cmd_glue_tep(job: JobSpec):
-    doc = load_document(job.input, "tep-glue-input")
+def _cmd_glue_tep(args):
+    _check_budgets(args)
+    doc = load_document(args.input, "tep-glue-input")
     charts, atlas_inp, sheaf_inp, points = tep_glue_input_from_json(
-        doc, order=job.order, z_order=job.z_order
+        doc, order=args.order, z_order=args.z_order
     )
     glued = glue_tep(
-        charts,
-        atlas_inp,
-        sheaf_inp,
-        points=points,
-        n_max=job.n_max,
-        radius_floor=_floor(job),
-        samples=job.samples,
-        seed=job.seed,
+        charts, atlas_inp, sheaf_inp, points=points, n_max=args.n_max,
+        radius_floor=_floor(args), samples=args.samples, seed=args.seed,
     )
     return _result(
-        job, glued.certificate["valid"], {"certificate": glued.certificate},
+        args, glued.certificate["valid"], {"certificate": glued.certificate},
         glued.atlas.cover,
     )
 
 
+# Each command parses only the flags it reads, after its input document.
+_GLUE_FLAGS = ("--order", "--mode", "--tolerance", "--n-max", "--radius-floor",
+               "--samples", "--seed", "--out")
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "glue": _cmd_glue,
-    "glue-sheaf": _cmd_glue_sheaf,
-    "tep-check": _cmd_tep_check,
-    "glue-tep": _cmd_glue_tep,
+    "validate": (_cmd_validate, "check germ-data axioms for an atlas document",
+                 ("--order", "--out")),
+    "glue": (_cmd_glue, "run the shrinking pipeline and emit atlas certificates",
+             _GLUE_FLAGS),
+    "glue-sheaf": (_cmd_glue_sheaf, "glue sheaf data over a certified atlas",
+                   ("--atlas", *_GLUE_FLAGS)),
+    "tep-check": (_cmd_tep_check, "verify framed connection axioms for one chart",
+                  ("--order", "--z-order", "--seed", "--out")),
+    "glue-tep": (_cmd_glue_tep, "glue chart-wise framed connection data globally",
+                 (*_GLUE_FLAGS, "--z-order")),
+}
+_FLAGS = {
+    "--atlas": dict(help="atlas input document"),
+    "--order": dict(type=int, help="override the truncation order: the atlas order K, "
+                                   "or the t-order in tep-check"),
+    "--z-order": dict(type=int, help="override the z truncation order"),
+    "--mode": dict(choices=("exact", "float"), default="exact",
+                   help="float adds a numeric chain audit; exact ignores the tolerance"),
+    "--tolerance": dict(type=float, default=1e-9, help="float-mode residual tolerance"),
+    "--n-max": dict(type=int, default=N_MAX_DEFAULT,
+                    help="cap on each chart's n (radius 1/n) in the pair stage"),
+    "--radius-floor": dict(help="smallest allowed tube radius, as p/q"),
+    "--samples": dict(type=int, default=200, help="sample count for seeded audits"),
+    "--seed": dict(type=int, default=0, help="audit RNG seed"),
+    "--out": dict(help=f"report directory (default ${OUT_DIR_ENV} or .)"),
 }
 
 
@@ -216,11 +212,10 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def run(job: JobSpec) -> int:
-    """Execute a job, write its report document, print a summary."""
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed command, write its report document, print a summary."""
     try:
-        _check_budgets(job)
-        ok, payload, code = _COMMANDS[job.command](job)
+        ok, payload, code = _COMMANDS[args.command][0](args)
     except ValidationFailure as exc:
         ok, payload, code = False, _error_payload(exc), EXIT_VALIDATION
     except (ShrinkExhausted, CoverageLossError, CertificateIncompleteError) as exc:
@@ -231,7 +226,7 @@ def run(job: JobSpec) -> int:
     error = payload.pop("error", None)
     envelope = {
         "schema": SCHEMA_IDS["report"],
-        "command": job.command,
+        "command": args.command,
         "ok": ok,
         "exit_code": code,
         "report": payload,
@@ -240,7 +235,7 @@ def run(job: JobSpec) -> int:
         envelope["error"] = error
 
     try:
-        path = _write_report(job, envelope)
+        path = _write_report(args, envelope)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -249,10 +244,10 @@ def run(job: JobSpec) -> int:
     return code
 
 
-def _write_report(job: JobSpec, envelope: dict) -> str:
-    out_dir = job.out or os.environ.get(OUT_DIR_ENV) or "."
+def _write_report(args, envelope: dict) -> str:
+    out_dir = args.out or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{job.command}-report.json")
+    path = os.path.join(out_dir, f"{args.command}-report.json")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dump_report(envelope))
     return path
@@ -305,49 +300,27 @@ def _summary(envelope: dict, path: str) -> list:
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4 (input error), not argparse's 2 (validation)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="germglue",
-        description="certified gluing of chart-wise germ data",
-    )
+    parser = _Parser(prog="germglue", description="certified gluing of chart-wise germ data")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": "check germ-data axioms for an atlas document",
-        "glue": "run the shrinking pipeline and emit atlas certificates",
-        "glue-sheaf": "glue sheaf data over a certified atlas",
-        "tep-check": "verify framed connection axioms for one chart",
-        "glue-tep": "glue chart-wise framed connection data globally",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("input", help="input JSON document")
-        if name == "glue-sheaf":
-            sp.add_argument("--atlas", help="atlas input document", default=None)
-        sp.add_argument("--order", type=int, default=None,
-                        help="override the truncation order")
-        sp.add_argument("--z-order", dest="z_order", type=int, default=None,
-                        help="override the z truncation order")
-        sp.add_argument("--mode", choices=("exact", "float"), default="exact",
-                        help="float adds a numeric chain audit; exact ignores "
-                             "the tolerance")
-        sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="float-mode residual tolerance")
-        sp.add_argument("--n-max", dest="n_max", type=int, default=N_MAX_DEFAULT,
-                        help="cap on each chart's n (radius 1/n) in the pair stage")
-        sp.add_argument("--radius-floor", dest="radius_floor", default=None,
-                        help="smallest allowed tube radius, as p/q")
-        sp.add_argument("--samples", type=int, default=200,
-                        help="sample count for seeded audits")
-        sp.add_argument("--seed", type=int, default=0, help="audit RNG seed")
-        sp.add_argument("--out", default=None,
-                        help=f"report directory (default ${OUT_DIR_ENV} or .)")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(args).items()}
-    return run(JobSpec(**fields))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

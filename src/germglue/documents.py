@@ -236,9 +236,9 @@ def validate_document(doc: object, kind: str) -> dict:
     import jsonschema
 
     error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
-    if error is not None:
-        raise SchemaError(f"{kind} document rejected: {error.message}") from error
-    return doc
+    if error is None:
+        raise SchemaError(f"{kind} document rejected")
+    raise SchemaError(f"{kind} document rejected: {error.message}") from error
 
 
 def load_document(path: str, kind: str) -> dict:
@@ -627,7 +627,6 @@ def tep_glue_input_to_json(
 def tep_glue_input_from_json(
     doc: dict,
     order: Optional[int] = None,
-    t_order: Optional[int] = None,
     z_order: Optional[int] = None,
 ):
     """Returns (charts, atlas_input, sheaf_input, points)."""
@@ -635,7 +634,7 @@ def tep_glue_input_from_json(
     atlas = atlas_input_from_json(doc["atlas"], order=order)
     sheaf = sheaf_input_from_json(doc["sheaf"])
     charts = {
-        cid: tep_data_from_json(item, t_order=t_order, z_order=z_order)
+        cid: tep_data_from_json(item, z_order=z_order)
         for cid, item in doc["charts"].items()
     }
     points = [

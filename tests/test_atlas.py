@@ -554,6 +554,14 @@ def test_triple_stage_composes_each_triple_once(monkeypatch):
     assert 0 < len(calls) <= len(certs)
 
 
+def test_triple_stage_rejects_a_broken_cocycle():
+    # the stage decides each non-vacuous triple's residual itself; it does
+    # not lean on validate_germ_data having run first
+    cover = shrunk_cover(broken_cocycle_atlas())
+    with pytest.raises(ValidationFailure, match=r"^triple \('A', 'B', 'C'\): cocycle"):
+        enforce_triple_domains(cover)
+
+
 def test_closedness_evaluates_each_sample_at_most_once(monkeypatch):
     import germglue.atlas
 

@@ -11,7 +11,7 @@ import pytest
 
 import germglue
 from germglue import documents
-from germglue.cli import main
+from germglue.cli import build_parser, main
 from germglue.documents import validate_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -161,6 +161,79 @@ def test_glue_tep_product_family(tmp_path):
     assert cert["point_checks"]
 
 
+# One well-formed value per flag, spelled as str() prints the parsed value.
+FLAG_VALUES = {
+    "--atlas": "atlas.json", "--order": "3", "--z-order": "2", "--mode": "float",
+    "--tolerance": "0.5", "--n-max": "8", "--radius-floor": "1/64",
+    "--samples": "5", "--seed": "1", "--out": "reports",
+}
+GLUE_FLAGS = {"--order", "--mode", "--tolerance", "--n-max", "--radius-floor",
+              "--samples", "--seed", "--out"}
+# the flags each command reads; every other flag is a usage error
+READS = {
+    "validate": {"--order", "--out"},
+    "glue": GLUE_FLAGS,
+    "glue-sheaf": GLUE_FLAGS | {"--atlas"},
+    "tep-check": {"--order", "--z-order", "--seed", "--out"},
+    "glue-tep": GLUE_FLAGS | {"--z-order"},
+}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_each_command_parses_only_the_flags_it_reads(command, flag):
+    argv = [command, "in.json", flag, FLAG_VALUES[flag]]
+    if flag in READS[command]:
+        assert str(getattr(build_parser().parse_args(argv), _dest(flag))) == argv[-1]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 4
+
+
+def test_commands_have_37_settable_values():
+    settable = {
+        command: set(vars(build_parser().parse_args([command, "in.json"]))) - {"command"}
+        for command in READS
+    }
+    assert settable == {c: {"input"} | {_dest(f) for f in flags} for c, flags in READS.items()}
+    assert sum(map(len, settable.values())) == 37
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "identity-atlas.json", "--mode", "float", "--samples", "5"],
+        ["tep-check", "flat-tep.json", "--n-max", "0"],
+        ["glue", "identity-atlas.json", "--samples", "abc"],
+        ["glue", "identity-atlas.json", "--mode", "fast"],
+        ["glue", "identity-atlas.json", "--bogus"],
+        ["demolish", "identity-atlas.json"],
+        [],
+    ],
+    ids=["unread-flags", "unread-budget", "malformed-int", "bad-choice", "unknown-flag",
+         "unknown-command", "no-command"],
+)
+def test_usage_error_exits_4_without_a_report(tmp_path, capsys, argv):
+    args = [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path)] if args else args)
+    assert exc.value.code == 4
+    assert capsys.readouterr().err.startswith("usage: germglue")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["glue", "--help"])
+    assert exc.value.code == 0
+    assert "--radius-floor" in capsys.readouterr().out
+
+
 def test_missing_file_exits_4(tmp_path):
     code, envelope, _ = run_cli(tmp_path, "validate", tmp_path / "absent.json")
     assert code == 4
@@ -205,7 +278,7 @@ def test_input_accepted_by_json_schema_but_not_decodable_exits_4(tmp_path, edit,
 # prints which of the optional heavy imports it loaded.
 _IMPORT_PROBE = """
 import json, sys
-from germglue.cli import main
+from germglue.cli import build_parser, main
 code = main(sys.argv[1:])
 print(json.dumps([code, "jsonschema" in sys.modules, "numpy" in sys.modules]))
 """

@@ -205,6 +205,16 @@ def test_unexpected_keys_rejected():
         validate_document(doc, "atlas-input")
 
 
+def test_rejection_without_a_jsonschema_error_still_raises(monkeypatch):
+    # the compiled checker decides; jsonschema only words the message
+    from germglue import documents
+
+    monkeypatch.setattr(documents, "_checker", lambda kind: lambda doc: False)
+    doc = json.loads((SAMPLES / "identity-atlas.json").read_text())
+    with pytest.raises(SchemaError, match=r"^atlas-input document rejected$"):
+        validate_document(doc, "atlas-input")
+
+
 def test_unknown_document_kind_rejected():
     with pytest.raises(SchemaError, match="unknown document kind"):
         validate_document({}, "nope")
