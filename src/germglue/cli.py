@@ -58,7 +58,15 @@ EXIT_OBSTRUCTION = 3
 EXIT_INPUT = 4
 
 
-def _floor(args):
+def _check_budgets(args):
+    """Check the search budgets before any input is read; return the
+    radius floor."""
+    # a negative sample count would be written into the report as run, and
+    # a search depth below 1 would end as a false gluing obstruction
+    if args.samples < 0:
+        raise SchemaError(f"--samples must be >= 0, got {args.samples}")
+    if args.n_max < 1:
+        raise SchemaError(f"--n-max must be >= 1, got {args.n_max}")
     if args.radius_floor is None:
         return RADIUS_FLOOR_DEFAULT
     floor = fraction_from_json(args.radius_floor)
@@ -66,15 +74,6 @@ def _floor(args):
         # the radius-halving loops only stop at a positive floor
         raise SchemaError(f"--radius-floor must be positive, got {args.radius_floor}")
     return floor
-
-
-def _check_budgets(args) -> None:
-    # a negative sample count would be written into the report as run, and
-    # a search depth below 1 would end as a false gluing obstruction
-    if args.samples < 0:
-        raise SchemaError(f"--samples must be >= 0, got {args.samples}")
-    if args.n_max < 1:
-        raise SchemaError(f"--n-max must be >= 1, got {args.n_max}")
 
 
 def _result(args, ok: bool, payload: dict, cover):
@@ -99,10 +98,10 @@ def _cmd_validate(args):
 
 
 def _cmd_glue(args):
-    _check_budgets(args)
+    floor = _check_budgets(args)
     inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
     report, atlas = run_glue_pipeline(
-        inp, n_max=args.n_max, radius_floor=_floor(args), samples=args.samples,
+        inp, n_max=args.n_max, radius_floor=floor, samples=args.samples,
         seed=args.seed,
     )
     payload = {
@@ -120,12 +119,11 @@ def _cmd_glue(args):
 
 
 def _cmd_glue_sheaf(args):
-    _check_budgets(args)
+    floor = _check_budgets(args)
     if not args.atlas:
         raise SchemaError("glue-sheaf needs --atlas pointing at an atlas document")
     atlas_inp = atlas_input_from_json(load_document(args.atlas, "atlas-input"), args.order)
     sheaf_inp = sheaf_input_from_json(load_document(args.input, "sheaf-input"))
-    floor = _floor(args)
     _, atlas = run_glue_pipeline(
         atlas_inp, n_max=args.n_max, radius_floor=floor, samples=args.samples,
         seed=args.seed,
@@ -157,14 +155,14 @@ def _cmd_tep_check(args):
 
 
 def _cmd_glue_tep(args):
-    _check_budgets(args)
+    floor = _check_budgets(args)
     doc = load_document(args.input, "tep-glue-input")
     charts, atlas_inp, sheaf_inp, points = tep_glue_input_from_json(
         doc, order=args.order, z_order=args.z_order
     )
     glued = glue_tep(
         charts, atlas_inp, sheaf_inp, points=points, n_max=args.n_max,
-        radius_floor=_floor(args), samples=args.samples, seed=args.seed,
+        radius_floor=floor, samples=args.samples, seed=args.seed,
     )
     return _result(
         args, glued.certificate["valid"], {"certificate": glued.certificate},

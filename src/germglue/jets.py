@@ -8,13 +8,17 @@ equal when their jets agree, and every certificate produced downstream
 records the order at which identities were checked.
 
 ``Jet.terms`` is the only stored representation and stays canonical
-(normalised fractions, no zero coefficients).  The hot kernels
-(:func:`jet_mul`, :func:`jet_compose`, :func:`jet_eval`, and
-:func:`germglue.regions.recenter`) work on a transient integer view instead:
-:func:`jet_numerators` writes a jet as Gaussian-integer numerators over one
-shared denominator, the kernel runs on plain ints (real parts only when every
-operand is real), and :func:`jet_from_numerators` normalises each output
-term once.  No fraction is reduced inside an inner loop.
+(normalised fractions, no zero coefficients).  The hot kernels work on a
+transient integer view instead: :func:`jet_numerators` writes a jet as
+Gaussian-integer numerators over one shared denominator, the kernel runs on
+plain ints (real parts only when every operand is real), and each result is
+normalised once.  The integer kernels are :func:`jet_mul` (with
+:func:`sum_of_products`), :func:`jet_compose` and :func:`jet_eval` here, and
+:func:`germglue.regions.recenter`, :func:`germglue.regions.range_bound` and
+:func:`germglue.regions.map_image_bound`, which bound the recentred
+numerators without building a jet.  :func:`jet_from_numerators` turns an
+integer result back into a jet.  No fraction is reduced inside an inner
+loop.
 
 A :class:`PolyMap` is a tuple of jets sharing one source variable count and
 one order, and models a map germ.  Composition and inversion are only defined

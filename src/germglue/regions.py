@@ -12,6 +12,13 @@ relative-compactness checks demand strictly positive margins.
 The fiber balls of tube domains use the maximum norm, i.e. they are
 polydiscs themselves; this fixes the free choice of fiberwise metric and
 keeps every region a product of discs.
+
+Range bounds run on integers: a jet is recentred on its Gaussian-integer
+numerators over one denominator, each term's modulus is rounded up by the
+rule of :func:`germglue.scalars.sqrt_ub` (through ``sqrt_ub_ratio``), and
+the terms are summed over one common denominator into one Fraction.  The
+result is the rational the term-by-term Fraction sum gives.  Membership
+tests compare squared distances on the Fraction parts of the coordinates.
 """
 
 from __future__ import annotations
@@ -23,15 +30,13 @@ from typing import Optional, Sequence, Tuple
 from .errors import CoverageLossError, ShapeError
 from .jets import (
     Jet,
+    Numerators,
     PolyMap,
     gaussian_powers,
-    jet_const,
-    jet_eval,
     jet_from_numerators,
     jet_numerators,
-    jet_sub,
 )
-from .scalars import Coeff, ZERO, coeff_abs_ub, sqrt_ub
+from .scalars import Coeff, ZERO, sqrt_ub, sqrt_ub_ratio
 
 Point = Tuple[Coeff, ...]
 
@@ -127,7 +132,15 @@ class CoverTriple:
 
 
 def _dist2(a: Coeff, b: Coeff) -> Fraction:
-    return (a - b).abs2()
+    dr = a.re - b.re
+    di = a.im - b.im
+    return dr * dr + di * di
+
+
+def _in_disc(d2: Fraction, r: Fraction, strict: bool) -> bool:
+    """A point at squared distance d2 from the centre lies in the disc of
+    radius r: the open disc when strict, else the closed one."""
+    return d2 < r * r if strict else d2 <= r * r
 
 
 def disc_contains(c_in: Coeff, r_in: Fraction, c_out: Coeff, r_out: Fraction) -> bool:
@@ -287,15 +300,8 @@ def polydisc_scale(p: Polydisc, factor: Fraction) -> Polydisc:
 def point_in_polydisc(x: Sequence[Coeff], p: Polydisc, strict: bool = True) -> bool:
     if len(x) != p.dim:
         raise ShapeError("point dimension mismatch")
-    for xv, c, r in zip(x, p.centers, p.radii):
-        d2 = _dist2(xv, c)
-        if strict:
-            if not d2 < r * r:
-                return False
-        else:
-            if not d2 <= r * r:
-                return False
-    return True
+    return all(_in_disc(_dist2(xv, c), r, strict)
+               for xv, c, r in zip(x, p.centers, p.radii))
 
 
 def polydisc_common_point(ps: Sequence[Polydisc]) -> Optional[Point]:
@@ -351,7 +357,11 @@ def tube_rel_compact(inner: TubeDomain, outer: TubeDomain) -> Optional[Fraction]
 
 
 def point_in_tube(x: Sequence[Coeff], t: TubeDomain, strict: bool = True) -> bool:
-    return point_in_polydisc(x, tube_as_polydisc(t), strict=strict)
+    nb = t.base.dim
+    if len(x) != nb + t.fiber_dim:
+        raise ShapeError("point dimension mismatch")
+    return point_in_polydisc(x[:nb], t.base, strict) and all(
+        _in_disc(z.abs2(), t.fiber_radius, strict) for z in x[nb:])
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +382,17 @@ def _shift_into(out: dict, num: dict, var: int, weights: list) -> None:
 
 def recenter(f: Jet, center: Sequence[Coeff]) -> Jet:
     """The polynomial u -> f(center + u), exact (no truncation loss: the
-    total degree never grows under the shift).
+    total degree never grows under the shift)."""
+    return jet_from_numerators(f.num_vars, f.order, *_recentered(f, center))
 
-    Runs on the integer numerators of f.  For each shift x_i -> x_i + p/q
-    (p a Gaussian integer) the whole polynomial is scaled by q^k, k the
-    largest power of x_i, so (x_i + p/q)^m expands with the integer weights
-    C(m, j) p^(m-j) q^(k-m+j); the coefficients are normalised once, at the
-    end."""
+
+def _recentered(f: Jet, center: Sequence[Coeff]) -> tuple[int, Numerators, Numerators]:
+    """:func:`recenter` as :func:`jet_numerators` triple ``(d, re, im)``.
+
+    For each shift x_i -> x_i + p/q (p a Gaussian integer) the whole
+    polynomial is scaled by q^k, k the largest power of x_i, so
+    (x_i + p/q)^m expands with the integer weights C(m, j) p^(m-j) q^(k-m+j).
+    Nothing is normalised: a term that cancels stays as a zero numerator."""
     if len(center) != f.num_vars:
         raise ShapeError("center has wrong dimension")
     d, re, im = jet_numerators(f)
@@ -404,24 +418,57 @@ def recenter(f: Jet, center: Sequence[Coeff]) -> Jet:
             _shift_into(new_re, im, var, [[-w for w in row] for row in wi])
             _shift_into(new_im, re, var, wi)
         re, im, d = new_re, new_im, d * q**k
-    return jet_from_numerators(f.num_vars, f.order, d, re, im)
+    return d, re, im
 
 
 def range_bound(f: Jet, d: Polydisc) -> Fraction:
     """Sound upper bound for sup over the closed polydisc of |f|, treating
     the stored terms of f as an exact polynomial: after recentering,
-    sum |coeff| * radii**e.  Exact for monomials with real coefficients."""
+    sum |coeff| * radii**e.  Exact for monomials with real coefficients.
+
+    Each |coeff| is the one :func:`germglue.scalars.sqrt_ub` gives for
+    |coeff|^2, so the total is the same rational as that sum taken term by
+    term; it is computed on the integer numerators of the recentring."""
     if f.num_vars != d.dim:
         raise ShapeError("jet/polydisc dimension mismatch")
-    g = recenter(f, d.centers)
-    total = Fraction(0)
-    for e, c in g.terms.items():
-        term = coeff_abs_ub(c)
-        for r, k in zip(d.radii, e):
-            if k:
-                term *= r**k
-        total += term
-    return total
+    return _numerators_bound(*_recentered(f, d.centers), d.radii)
+
+
+def _numerators_bound(d: int, re: Numerators, im: Numerators,
+                      radii: Sequence[Fraction]) -> Fraction:
+    """sum over e of |(re[e] + i*im[e]) / d| * radii**e, each modulus
+    rounded up as :func:`sqrt_ub` rounds it, summed on integers.
+
+    A real or imaginary term contributes |n| / d, which is what sqrt_ub
+    gives for n^2 / d^2, so it needs no square root.  A mixed term rounds
+    (re^2 + im^2) / d^2 through ``sqrt_ub_ratio``, which puts every mixed
+    term over one denominator.  With radii r_i = rn_i / rd_i and K_i the top
+    power of variable i, radii**e is the integer weight
+    prod rn_i^k_i rd_i^(K_i - k_i) over prod rd_i^K_i, and one Fraction is
+    built at the end."""
+    keys = {**re, **im}
+    tops = [max((e[i] for e in keys), default=0) for i in range(len(radii))]
+    weights = [[r.numerator ** k * r.denominator ** (top - k) for k in range(top + 1)]
+               for r, top in zip(radii, tops)]
+    d2 = d * d
+    den = None
+    real = mixed = 0
+    for e in keys:
+        w = 1
+        for row, k in zip(weights, e):
+            w *= row[k]
+        a, b = re.get(e, 0), im.get(e, 0)
+        if not b:
+            real += abs(a) * w
+        elif not a:
+            real += abs(b) * w
+        else:
+            s, den = sqrt_ub_ratio(a * a + b * b, d2)
+            mixed += s * w
+    scale = math.prod(r.denominator ** top for r, top in zip(radii, tops))
+    if den is None:
+        return Fraction(real, d * scale)
+    return Fraction(real * (den // d) + mixed, den * scale)
 
 
 def range_bound_tube(f: Jet, t: TubeDomain) -> Fraction:
@@ -439,23 +486,27 @@ def map_image_bound(
     The first ``target_base_dim`` components are treated as base
     coordinates: each image disc is centered at the component's value at the
     domain center (base center, fiber 0) with radius bounding the deviation.
-    Remaining components are fiber coordinates measured from 0.  For the
-    identity map the result equals the input exactly.
+    That value is the constant term of the component recentred there, and
+    the radius is the range bound of the other recentred terms, so each base
+    component is recentred once.  Remaining components are fiber coordinates
+    measured from 0.  For the identity map the result equals the input
+    exactly.
     """
     if f.source_vars != d.base.dim + d.fiber_dim:
         raise ShapeError("map source does not match tube dimension")
     if not 0 <= target_base_dim < f.target_vars:
         raise ShapeError("target base dimension out of range")
-    center_point = d.base.centers + (ZERO,) * d.fiber_dim
+    box = tube_as_polydisc(d)
+    origin = (0,) * f.source_vars
     centers, radii = [], []
     for comp in f.components[:target_base_dim]:
-        c = jet_eval(comp, center_point)
-        dev = jet_sub(comp, jet_const(comp.num_vars, comp.order, c))
-        centers.append(c)
-        radii.append(range_bound_tube(dev, d))
+        den, re, im = _recentered(comp, box.centers)
+        centers.append(Coeff(Fraction(re.pop(origin, 0), den),
+                             Fraction(im.pop(origin, 0), den)))
+        radii.append(_numerators_bound(den, re, im, box.radii))
     fiber = Fraction(0)
     for comp in f.components[target_base_dim:]:
-        fiber = max(fiber, range_bound_tube(comp, d))
+        fiber = max(fiber, range_bound(comp, box))
     if fiber == 0:
         # a certified superset must stay a valid (open) tube
         fiber = Fraction(1, 2**40)

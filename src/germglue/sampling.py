@@ -1,7 +1,8 @@
 """Seeded samplers and batched float evaluation of jets.
 
 Certificate audits sample exact rational points (denominator-bounded grids
-with rejection), so membership tests and residual evaluations stay exact.
+with rejection, drawn and tested on integers), so membership tests and
+residual evaluations stay exact.
 
 Separately, :func:`batch_eval` turns a jet into a flat term table (exponent
 matrix + complex coefficients) and evaluates it over many points at once
@@ -16,8 +17,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .jets import Jet
-from .regions import Point, Polydisc, TubeDomain, tube_as_polydisc
-from .scalars import Coeff
+from .regions import Point, Polydisc, TubeDomain
+from .scalars import Coeff, ZERO
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,12 +32,18 @@ GRID_DENOMINATOR = 64
 
 
 def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction) -> Coeff:
-    """Exact rational point with |result - center| <= 9/10 * radius."""
+    """Exact rational point with |result - center| <= 9/10 * radius.
+
+    Draws grid numerators a, b in [-G, G] (G = GRID_DENOMINATOR) until
+    (a/G)^2 + (b/G)^2 <= 81/100, tested on integers, and returns
+    center + (a + i*b) * radius / G."""
+    g = GRID_DENOMINATOR
     while True:
-        a = Fraction(rng.randrange(-GRID_DENOMINATOR, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
-        b = Fraction(rng.randrange(-GRID_DENOMINATOR, GRID_DENOMINATOR + 1), GRID_DENOMINATOR)
-        if a * a + b * b <= Fraction(81, 100):
-            return center + Coeff(a * radius, b * radius)
+        a = rng.randrange(-g, g + 1)
+        b = rng.randrange(-g, g + 1)
+        if 100 * (a * a + b * b) <= 81 * g * g:
+            n, q = radius.numerator, g * radius.denominator
+            return Coeff(center.re + Fraction(a * n, q), center.im + Fraction(b * n, q))
 
 
 def sample_in_polydisc(rng: random.Random, p: Polydisc) -> Point:
@@ -44,7 +51,11 @@ def sample_in_polydisc(rng: random.Random, p: Polydisc) -> Point:
 
 
 def sample_in_tube(rng: random.Random, t: TubeDomain) -> Point:
-    return sample_in_polydisc(rng, tube_as_polydisc(t))
+    """A point of the tube: the base coordinates first, then each fiber
+    coordinate around 0, the draws of :func:`sample_in_polydisc` on the
+    tube as a polydisc."""
+    return sample_in_polydisc(rng, t.base) + tuple(
+        sample_in_disc(rng, ZERO, t.fiber_radius) for _ in range(t.fiber_dim))
 
 
 # ---------------------------------------------------------------------------

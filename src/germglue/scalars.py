@@ -117,8 +117,20 @@ def sqrt_ub(q: Fraction) -> Fraction:
     is exact whenever p*d is a perfect square (for squares of rationals)."""
     if q < 0:
         raise ValueError("sqrt bound of negative rational")
-    num = q.numerator * q.denominator * _SQRT_SCALE * _SQRT_SCALE
-    return Fraction(_isqrt_ceil(num), q.denominator * _SQRT_SCALE)
+    return Fraction(*sqrt_ub_ratio(q.numerator, q.denominator))
+
+
+def sqrt_ub_ratio(num: int, den: int) -> tuple[int, int]:
+    """``sqrt_ub(Fraction(num, den))`` as an integer pair ``(a, den * S)``,
+    for ``num >= 0`` and ``den > 0``.
+
+    The ratio is reduced by one gcd before the rounding, exactly as the
+    Fraction is, and the numerator is scaled back to ``den``: so bounds of
+    several ratios over one ``den`` share a denominator and add on their
+    numerators."""
+    g = math.gcd(num, den)
+    p, d = num // g, den // g
+    return _isqrt_ceil(p * d * _SQRT_SCALE * _SQRT_SCALE) * g, den * _SQRT_SCALE
 
 
 def sqrt_lb(q: Fraction) -> Fraction:

@@ -2,20 +2,25 @@
 
 Everything in this module is deliberately naive: quadratic-time convolution,
 substitute-then-truncate composition, term-by-term evaluation with repeated
-Fraction products, direct Lagrange inversion in one variable, and cocycle
-checks that compose every ordering of every triple.  None of it
-imports algorithmic code from the package beyond the plain data containers,
-so agreement between the two sides is meaningful.
+Fraction products, direct Lagrange inversion in one variable, cocycle
+checks that compose every ordering of every triple, binomial recentring and
+range bounds in Coeff arithmetic, and Fraction-grid sampling and Coeff
+membership tests.  None of it imports algorithmic code from the package
+beyond the plain data containers and ``coeff_abs_ub``, the rounding rule a
+range bound must reproduce, so agreement between the two sides is
+meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from germglue.jets import Jet, PolyMap
 from germglue.matrices import JetMatrix
-from germglue.scalars import Coeff, ONE, ZERO
+from germglue.regions import TubeDomain
+from germglue.scalars import Coeff, ONE, ZERO, coeff_abs_ub
 
 
 def oracle_mul(a: Jet, b: Jet) -> Jet:
@@ -275,3 +280,70 @@ def oracle_sheaf_cocycle(inp) -> list:
                     {"kind": "cocycle", "triple": [x, y, z]},
                 )
     return violations
+
+
+def oracle_recenter(f: Jet, center) -> dict:
+    """Terms of u -> f(center + u): every monomial expanded by the binomial
+    theorem in Coeff arithmetic, one variable at a time."""
+    out: dict[tuple[int, ...], Coeff] = {}
+    for e, c in f.terms.items():
+        partial = {(): c}
+        for x, k in zip(center, e):
+            grown = {}
+            for head, v in partial.items():
+                for j in range(k + 1):
+                    w = v * Coeff(math.comb(k, j))
+                    for _ in range(k - j):
+                        w = w * x
+                    grown[head + (j,)] = grown.get(head + (j,), ZERO) + w
+            partial = grown
+        for u, v in partial.items():
+            out[u] = out.get(u, ZERO) + v
+    return {u: v for u, v in out.items() if not v.is_zero()}
+
+
+def oracle_range_bound(f: Jet, centers, radii) -> Fraction:
+    """sum over the recentred terms of coeff_abs_ub(c_u) * prod r**k, each
+    product and sum taken in Fractions."""
+    total = Fraction(0)
+    for u, c in oracle_recenter(f, centers).items():
+        term = coeff_abs_ub(c)
+        for r, k in zip(radii, u):
+            term *= r**k
+        total += term
+    return total
+
+
+def oracle_sample_in_disc(rng, center: Coeff, radius: Fraction) -> Coeff:
+    """A grid point drawn as Fractions a/64, b/64, rejected unless
+    a^2 + b^2 <= 81/100, then scaled by the radius around the centre."""
+    while True:
+        a = Fraction(rng.randrange(-64, 65), 64)
+        b = Fraction(rng.randrange(-64, 65), 64)
+        if a * a + b * b <= Fraction(81, 100):
+            return center + Coeff(a * radius, b * radius)
+
+
+def _tube_discs(t: TubeDomain):
+    """(centre, radius) per coordinate of a tube: the base discs, then the
+    fiber discs around 0."""
+    return list(zip(t.base.centers, t.base.radii)) + [(ZERO, t.fiber_radius)] * t.fiber_dim
+
+
+def oracle_sample_in_tube(rng, t: TubeDomain) -> tuple:
+    return tuple(oracle_sample_in_disc(rng, c, r) for c, r in _tube_discs(t))
+
+
+def oracle_point_in_discs(x, discs, strict: bool) -> bool:
+    """Membership through the Coeff difference: |x_n - c_n|^2 against r_n^2,
+    below it when strict, at most it otherwise."""
+    assert len(x) == len(discs)
+    for xv, (c, r) in zip(x, discs):
+        d2 = (xv - c).abs2()
+        if not (d2 < r * r if strict else d2 <= r * r):
+            return False
+    return True
+
+
+def oracle_point_in_tube(x, t: TubeDomain, strict: bool) -> bool:
+    return oracle_point_in_discs(x, _tube_discs(t), strict)

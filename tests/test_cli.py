@@ -314,6 +314,17 @@ def test_nonpositive_radius_floor_exits_4(tmp_path, floor):
     assert envelope["error"]["kind"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command", ["glue", "glue-sheaf", "glue-tep"])
+def test_radius_floor_is_checked_before_the_input_is_read(tmp_path, command):
+    bad = tmp_path / "undecodable.json"
+    bad.write_text("{not json")
+    extra = ["--atlas", bad] if command == "glue-sheaf" else []
+    code, envelope, _ = run_cli(tmp_path, command, bad, *extra, "--radius-floor", "0")
+    assert code == 4
+    assert envelope["error"]["kind"] == "SchemaError"
+    assert "--radius-floor" in envelope["error"]["message"]
+
+
 @pytest.mark.parametrize("flag", ["--samples=-1", "--n-max=0", "--n-max=-1"])
 def test_out_of_range_budget_exits_4(tmp_path, flag):
     code, envelope, _ = run_cli(

@@ -46,7 +46,15 @@ from germglue.regions import (
     tube_contains,
     tube_rel_compact,
 )
+from germglue.regions import _dist2
 from germglue.scalars import Coeff, ONE, ZERO, coeff_abs_ub
+
+from .oracles import (
+    oracle_eval,
+    oracle_point_in_discs,
+    oracle_point_in_tube,
+    oracle_range_bound,
+)
 
 
 def frac(p, q=1):
@@ -239,6 +247,132 @@ def test_range_bound_tube_counts_fiber():
     f = jet_mul(t, jet_pow(z, 2))
     tube = TubeDomain(0, disc(0, 1), 1, Fraction(1, 2))
     assert range_bound_tube(f, tube) == Fraction(1, 4)
+
+
+# small rationals, most of them with a denominator that is not a power of 2
+rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))
+radii_st = st.builds(Fraction, st.integers(1, 9), st.integers(1, 7))
+coeffs = st.one_of(
+    st.builds(Coeff, rationals),                       # real
+    st.builds(lambda b: Coeff(0, b), rationals),       # purely imaginary
+    st.builds(Coeff, rationals, rationals),            # mixed
+)
+
+
+@st.composite
+def bound_cases(draw):
+    """(f, centers, radii): a jet in one or two variables, a Gaussian
+    centre and radii.  Sometimes f is the shift of a sparse g by -centre,
+    so the recentring cancels every term g does not have."""
+    nv = draw(st.integers(1, 2))
+    order = draw(st.integers(0, 4))
+    exps = [e for e in itertools.product(range(order + 1), repeat=nv) if sum(e) <= order]
+    terms = draw(st.lists(st.tuples(st.sampled_from(exps), coeffs), max_size=6))
+    centers = tuple(draw(st.builds(Coeff, rationals, rationals)) for _ in range(nv))
+    radii = tuple(draw(radii_st) for _ in range(nv))
+    f = jet_from_terms(nv, order, terms)
+    if draw(st.booleans()):
+        f = recenter(f, tuple(Coeff(-c.re, -c.im) for c in centers))
+    return f, centers, radii
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_cases())
+def test_range_bound_equals_the_termwise_sum(case):
+    f, centers, radii = case
+    assert range_bound(f, Polydisc(centers, radii)) == oracle_range_bound(f, centers, radii)
+
+
+def test_range_bound_of_cancelling_and_zero_jets():
+    x = jet_var(1, 3, 0)
+    c = Coeff(Fraction(2, 3), Fraction(-1, 5))
+    shifted = jet_add(x, jet_const(1, 3, Coeff(-c.re, -c.im)))
+    f = jet_mul(jet_mul(shifted, shifted), shifted)   # (x - c)^3
+    d = Polydisc([c], [Fraction(3, 7)])
+    assert range_bound(f, d) == oracle_range_bound(f, d.centers, d.radii) == Fraction(27, 343)
+    zero = jet_from_terms(1, 3, [])
+    assert range_bound(zero, d) == oracle_range_bound(zero, d.centers, d.radii) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_cases(), radii_st)
+def test_image_bound_centres_and_radii_match_the_termwise_form(case, fiber_radius):
+    f, centers, radii = case
+    if f.num_vars < 2 or f.order < 1:
+        return
+    # component 0 is the base coordinate, component 1 the fiber one
+    t = TubeDomain("a", Polydisc(centers[:1], radii[:1]), 1, fiber_radius)
+    g = PolyMap(2, [f, jet_add(f, jet_var(2, f.order, 1))])
+    out = map_image_bound(g, t, 1)
+    point = (centers[0], ZERO)
+    value = oracle_eval(f, point)
+    dev = jet_add(f, jet_const(2, f.order, Coeff(-value.re, -value.im)))
+    tiny = Fraction(1, 2**40)
+    assert out.base.centers == (value,)
+    assert out.base.radii == (oracle_range_bound(dev, point, (radii[0], fiber_radius)) or tiny,)
+    assert out.fiber_radius == (oracle_range_bound(g.components[1], point,
+                                                   (radii[0], fiber_radius)) or tiny)
+
+
+# ---------------------------------------------------------------------------
+# membership
+# ---------------------------------------------------------------------------
+
+
+def _boundary_point(center: Coeff, radius: Fraction, k: int) -> Coeff:
+    """A point at distance exactly radius from center (3-4-5 directions)."""
+    u, v = [(3, 4), (-4, 3), (-3, -4), (4, -3), (5, 0), (0, -5)][k % 6]
+    return center + Coeff(Fraction(u, 5) * radius, Fraction(v, 5) * radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.builds(Coeff, rationals, rationals), radii_st),
+             min_size=1, max_size=3),
+    st.integers(1, 2),
+    radii_st,
+    st.data(),
+)
+def test_membership_agrees_with_the_coeff_reference(base, fiber_dim, fiber_radius, data):
+    p = Polydisc([c for c, _ in base], [r for _, r in base])
+    t = TubeDomain("a", p, fiber_dim, fiber_radius)
+    discs = list(zip(p.centers, p.radii)) + [(ZERO, fiber_radius)] * fiber_dim
+    # each coordinate on its boundary, or anywhere within 7/3 of the radius
+    x = tuple(
+        _boundary_point(c, r, data.draw(st.integers(0, 5)))
+        if data.draw(st.booleans())
+        else c + Coeff(data.draw(rationals) * r / 3, data.draw(rationals) * r / 3)
+        for c, r in discs
+    )
+    for strict in (True, False):
+        assert point_in_tube(x, t, strict=strict) == oracle_point_in_tube(x, t, strict)
+        assert point_in_polydisc(x[: p.dim], p, strict=strict) == \
+            oracle_point_in_discs(x[: p.dim], discs[: p.dim], strict)
+    for xv, (c, _) in zip(x, discs):
+        assert _dist2(xv, c) == (xv - c).abs2()
+
+
+def test_membership_on_the_boundary_depends_on_strictness():
+    c = Coeff(Fraction(1, 3), Fraction(-2, 7))
+    t = TubeDomain("a", Polydisc([c], [Fraction(5, 7)]), 1, Fraction(2, 3))
+    on_base = (_boundary_point(c, Fraction(5, 7), 0), ZERO)
+    on_fiber = (c, _boundary_point(ZERO, Fraction(2, 3), 1))
+    for x in (on_base, on_fiber):
+        assert not point_in_tube(x, t, strict=True)
+        assert point_in_tube(x, t, strict=False)
+    assert not point_in_polydisc(on_base[:1], t.base, strict=True)
+    assert point_in_polydisc(on_base[:1], t.base, strict=False)
+
+
+def test_membership_rejects_a_wrong_length_point():
+    t = TubeDomain("a", disc(0, 1), 2, Fraction(1, 2))
+    for x in ((ZERO,) * 2, (ZERO,) * 4):
+        with pytest.raises(ShapeError):
+            point_in_tube(x, t)
+        with pytest.raises(ShapeError):
+            point_in_tube(x, t, strict=False)
+    with pytest.raises(ShapeError):
+        point_in_polydisc((ZERO, ZERO), t.base)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,21 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from germglue.jets import jet_eval, jet_from_terms
 from germglue.regions import Polydisc, TubeDomain, point_in_polydisc, point_in_tube
 from germglue.sampling import (
     batch_eval,
     points_to_array,
+    sample_in_disc,
     sample_in_polydisc,
     sample_in_tube,
     term_table,
 )
 from germglue.scalars import Coeff
+
+from .oracles import oracle_sample_in_disc, oracle_sample_in_tube
 
 
 def frac(p, q=1):
@@ -45,6 +49,21 @@ def test_sampling_deterministic_under_seed():
     a = [sample_in_polydisc(random.Random(3), p) for _ in range(1)]
     b = [sample_in_polydisc(random.Random(3), p) for _ in range(1)]
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_samplers_draw_the_reference_points(seed):
+    """The integer-grid samplers return the points of the Fraction
+    formulation and leave the generator in the same state."""
+    center = Coeff(Fraction(2, 3), Fraction(-5, 7))
+    radius = Fraction(7, 9)
+    tube = TubeDomain("c", Polydisc([center, frac(-1, 3)], [radius, Fraction(5, 11)]),
+                      2, Fraction(3, 13))
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert sample_in_disc(got, center, radius) == oracle_sample_in_disc(want, center, radius)
+        assert sample_in_tube(got, tube) == oracle_sample_in_tube(want, tube)
+    assert got.getstate() == want.getstate()
 
 
 def _example_jet():
