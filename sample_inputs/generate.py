@@ -139,6 +139,29 @@ def broken_cocycle_atlas(order: int = 4) -> GermAtlasInput:
     return inp
 
 
+def hidden_triple_atlas(order: int = 3) -> GermAtlasInput:
+    """Unit discs at 0, 8/5 and 4/5 + 693/500 i whose triple overlap is
+    nonempty though every chord point of two discs misses the third, with
+    phi_AC = (t, 2z), phi_CA its inverse and identities elsewhere: every
+    ordering of (A, B, C) breaks the cocycle."""
+    charts = {
+        "A": disc_chart(F(0)),
+        "B": disc_chart(F(8, 5)),
+        "C": Polydisc([Coeff(F(4, 5), F(693, 500))], [F(1)]),
+    }
+    fiber = {("A", "C"): F(2), ("C", "A"): F(1, 2)}
+    transitions = [
+        GermTransition(i, j, full_tube(i, charts[i]), PolyMap(2, [
+            jet_var(2, order, 0),
+            jet_scale(jet_var(2, order, 1), Coeff(fiber.get((i, j), F(1)))),
+        ]))
+        for i in charts
+        for j in charts
+        if i != j
+    ]
+    return GermAtlasInput(1, 1, order, charts, transitions)
+
+
 def wide_domain(chart: str, center: F, fiber: F = F(1)) -> TubeDomain:
     return TubeDomain(chart, Polydisc([Coeff(center)], [F(7, 10)]), 1, fiber)
 
@@ -203,6 +226,7 @@ def build_documents() -> dict:
         ),
         "identity-chain-atlas.json": atlas_input_to_json(identity_chain_atlas()),
         "broken-cocycle-atlas.json": atlas_input_to_json(broken_cocycle_atlas()),
+        "hidden-triple-atlas.json": atlas_input_to_json(hidden_triple_atlas()),
         "rank2-sheaf.json": sheaf_input_to_json(rank2_sheaf()),
         "flat-tep.json": tep_data_to_json(flat_frame()),
         "antisym-tep.json": tep_data_to_json(flat_frame(antisym=True)),

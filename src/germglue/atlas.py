@@ -291,16 +291,14 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
     a group under truncated composition, and phi_ji o phi_ij = id at order K
     already makes the linear parts inverse to each other.  So once the three
     inverse pairs of a triple hold, phi_jk o phi_ij = phi_ik for any one
-    ordering implies the other five.  The orderings are visited in sorted
-    order (by ``repr``); each one is checked only where its own witness
-    point exists, since ``polydisc_common_point`` narrows the discs in list
-    order and may find a point for some orderings of three charts and not
-    for others.  Once a composed ordering holds and the triple's inverse
-    pairs passed, the later orderings with a witness are counted without
-    composing them.  Until then each ordering with a witness is composed,
-    so the violation list is the one an all-orderings check gives.
-    ``cocycle_triples_checked`` counts the ordered triples with a witness
-    certified, directly or by implication.
+    ordering implies the other five.  Overlap is decided once per unordered
+    triple (:func:`cover_nerve`); the orderings of the overlapping triples
+    are visited in sorted order (by ``repr``), and once a composed ordering
+    holds and the triple's inverse pairs passed, the later ones are counted
+    without composing them.  Until then each ordering is composed, so the
+    violation list is the one an all-orderings check gives.
+    ``cocycle_triples_checked`` counts the ordered triples over a nonempty
+    overlap, certified directly or by implication.
 
     Returns the report when everything holds; raises ValidationFailure
     carrying the full report otherwise."""
@@ -354,11 +352,12 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
             inverse_ok.add(frozenset((i, j)))
 
     cocycle_checked = 0
+    overlapping = {frozenset(t) for t in _nerve(inp.charts, 3)}
     implied = set()  # unordered triples certified by one composed ordering
     for i, j, k in permutations(sorted(inp.charts, key=repr), 3):
-        if polydisc_common_point([inp.charts[i], inp.charts[j], inp.charts[k]]) is None:
-            continue
         triple = frozenset((i, j, k))
+        if triple not in overlapping:
+            continue
         if triple in implied:
             cocycle_checked += 1
             continue
@@ -848,15 +847,15 @@ def zero_section_map(base_dim: int, fiber_dim: int, order: int) -> PolyMap:
     return PolyMap(base_dim, comps)
 
 
+def _nerve(discs: Dict[object, Polydisc], size: int) -> list:
+    """The sorted ``size``-subsets of the cover with a nonempty overlap."""
+    return [s for s in combinations(sorted(discs, key=repr), size)
+            if polydisc_common_point([discs[c] for c in s]) is not None]
+
+
 def cover_nerve(discs: Dict[object, Polydisc]) -> tuple[list, list]:
-    """Pairs and triples of the cover with a certified common point."""
-    ids = sorted(discs, key=repr)
-    pairs, triples = (
-        [s for s in combinations(ids, size)
-         if polydisc_common_point([discs[c] for c in s]) is not None]
-        for size in (2, 3)
-    )
-    return pairs, triples
+    """Pairs and triples of the cover with a nonempty overlap."""
+    return _nerve(discs, 2), _nerve(discs, 3)
 
 
 def build_glued_atlas(

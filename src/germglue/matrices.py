@@ -27,7 +27,6 @@ from .jets import (
     jet_partial,
     jet_scale,
     jet_sub,
-    jet_truncate,
     jet_var,
     jet_with_order,
     jet_zero,
@@ -78,11 +77,6 @@ def matrix_identity(n: int, num_vars: int, order: int) -> JetMatrix:
     one = jet_const(num_vars, order, ONE)
     zero = jet_zero(num_vars, order)
     return JetMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
-def matrix_zero(rows: int, cols: int, num_vars: int, order: int) -> JetMatrix:
-    z = jet_zero(num_vars, order)
-    return JetMatrix([[z for _ in range(cols)] for _ in range(rows)])
 
 
 def matrix_map(m: JetMatrix, fn: Callable[[Jet], Jet]) -> JetMatrix:
@@ -145,10 +139,6 @@ def matrix_flip_var(a: JetMatrix, var: int) -> JetMatrix:
 
 def matrix_compose(a: JetMatrix, g: PolyMap) -> JetMatrix:
     return matrix_map(a, lambda x: jet_compose(x, g))
-
-
-def matrix_truncate(a: JetMatrix, order: int) -> JetMatrix:
-    return matrix_map(a, lambda x: jet_truncate(x, order))
 
 
 def matrix_with_order(a: JetMatrix, order: int) -> JetMatrix:

@@ -4,7 +4,9 @@ Regions are restricted to products of discs.  Every predicate here is a
 one-sided certificate: a ``True`` answer (or a returned margin/bound) is
 backed by exact rational arithmetic and is sound; a ``False``/``None``
 answer means "not certified", never "certified false".  Callers react to
-uncertified answers by shrinking, not by failing.
+uncertified answers by shrinking, not by failing.  The one exception is
+:func:`polydisc_common_point`, an exact decision: its ``None`` means the
+open intersection is empty.
 
 Closures are modelled by closed polydiscs with the same radii, so all
 relative-compactness checks demand strictly positive margins.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 from .errors import CoverageLossError, ShapeError
@@ -304,21 +307,50 @@ def point_in_polydisc(x: Sequence[Coeff], p: Polydisc, strict: bool = True) -> b
                for xv, c, r in zip(x, p.centers, p.radii))
 
 
+def _discs_common_point(discs: Sequence[tuple[Coeff, Fraction]]) -> Optional[Coeff]:
+    """The minimiser x of the largest power |x - c_i|^2 - r_i^2 of a point
+    with respect to the circles, when that power is negative; else None:
+    the open discs share no point.
+
+    At the minimiser 0 lies in the hull of the gradients 2(x - c_i) of the
+    largest powers, so x lies in the hull of at most three centres of equal
+    power (Caratheodory): a centre, the chord point of two discs, or the
+    radical centre of three.  The largest power is least at x among them."""
+    candidates = [c for c, _ in discs]
+    for (a, ra), (b, rb) in combinations(discs, 2):
+        d2 = _dist2(a, b)
+        if d2:
+            candidates.append(a + (b - a) * Coeff((d2 + ra * ra - rb * rb) / (2 * d2)))
+    for (a, ra), (b, rb), (c, rc) in combinations(discs, 3):
+        # equal powers at a + y: 2 y.(b - a) = pb and 2 y.(c - a) = pc
+        b, c = b - a, c - a
+        det = 2 * (b.re * c.im - b.im * c.re)
+        if det:
+            pb, pc = b.abs2() + ra * ra - rb * rb, c.abs2() + ra * ra - rc * rc
+            candidates.append(a + Coeff((pb * c.im - pc * b.im) / det,
+                                        (pc * b.re - pb * c.re) / det))
+
+    def power(x: Coeff) -> Fraction:
+        return max(_dist2(x, c) - r * r for c, r in discs)
+
+    best = min(candidates, key=power)
+    return best if power(best) < 0 else None
+
+
 def polydisc_common_point(ps: Sequence[Polydisc]) -> Optional[Point]:
-    """A rational point certified in the open intersection of all the
-    polydiscs, found by iterated inner-lens narrowing; None if not found
-    (not a certificate of emptiness)."""
-    if not ps:
-        return None
-    acc = ps[0]
+    """A rational point in the open intersection of the polydiscs, decided
+    exactly coordinate by coordinate; None means the intersection is empty.
+    Each coordinate of the point is the unique minimiser of the largest
+    power, so the point does not depend on the order of ``ps``."""
     for q in ps[1:]:
-        acc = polydisc_intersection_inner(acc, q)
-        if acc is None:
+        _check_same_dim(ps[0], q)
+    point = []
+    for k in range(ps[0].dim):
+        x = _discs_common_point([(p.centers[k], p.radii[k]) for p in ps])
+        if x is None:
             return None
-    point = acc.centers
-    if all(point_in_polydisc(point, p, strict=True) for p in ps):
-        return point
-    return None
+        point.append(x)
+    return tuple(point)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .regions import (
     TubeDomain,
     disc_contains,
     disc_lens_outer_candidates,
+    polydisc_common_point,
     range_bound_tube,
 )
 from .scalars import ONE, ZERO, coeff_abs_lb
@@ -352,44 +353,19 @@ def _zero_section_matrix(g: JetMatrix, base_dim: int) -> JetMatrix:
     ])
 
 
-def _lens_fits(u_i: Polydisc, u_j: Polydisc, target: Polydisc) -> bool:
-    """Some sound outer disc of each coordinate lens fits in the target disc
-    (vacuously true when a coordinate pair is certifiably disjoint)."""
-    for k in range(u_i.dim):
-        candidates = disc_lens_outer_candidates(
-            u_i.centers[k], u_i.radii[k], u_j.centers[k], u_j.radii[k]
-        )
-        if candidates is None:
-            return True
-        if not any(
-            disc_contains(c, r, target.centers[k], target.radii[k])
-            for c, r in candidates
-        ):
-            return False
-    return True
-
-
-def _triple_lens_fits(us: Sequence[Polydisc], target: Polydisc) -> bool:
-    for k in range(us[0].dim):
-        first = disc_lens_outer_candidates(
-            us[0].centers[k], us[0].radii[k], us[1].centers[k], us[1].radii[k]
-        )
-        if first is None:
-            return True
-        found = False
-        for c, r in first:
-            nested = disc_lens_outer_candidates(
-                c, r, us[2].centers[k], us[2].radii[k]
-            )
-            if nested is None:
-                return True
-            if any(
-                disc_contains(cc, rr, target.centers[k], target.radii[k])
-                for cc, rr in nested
-            ):
-                found = True
-                break
-        if not found:
+def _lens_fits(us: Sequence[Polydisc], target: Polydisc) -> bool:
+    """Some sound outer disc of each coordinate's lens of the 2 or 3 discs,
+    nested through them in turn, fits in the target disc (vacuously true
+    when the overlap is empty).  A nonempty overlap keeps every nested lens
+    nonempty: each candidate disc contains the lens before it."""
+    if polydisc_common_point(us) is None:
+        return True
+    for k, (tc, tr) in enumerate(zip(target.centers, target.radii)):
+        candidates = [(us[0].centers[k], us[0].radii[k])]
+        for u in us[1:]:
+            candidates = [cr for c, r in candidates for cr in
+                          disc_lens_outer_candidates(c, r, u.centers[k], u.radii[k])]
+        if not any(disc_contains(c, r, tc, tr) for c, r in candidates):
             return False
     return True
 
@@ -418,7 +394,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=Fraction(1, 2**20)) -> Glued
                 continue
             other = key[0] if key[1] == cid else key[1]
             u_i, u_j = cover.triples[cid].U, cover.triples[other].U
-            if not _lens_fits(u_i, u_j, dom.base):
+            if not _lens_fits([u_i, u_j], dom.base):
                 raise ShrinkExhausted(
                     f"pair overlap {key!r} not certified inside A domain"
                 )
@@ -427,7 +403,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=Fraction(1, 2**20)) -> Glued
             if cid not in skey:
                 continue
             us = [cover.triples[c].U for c in skey]
-            if not _triple_lens_fits(us, dom.base):
+            if not _lens_fits(us, dom.base):
                 raise ShrinkExhausted(
                     f"triple overlap {skey!r} not certified inside B domain"
                 )

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from germglue.jets import Jet, PolyMap
 from germglue.matrices import JetMatrix
-from germglue.regions import TubeDomain
+from germglue.regions import TubeDomain, polydisc_common_point
 from germglue.scalars import Coeff, ONE, ZERO, coeff_abs_ub
 
 
@@ -163,12 +163,6 @@ def _inside(point, disc) -> bool:
     )
 
 
-def _mean_inside_all(discs) -> bool:
-    mean = [sum((d.centers[n] for d in discs), ZERO) * Coeff(Fraction(1, 3))
-            for n in range(len(discs[0].centers))]
-    return all(_inside(mean, d) for d in discs)
-
-
 def oracle_atlas_cocycle(inp, overlapping=None) -> tuple[list, int]:
     """Inverse-pair and cocycle violations of an atlas input, and the count
     of ordered triples checked, composing every ordering of every triple.
@@ -176,11 +170,12 @@ def oracle_atlas_cocycle(inp, overlapping=None) -> tuple[list, int]:
     For inputs whose transitions are all well shaped, constant-free, the
     identity on the zero section and paired with their reverse.  An ordered
     triple (i, j, k) is checked when ``overlapping(i, j, k)`` holds; by
-    default, when the mean of the three centres lies inside all three
-    charts, which is exact for the tightly packed covers of the tests."""
+    default, when the three charts have a common point by the exact
+    decision ``polydisc_common_point``, which tests/test_regions.py checks
+    against :func:`_inside` and a grid."""
     if overlapping is None:
         def overlapping(*ids):
-            return _mean_inside_all([inp.charts[c] for c in ids])
+            return polydisc_common_point([inp.charts[c] for c in ids]) is not None
     nv, order = inp.total_vars, inp.order
     ident = PolyMap(nv, [
         Jet(nv, order, {tuple(int(v == k) for v in range(nv)): ONE})

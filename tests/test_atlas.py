@@ -263,33 +263,46 @@ def test_validation_matches_all_orderings_oracle(pair, keep_inverse, component,
     assert not report["valid"]
 
 
-def test_cocycle_checked_on_each_ordering_with_its_own_witness():
-    # Inner-lens narrowing depends on the order of the discs: A and B meet
-    # in a lens that misses C, while A and C meet in a thin lens that meets
-    # B.  Only the orderings that narrow A with C first have a witness.
+def test_cocycle_checked_on_every_ordering_of_a_thin_overlap():
+    # A and B meet in a lens that misses C, while A and C meet in a thin
+    # lens that meets B: a search narrowing the discs in list order finds a
+    # common point for two orderings only.  The decision is exact, so all
+    # six orderings are checked, and the broken A-C transition fails each.
     charts = {
         "A": disc_chart(F(0)),
         "B": Polydisc([Coeff(F(95, 100), F(1))], [F(1001, 1000)]),
         "C": disc_chart(F(19, 10)),
     }
-    with_witness = [
-        t for t in itertools.permutations("ABC")
-        if polydisc_common_point([charts[c] for c in t]) is not None
-    ]
-    assert with_witness == [("A", "C", "B"), ("C", "A", "B")]
+    orderings = list(itertools.permutations("ABC"))
+    assert all(polydisc_common_point([charts[c] for c in t]) is not None
+               for t in orderings)
     broken = broken_cocycle_atlas()
     inp = GermAtlasInput(1, 1, broken.order, charts, [
         GermTransition(i, j, full_tube(i, charts[i]), tr.map)
         for (i, j), tr in broken.transitions.items()
     ])
     report = validation_report(inp)
-    violations, checked = oracle_atlas_cocycle(
-        inp, overlapping=lambda *t: t in with_witness
-    )
-    assert checked == 2 and violations
-    assert {tuple(v["triple"]) for v in violations} == set(with_witness)
+    violations, checked = oracle_atlas_cocycle(inp)
+    assert checked == 6
+    assert {tuple(v["triple"]) for v in violations} == set(orderings)
     assert report["violations"] == violations
     assert report["cocycle_triples_checked"] == checked
+
+
+def test_validation_decides_each_unordered_triple_once(monkeypatch):
+    import germglue.atlas
+
+    calls = []
+    real = germglue.atlas.polydisc_common_point
+
+    def counted(ps):
+        calls.append(frozenset(map(id, ps)))
+        return real(ps)
+
+    monkeypatch.setattr(germglue.atlas, "polydisc_common_point", counted)
+    assert validate_germ_data(cocycle_atlas())["cocycle_triples_checked"] == 24
+    # four charts: one decision for each of the four unordered triples
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_validation_composes_one_ordering_per_triple(monkeypatch):

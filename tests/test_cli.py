@@ -1,6 +1,7 @@
 """Exit codes, report documents, and determinism of the command line."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -42,6 +43,18 @@ def test_glue_identity_atlas(tmp_path):
     assert report["certificates"]["hausdorff"]["holds"]
     assert len(report["nerve"]["pairs"]) > 0
     assert set(report["radii"]) == {"A", "B", "C"}
+
+
+@pytest.mark.parametrize("command", ["validate", "glue"])
+def test_hidden_triple_overlap_fails_every_ordering(tmp_path, command):
+    code, envelope, _ = run_cli(
+        tmp_path, command, SAMPLES / "hidden-triple-atlas.json"
+    )
+    assert code == 2
+    validation = envelope["report"]["validation"]
+    assert validation["cocycle_triples_checked"] == 6
+    assert sorted(tuple(v["triple"]) for v in validation["violations"]) == \
+        list(itertools.permutations("ABC"))
 
 
 def test_glue_broken_cocycle_exits_2_and_names_triple(tmp_path):
@@ -371,6 +384,11 @@ SAMPLE_REPORTS = [
      "de75454e04b4960355556f7c935130b96f2ff887d518c0116950619d9ffdbc83"),
     (["glue-tep", "tep-glue.json"], 0,
      "a7d1268cad9e331226d8367a640f451bf0c8a23e1b305b2d337bb040961457f2"),
+    # a triple overlap that no chord point of two discs reaches
+    (["validate", "hidden-triple-atlas.json"], 2,
+     "6bb5c3a34c668dde3b3432727ff112758b8834b66d78b9ee262a381085c05783"),
+    (["glue", "hidden-triple-atlas.json"], 2,
+     "ec2d567a769c266c3551340561a972763716e0aaf65a5950ae268ed044a284b2"),
 ]
 
 

@@ -50,6 +50,7 @@ from germglue.regions import _dist2
 from germglue.scalars import Coeff, ONE, ZERO, coeff_abs_ub
 
 from .oracles import (
+    _inside,
     oracle_eval,
     oracle_point_in_discs,
     oracle_point_in_tube,
@@ -176,6 +177,103 @@ def test_polydisc_intersections_and_common_point():
     assert point_in_polydisc(pt, a) and point_in_polydisc(pt, b)
     far = Polydisc([frac(10), frac(0)], [Fraction(1), Fraction(1)])
     assert polydisc_intersection_outer(a, far) is None
+
+
+# ---------------------------------------------------------------------------
+# the exact overlap decision
+# ---------------------------------------------------------------------------
+
+grid_disc = st.builds(
+    lambda a, b, k: (Coeff(Fraction(a, 20), Fraction(b, 20)), Fraction(k, 20)),
+    st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 30),
+)
+
+
+def polydiscs(dim: int, max_size: int = 3):
+    return st.lists(
+        st.builds(lambda cs: Polydisc([c for c, _ in cs], [r for _, r in cs]),
+                  st.lists(grid_disc, min_size=dim, max_size=dim)),
+        min_size=1, max_size=max_size,
+    )
+
+
+def on_grid_in_all(ps) -> bool:
+    """Some point of the 1/40 grid lies in every open disc (1-dim
+    polydiscs with centres and radii on the 1/20 grid), decided on
+    integers."""
+    discs = [(int(p.centers[0].re * 40), int(p.centers[0].im * 40), int(p.radii[0] * 40))
+             for p in ps]
+    x0, y0, r0 = discs[0]
+    return any(
+        all((x - a) ** 2 + (y - b) ** 2 < r * r for a, b, r in discs)
+        for x in range(x0 - r0, x0 + r0 + 1) for y in range(y0 - r0, y0 + r0 + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(polydiscs(2))
+def test_common_point_lies_inside_every_polydisc(ps):
+    pt = polydisc_common_point(ps)
+    if pt is not None:
+        assert all(_inside(pt, p) for p in ps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polydiscs(2, max_size=4))
+def test_common_point_does_not_depend_on_the_order(ps):
+    pt = polydisc_common_point(ps)
+    for perm in itertools.permutations(ps):
+        assert polydisc_common_point(list(perm)) == pt
+
+
+@settings(max_examples=150, deadline=None)
+@given(polydiscs(1))
+def test_common_point_is_found_wherever_the_grid_meets_all_discs(ps):
+    pt = polydisc_common_point(ps)
+    if on_grid_in_all(ps):
+        assert pt is not None
+    if pt is not None:
+        assert all(_inside(pt, p) for p in ps)
+
+
+@pytest.mark.parametrize("discs, point", [
+    ([(0, 1), (2, 1)], None),                    # externally tangent
+    ([(0, 2), (1, 1)], frac(1)),                 # internally tangent
+    ([(0, 1), (0, 2)], frac(0)),                 # concentric
+    ([(frac(1, 3), 1), (frac(1, 3), 1)], frac(1, 3)),  # identical
+    ([(0, 3), (frac(1, 2), Fraction(1, 2))], frac(1, 2)),  # one inside the other
+    ([(0, Fraction(6, 5)), (1, Fraction(6, 5)), (2, Fraction(6, 5))], frac(1)),  # collinear
+    ([(0, 1), (1, 1), (2, 1)], None),            # collinear, outer pair tangent
+], ids=["external-tangent", "internal-tangent", "concentric", "identical",
+        "nested", "collinear", "collinear-tangent"])
+def test_common_point_edge_cases(discs, point):
+    pt = polydisc_common_point([disc(c, r) for c, r in discs])
+    assert pt == (None if point is None else (point,))
+
+
+def test_common_point_of_a_triple_no_chord_point_reaches():
+    # unit discs whose pairwise chord points each miss the third disc: the
+    # common point is the radical centre
+    ps = [disc(0, 1), disc(Fraction(8, 5), 1), disc(Coeff(Fraction(4, 5), Fraction(693, 500)), 1)]
+    pt = polydisc_common_point(ps)
+    assert pt is not None and all(_inside(pt, p) for p in ps)
+    for a, b in itertools.combinations(ps, 2):
+        chord = polydisc_common_point([a, b])
+        assert not all(_inside(chord, p) for p in ps)
+
+
+def test_pairwise_overlaps_need_not_make_a_triple_overlap():
+    # unit discs on an equilateral triangle of side 9/5: circumradius > 1
+    h = Fraction(9, 10) * Fraction(1732, 1000)
+    ps = [disc(0, 1), disc(Fraction(9, 5), 1), disc(Coeff(Fraction(9, 10), h), 1)]
+    assert all(polydisc_common_point(list(pair)) is not None
+               for pair in itertools.combinations(ps, 2))
+    assert polydisc_common_point(ps) is None
+
+
+def test_common_point_rejects_mixed_dimensions():
+    with pytest.raises(ShapeError):
+        polydisc_common_point([disc(0, 1), Polydisc([frac(0), frac(0)], [1, 1])])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from germglue.matrices import (
     matrix_sub,
     matrix_transpose,
     matrix_var_coeff,
-    matrix_zero,
 )
 from germglue.regions import Polydisc
 from germglue.scalars import ONE, ZERO, Coeff
@@ -48,6 +47,11 @@ from .test_atlas import disc_chart, identity_atlas
 from .test_sheaf import wide_domain
 
 F = Fraction
+
+
+def matrix_zero(rows: int, cols: int, num_vars: int, order: int) -> JetMatrix:
+    z = jet_zero(num_vars, order)
+    return JetMatrix([[z] * cols for _ in range(rows)])
 
 
 def c(x) -> Coeff:
