@@ -19,10 +19,8 @@ from germglue.documents import (
 from germglue.jets import (
     PolyMap,
     identity_map,
-    jet_add,
     jet_const,
     jet_from_terms,
-    jet_mul,
     jet_neg,
     jet_scale,
     jet_var,
@@ -31,7 +29,6 @@ from germglue.jets import (
 )
 from germglue.matrices import (
     JetMatrix,
-    matrix_add,
     matrix_identity,
     matrix_scale_jet,
     matrix_sub,

@@ -44,6 +44,7 @@ from .errors import (
 from .jets import (
     Jet,
     PolyMap,
+    PowerTable,
     grlex_terms,
     identity_map,
     jet_is_zero,
@@ -667,8 +668,10 @@ def _bound_for(cover: ShrunkCover, i, j) -> Optional[TubeDomain]:
     return None if cert is None else cert.bound
 
 
-def _cocycle_holds(inp: GermAtlasInput, i, j, k) -> bool:
-    left = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, k)].map)
+def _cocycle_holds(inp: GermAtlasInput, i, j, k, powers: PowerTable) -> bool:
+    """phi_jk o phi_ij == phi_ik at order K, composed through ``powers``,
+    which keeps the monomials of phi_ij between triples that share it."""
+    left = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, k)].map, powers)
     right = inp.transitions[(i, k)].map if k != i else identity_map(inp.total_vars, inp.order)
     return left == right
 
@@ -713,7 +716,8 @@ def enforce_triple_domains(
 
     A (d) outcome reads O_jk and the bounds for Q_ij and Q_ik (Q_i when
     k == i), so it depends only on the input and r_i: it is decided once
-    per r_i."""
+    per r_i.  ``work`` runs in (i, j, k) order, so consecutive residuals
+    compose after the same phi_ij and share one table of its monomials."""
     inp = cover.input
     chart_ids = sorted(inp.charts, key=repr)
     work = [
@@ -725,6 +729,7 @@ def enforce_triple_domains(
     certs: Dict[Triple, TripleCertificate] = {}
     # the residual depends only on the input: decide it once per triple
     residual_checked: set[Triple] = set()
+    powers = PowerTable()
     guard = 0
     while True:
         blocking = None
@@ -734,7 +739,7 @@ def enforce_triple_domains(
                 blocking = (i, j, k, cert)
                 break
             if not cert.vacuous and (i, j, k) not in residual_checked:
-                if not _cocycle_holds(inp, i, j, k):
+                if not _cocycle_holds(inp, i, j, k, powers):
                     raise ValidationFailure(
                         f"triple {(i, j, k)!r}: cocycle residual nonzero at order "
                         f"{inp.order} on a nonempty triple domain"

@@ -26,6 +26,16 @@ for maps all of whose components are constant-free; that is exactly the
 condition under which the truncated composite depends on the operands only
 through their jets.
 
+Composition has one routine.  It sums each outer component from one table of
+the monomials g^e of the inner map g (a :class:`PowerTable`), in which every
+monomial is built once through :func:`jet_mul` and converted once to its
+numerators; every component of the outer map reads from it (Brent & Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978,
+share the powers of the inner series the same way).  The table belongs to
+the caller: :func:`map_compose` takes one as ``powers``, so that several
+compositions after the same g share it, and builds a fresh one otherwise.
+Nothing is cached on a jet, a map or the module.
+
 All operations are pure: they never mutate their operands, so values can be
 shared freely across threads.
 """
@@ -509,67 +519,103 @@ def linear_part(f: PolyMap) -> list[list[Coeff]]:
     return mat
 
 
-def jet_compose(f: Jet, g: PolyMap) -> Jet:
-    """K-jet of f o g.
+class PowerTable:
+    """The monomials g^e of one inner map g, each kept with its
+    :func:`jet_numerators` form and built on first use.
+
+    A caller that composes several outer maps after the same g keeps one
+    table and hands it to :func:`map_compose` each time.  The table records
+    the map it was built for: handed another map, it starts over, so one
+    map's monomials are never applied to another.  It refers to nothing
+    that refers back to it, so it is freed as soon as its owner drops it."""
+
+    __slots__ = ("inner", "entries")
+
+    def __init__(self):
+        self.inner = None
+        self.entries: dict[Exponent, tuple[Jet, tuple[int, Numerators, Numerators]]] = {}
+
+
+def _compose(fs: Sequence[Jet], g: PolyMap, powers: PowerTable) -> list[Jet]:
+    """The K-jets of f o g for each f in ``fs`` (jets of one shape), every
+    one summed from the monomials of g in ``powers``.
 
     Requires every component of ``g`` to be constant-free; with a constant
     term present, coefficients of f beyond the truncation order would
     contribute below it and the result would not be a function of the jets.
     """
-    if f.num_vars != g.target_vars:
+    f0 = fs[0]
+    if f0.num_vars != g.target_vars:
         raise ShapeError(
             f"cannot substitute a {g.target_vars}-component map into a "
-            f"{f.num_vars}-variable jet"
+            f"{f0.num_vars}-variable jet"
         )
-    if f.order != g.order:
+    if f0.order != g.order:
         raise ShapeError("jet and map must share one truncation order")
     if not map_is_constant_free(g):
         raise CompositionDomainError(
             "substitution target has a constant term; composition is not "
             "defined on truncations"
         )
-    order = f.order
+    order = g.order
     nv = g.source_vars
-    table: dict[Exponent, Jet] = {(0,) * f.num_vars: jet_const(nv, order, ONE)}
+    if powers.inner is not g:
+        one = jet_const(nv, order, ONE)
+        powers.inner = g
+        powers.entries = {(0,) * g.target_vars: (one, jet_numerators(one))}
+    entries = powers.entries
+    out = []
+    for f in fs:
+        # sum of c_e * g^e over the lcm of the monomials' denominators
+        d, fr, fi = jet_numerators(f)
+        parts = [(_monomial(entries, e, g.components)[1], fr.get(e, 0), fi.get(e, 0))
+                 for e in {**fr, **fi}]
+        lcm = math.lcm(*(m[0] for m, _, _ in parts))
+        re: Numerators = {}
+        im: Numerators = {}
+        for (dm, mr, mi), cr, ci in parts:
+            s = lcm // dm
+            _axpy_into(re, cr * s, mr)
+            _axpy_into(re, -ci * s, mi)
+            _axpy_into(im, cr * s, mi)
+            _axpy_into(im, ci * s, mr)
+        out.append(jet_from_numerators(nv, order, d * lcm, re, im))
+    return out
 
-    # sum of c_e * g^e over the lcm of the monomials' denominators
-    d, fr, fi = jet_numerators(f)
-    parts = [(jet_numerators(_monomial(table, e, g.components)),
-              fr.get(e, 0), fi.get(e, 0))
-             for e in {**fr, **fi}]
-    lcm = math.lcm(*(m[0] for m, _, _ in parts))
-    re: Numerators = {}
-    im: Numerators = {}
-    for (dm, mr, mi), cr, ci in parts:
-        s = lcm // dm
-        _axpy_into(re, cr * s, mr)
-        _axpy_into(re, -ci * s, mi)
-        _axpy_into(im, cr * s, mi)
-        _axpy_into(im, ci * s, mr)
-    return jet_from_numerators(nv, order, d * lcm, re, im)
 
+def _monomial(entries: dict, e: Exponent, components: Sequence[Jet]):
+    """The entry (g^e, its numerators) of the ``components``, built through
+    :func:`jet_mul` from g^(e - 1_i) on first use and kept in ``entries``.
 
-def _monomial(table: dict, e: Exponent, components: Sequence[Jet]) -> Jet:
-    """The product g^e of the ``components``, memoised in ``table``.
-
-    A module-level function rather than a closure over ``table``: a
+    A module-level function rather than a closure over ``entries``: a
     self-referencing closure is a reference cycle, which would keep the
     table alive after the composition until the cyclic collector runs."""
-    got = table.get(e)
+    got = entries.get(e)
     if got is None:
         i = next(k for k, v in enumerate(e) if v > 0)
         prev = list(e)
         prev[i] -= 1
-        got = table[e] = jet_mul(_monomial(table, tuple(prev), components),
-                                 components[i])
+        m = jet_mul(_monomial(entries, tuple(prev), components)[0], components[i])
+        got = entries[e] = (m, jet_numerators(m))
     return got
 
 
-def map_compose(g: PolyMap, f: PolyMap) -> PolyMap:
-    """The composite f o g (apply ``g`` first, then ``f``)."""
+def jet_compose(f: Jet, g: PolyMap) -> Jet:
+    """K-jet of f o g (the one-jet case of :func:`map_compose`)."""
+    return _compose([f], g, PowerTable())[0]
+
+
+def map_compose(g: PolyMap, f: PolyMap, powers: PowerTable | None = None) -> PolyMap:
+    """The composite f o g (apply ``g`` first, then ``f``).
+
+    Every component of ``f`` reads the monomials g^e from one
+    :class:`PowerTable`.  A caller that composes several maps after the same
+    ``g`` passes its own table as ``powers``, so each monomial is built once
+    across the calls; by default the table lives for this call only."""
     if g.target_vars != f.source_vars:
         raise ShapeError("inner map target does not match outer map source")
-    return PolyMap(g.source_vars, [jet_compose(comp, g) for comp in f.components])
+    table = PowerTable() if powers is None else powers
+    return PolyMap(g.source_vars, _compose(f.components, g, table))
 
 
 def _coeff_matrix_inverse(mat: list[list[Coeff]]) -> list[list[Coeff]]:
@@ -626,7 +672,7 @@ def map_inverse(f: PolyMap) -> PolyMap:
     ident = identity_map(n, order)
     g = PolyMap(n, _apply_linear(lin_inv, ident.components))
     for _ in range(max(order, 2)):
-        hg = [jet_compose(h, g) for h in higher]
+        hg = _compose(higher, g, PowerTable())
         target = [jet_sub(i, h) for i, h in zip(ident.components, hg)]
         g_next = PolyMap(n, _apply_linear(lin_inv, target))
         if g_next == g:

@@ -27,7 +27,6 @@ from .jets import (
     jet_partial,
     jet_scale,
     jet_sub,
-    jet_var,
     jet_with_order,
     jet_zero,
     sum_of_products,

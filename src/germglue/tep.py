@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .errors import CompositionDomainError, ShapeError, ValidationFailure
-from .scalars import ONE, ZERO, Coeff
+from .scalars import ZERO, Coeff
 from .jets import (
     PolyMap,
     grlex_terms,

@@ -557,9 +557,9 @@ def test_triple_stage_composes_each_triple_once(monkeypatch):
     calls = []
     real = germglue.atlas.map_compose
 
-    def counted(f, g):
+    def counted(f, g, *rest):
         calls.append((f, g))
-        return real(f, g)
+        return real(f, g, *rest)
 
     monkeypatch.setattr(germglue.atlas, "map_compose", counted)
     certs = enforce_triple_domains(cover)

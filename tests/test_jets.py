@@ -17,6 +17,7 @@ from germglue.errors import (
 from germglue.jets import (
     Jet,
     PolyMap,
+    PowerTable,
     identity_map,
     jet_add,
     jet_compose,
@@ -317,6 +318,83 @@ def test_compose_leaves_no_reference_cycle():
     gc.disable()
     try:
         jet_compose(f, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_map_compose_through_one_table_matches_fresh_and_oracle(data):
+    inner = data.draw(constant_free_maps())
+    outers = [
+        data.draw(constant_free_maps(source_vars=inner.target_vars, order=inner.order))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    powers = PowerTable()
+    for f in outers:
+        shared = map_compose(inner, f, powers)
+        assert shared == map_compose(inner, f)
+        for comp, got in zip(f.components, shared.components):
+            assert_canonical(got)
+            assert jet_eq(got, oracle_compose(comp, inner))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_handed_another_inner_map_starts_over(data):
+    order = data.draw(st.integers(1, 4))
+    g1 = data.draw(constant_free_maps(target_vars=2, order=order))
+    g2 = data.draw(constant_free_maps(source_vars=g1.source_vars, target_vars=2,
+                                      order=order))
+    f = data.draw(constant_free_maps(source_vars=2, order=order))
+    powers = PowerTable()
+    map_compose(g1, f, powers)
+    assert map_compose(g2, f, powers) == map_compose(g2, f)
+    assert map_compose(g1, f, powers) == map_compose(g1, f)
+
+
+def _two_var_maps():
+    x = jet_var(2, 4, 0)
+    y = jet_var(2, 4, 1)
+    g = PolyMap(2, [jet_add(x, jet_mul(x, y)), jet_add(y, jet_pow(x, 2))])
+    f = PolyMap(2, [jet_add(jet_pow(x, 3), jet_mul(x, jet_pow(y, 2))),
+                    jet_add(y, jet_pow(y, 4))])
+    return g, f
+
+
+def test_table_builds_each_monomial_once(monkeypatch):
+    import germglue.jets
+
+    g, f = _two_var_maps()
+    calls = []
+    real = germglue.jets.jet_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(germglue.jets, "jet_mul", counted)
+    powers = PowerTable()
+    first = map_compose(g, f, powers)
+    built = len(calls)
+    assert built > 0
+    # every monomial of f's second composition is already in the table
+    assert map_compose(g, f, powers) == first
+    assert len(calls) == built
+
+
+def test_map_compose_with_a_kept_table_leaves_no_reference_cycle():
+    g, f = _two_var_maps()
+    powers = PowerTable()
+    gc.collect()
+    gc.disable()
+    try:
+        map_compose(g, f, powers)
+        map_compose(g, f, powers)
+        assert gc.collect() == 0
+        # dropping the table frees it at once: nothing in it refers back
+        del powers
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -351,6 +351,27 @@ def test_glue_rejects_undersized_domain(pinch_glued):
         glue_sheaf(inp, pinch_glued)
 
 
+@pytest.mark.parametrize("tiny_pairs, tiny_triple, message", [
+    ([("B", "C")], False, r"^pair overlap \('B', 'C'\) not certified inside A domain$"),
+    ([], True, r"^triple overlap \('A', 'B', 'C'\) not certified inside B domain$"),
+    # chart A's loop reads the triple domain before chart B's reads (B, C)
+    ([("B", "C")], True,
+     r"^triple overlap \('A', 'B', 'C'\) not certified inside B domain$"),
+    ([("A", "C"), ("B", "C")], True,
+     r"^pair overlap \('A', 'C'\) not certified inside A domain$"),
+])
+def test_glue_names_the_first_domain_that_does_not_fit(
+        identity_glued, tiny_pairs, tiny_triple, message):
+    inp = gauge_sheaf("ABC")
+    tiny = Polydisc([Coeff(F(1, 10))], [F(1, 100)])
+    for key in tiny_pairs:
+        inp.domains[key] = TubeDomain(key[0], tiny, 1, F(1, 4))
+    if tiny_triple:
+        inp.triple_domains[("A", "B", "C")] = TubeDomain("A", tiny, 1, F(1, 4))
+    with pytest.raises(ShrinkExhausted, match=message):
+        glue_sheaf(inp, identity_glued)
+
+
 # ---------------------------------------------------------------------------
 # presentation mode
 # ---------------------------------------------------------------------------
