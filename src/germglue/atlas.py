@@ -45,6 +45,7 @@ from .jets import (
     Jet,
     PolyMap,
     PowerTable,
+    eval_numerators,
     grlex_terms,
     identity_map,
     jet_is_zero,
@@ -55,16 +56,19 @@ from .jets import (
     map_compose,
     map_eval,
     map_is_constant_free,
+    map_numerators,
     map_sub,
+    point_from_numerators,
 )
 from .regions import (
     CoverTriple,
-    Point,
     Polydisc,
     TubeDomain,
     disc_lens_outer_candidates,
     disc_margin,
     map_image_bound,
+    max_dist2,
+    numerators_in_tube,
     point_in_polydisc,
     point_in_tube,
     polydisc_common_point,
@@ -77,7 +81,7 @@ from .regions import (
     tube_contains,
     tube_rel_compact,
 )
-from .sampling import sample_in_polydisc, sample_in_tube
+from .sampling import sample_in_polydisc, sample_in_tube, sample_numerators
 from .scalars import ZERO, sqrt_lb
 
 N_MAX_DEFAULT = 2**16
@@ -773,17 +777,18 @@ def enforce_triple_domains(
 # ---------------------------------------------------------------------------
 
 
-def _q_pair_image(cover: ShrunkCover, i, j, x) -> Optional[Point]:
+def _q_pair_image(cover: ShrunkCover, i, j, x, maps: dict):
     """phi_ij(x) when x is certified in Q_ij = Q_i ∩ O_ij ∩ phi_ij^{-1}(Q_j),
-    else None: exact for the Q parts, via the certified inner tube for the
-    O part.  The only place a sampled point's transition image is computed."""
-    if not point_in_tube(x, cover.tubes[i], strict=True):
-        return None
+    else None: exact for the Q parts, via the certified inner tube for the O
+    part.  Points are numerator tuples; ``maps`` converts each phi_ij once."""
     data = cover.overlaps.get((i, j))
-    if data is None or data.vacuous or not point_in_tube(x, data.o_inner, strict=True):
+    if data is None or data.vacuous or not numerators_in_tube(x, cover.tubes[i]) \
+            or not numerators_in_tube(x, data.o_inner):
         return None
-    image = map_eval(cover.input.transitions[(i, j)].map, x)
-    return image if point_in_tube(image, cover.tubes[j], strict=True) else None
+    if (i, j) not in maps:
+        maps[(i, j)] = map_numerators(cover.input.transitions[(i, j)].map)
+    image = eval_numerators(maps[(i, j)], x)
+    return image if numerators_in_tube(image, cover.tubes[j]) else None
 
 
 def check_closed_relation(
@@ -808,25 +813,24 @@ def check_closed_relation(
     rng = random.Random(seed)
     pairs = [pk for pk, cert in cover.pairs.items() if not cert.vacuous]
     audited = separated = skipped = 0
+    maps: dict = {}
     min_separation: Optional[Fraction] = None
-    if pairs:
-        for _ in range(samples):
-            i, j = pairs[rng.randrange(len(pairs))]
-            x = sample_in_tube(rng, cover.tubes[i])
-            y = sample_in_tube(rng, cover.tubes[j])
-            partner = _q_pair_image(cover, i, j, x)
-            if partner is None:
-                skipped += 1
-                continue
-            gaps = [(yc - pc).abs2() for yc, pc in zip(y, partner)]
-            gap = max(gaps)
-            audited += 1
-            if gap == 0:
-                continue  # sampled an equivalent pair: nothing to separate
-            separated += 1
-            sep = sqrt_lb(gap)
-            if sep > 0:
-                min_separation = sep if min_separation is None else min(min_separation, sep)
+    for _ in range(samples if pairs else 0):
+        i, j = pairs[rng.randrange(len(pairs))]
+        x = sample_numerators(rng, cover.tubes[i])
+        y = sample_numerators(rng, cover.tubes[j])
+        partner = _q_pair_image(cover, i, j, x, maps)
+        if partner is None:
+            skipped += 1
+            continue
+        gap = max_dist2(y, partner)
+        audited += 1
+        if gap == 0:
+            continue  # sampled an equivalent pair: nothing to separate
+        separated += 1
+        sep = sqrt_lb(gap)
+        if sep > 0:
+            min_separation = sep if min_separation is None else min(min_separation, sep)
     return {
         "closed": True,
         "margin": min(margins) if margins else None,
@@ -962,11 +966,11 @@ def audit_cover_certificates(
     chart_ids = sorted(inp.charts, key=repr)
     live_pairs = [pk for pk, c in cover.pairs.items() if not c.vacuous]
     live_triples = [tc.triple for tc in triple_certs.values() if not tc.vacuous]
-    composites = {}
+    composites, maps = {}, {}
     for (i, j, k) in live_triples:
-        composites[(i, j, k)] = map_compose(
+        composites[(i, j, k)] = map_numerators(map_compose(
             inp.transitions[(i, j)].map, inp.transitions[(j, k)].map
-        )
+        ))
 
     for _ in range(samples):
         cid = chart_ids[rng.randrange(len(chart_ids))]
@@ -985,12 +989,12 @@ def audit_cover_certificates(
         if live_pairs:
             i, j = live_pairs[rng.randrange(len(live_pairs))]
             cert = cover.pairs[(i, j)]
-            y = sample_in_tube(rng, cert.bound)
-            if _q_pair_image(cover, i, j, y) is not None:
+            y = sample_numerators(rng, cert.bound)
+            if _q_pair_image(cover, i, j, y, maps) is not None:
                 counts["c"] += 1
                 data = cover.overlaps[(i, j)]
-                if not (point_in_tube(y, data.witness, strict=False)
-                        and point_in_tube(y, data.o_inner, strict=True)):
+                if not (numerators_in_tube(y, data.witness, strict=False)
+                        and numerators_in_tube(y, data.o_inner)):
                     violations["c"] += 1
 
         if live_triples:
@@ -1003,20 +1007,16 @@ def audit_cover_certificates(
                     i, base_polydisc, inp.fiber_dim,
                     min(t_ij.fiber_radius, t_ik.fiber_radius),
                 )
-                y = sample_in_tube(rng, probe)
-                image = _q_pair_image(cover, i, j, y)
-                in_ik = k == i or _q_pair_image(cover, i, k, y) is not None
-                if image is not None and in_ik:
+                y = sample_numerators(rng, probe)
+                image = _q_pair_image(cover, i, j, y, maps)
+                direct = y if k == i else _q_pair_image(cover, i, k, y, maps)
+                if image is not None and direct is not None:
                     counts["d"] += 1
                     target = cover.overlaps[(j, k)]
-                    if not point_in_tube(image, target.o_inner, strict=False):
+                    if not numerators_in_tube(image, target.o_inner, strict=False):
                         violations["d"] += 1
                     counts["e"] += 1
-                    lhs = map_eval(composites[(i, j, k)], y)
-                    rhs = map_eval(
-                        inp.transitions[(i, k)].map, y
-                    ) if k != i else y
-                    if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                    if max_dist2(eval_numerators(composites[(i, j, k)], y), direct):
                         violations["e"] += 1
 
     return {"samples": samples, "checked": counts, "violations": violations}
@@ -1041,17 +1041,16 @@ def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list,
     ]
     accepted: list = []
     attempts = 0
+    maps: dict = {}
     max_attempts = chains * 200 if live else 0
     while len(accepted) < chains and attempts < max_attempts:
         attempts += 1
         i, j, k = live[rng.randrange(len(live))]
-        x = sample_in_tube(rng, cover.pairs[(i, j)].bound)
-        y = _q_pair_image(cover, i, j, x)
-        if y is None:
-            continue
-        z = _q_pair_image(cover, j, k, y)
+        x = sample_numerators(rng, cover.pairs[(i, j)].bound)
+        y = _q_pair_image(cover, i, j, x, maps)
+        z = None if y is None else _q_pair_image(cover, j, k, y, maps)
         if z is not None:
-            accepted.append((i, j, k, x, z))
+            accepted.append((i, j, k, point_from_numerators(x), point_from_numerators(z)))
     return accepted, attempts
 
 

@@ -13,7 +13,8 @@ transient integer view instead: :func:`jet_numerators` writes a jet as
 Gaussian-integer numerators over one shared denominator, the kernel runs on
 plain ints (real parts only when every operand is real), and each result is
 normalised once.  The integer kernels are :func:`jet_mul` (with
-:func:`sum_of_products`), :func:`jet_compose` and :func:`jet_eval` here, and
+:func:`sum_of_products`), :func:`jet_compose` and :func:`eval_numerators`
+(behind :func:`jet_eval` and :func:`map_eval`) here, and
 :func:`germglue.regions.recenter`, :func:`germglue.regions.range_bound` and
 :func:`germglue.regions.map_image_bound`, which bound the recentred
 numerators without building a jet.  :func:`jet_from_numerators` turns an
@@ -35,6 +36,12 @@ share the powers of the inner series the same way).  The table belongs to
 the caller: :func:`map_compose` takes one as ``powers``, so that several
 compositions after the same g share it, and builds a fresh one otherwise.
 Nothing is cached on a jet, a map or the module.
+
+Evaluation has one routine too: :func:`eval_numerators` takes a map
+converted once by :func:`map_numerators` and a point given as
+Gaussian-integer numerators over one denominator, and builds each monomial
+of the point once for all components.  :func:`map_eval` and
+:func:`jet_eval` are its cases for a point of Coeff.
 
 All operations are pure: they never mutate their operands, so values can be
 shared freely across threads.
@@ -359,42 +366,9 @@ def jet_mul_var(a: Jet, var: int, power: int = 1) -> Jet:
 
 
 def jet_eval(a: Jet, point: Sequence[Coeff]) -> Coeff:
-    """Exact evaluation at a point (tuple of Coeff).
-
-    With the point written as p / q over one shared denominator q and K the
-    order, the value is sum over e of a_e * p^e * q^(K - |e|), divided by
-    d * q^K, all in integers; one fraction is normalised per part."""
-    if len(point) != a.num_vars:
-        raise ShapeError("evaluation point has wrong length")
-    d, fr, fi = jet_numerators(a)
-    q = math.lcm(*(x.re.denominator for x in point), *(x.im.denominator for x in point))
-    pr = [x.re.numerator * (q // x.re.denominator) for x in point]
-    pi = [x.im.numerator * (q // x.im.denominator) for x in point]
-    k = a.order
-    qk = [q**j for j in range(k + 1)]
-    den = d * qk[k]
-    if not (fi or any(pi)):
-        pows = [[p**j for j in range(k + 1)] for p in pr]
-        total = 0
-        for e, v in fr.items():
-            t = v * qk[k - sum(e)]
-            for pw, j in zip(pows, e):
-                if j:
-                    t *= pw[j]
-            total += t
-        return Coeff(Fraction(total, den), _FRACTION_ZERO)
-    gpows = [gaussian_powers(ur, ui, k) for ur, ui in zip(pr, pi)]
-    sr = si = 0
-    for e in {**fr, **fi}:
-        s = qk[k - sum(e)]
-        tr, ti = fr.get(e, 0) * s, fi.get(e, 0) * s
-        for pw, j in zip(gpows, e):
-            if j:
-                ur, ui = pw[j]
-                tr, ti = tr * ur - ti * ui, tr * ui + ti * ur
-        sr += tr
-        si += ti
-    return Coeff(Fraction(sr, den), Fraction(si, den))
+    """Exact value at a point (tuple of Coeff): the one-jet case of
+    :func:`map_eval`."""
+    return map_eval(PolyMap(a.num_vars, [a]), point)[0]
 
 
 def jet_substitute_zero(a: Jet, vars_to_zero: Sequence[int]) -> Jet:
@@ -503,8 +477,84 @@ def map_sub(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(f.source_vars, [jet_sub(a, b) for a, b in zip(f.components, g.components)])
 
 
+NumPoint = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
+
+def point_numerators(x: Sequence[Coeff]) -> NumPoint:
+    """``x`` as ``(q, re, im)``: x_k = (re[k] + i*im[k]) / q, q the lcm of
+    the coordinates' denominators."""
+    q = math.lcm(*(c.re.denominator for c in x), *(c.im.denominator for c in x))
+    return (q, tuple([c.re.numerator * (q // c.re.denominator) for c in x]),
+            tuple([c.im.numerator * (q // c.im.denominator) for c in x]))
+
+
+def point_from_numerators(x: NumPoint) -> tuple[Coeff, ...]:
+    """The point of Coeff that a :func:`point_numerators` tuple stands for."""
+    q, re, im = x
+    return tuple([Coeff(Fraction(a, q), Fraction(b, q)) for a, b in zip(re, im)])
+
+
+def map_numerators(f: PolyMap) -> tuple:
+    """``f`` as :func:`eval_numerators` reads it: ``(d, k, n, terms)``, with
+    d the lcm of the denominators, k the order, n the component count and
+    one ``(e, [(c, re, im), ...])`` in ``terms`` per exponent e, listing the
+    components c whose coefficient (re + i*im) / d of x^e is nonzero."""
+    conv = [jet_numerators(c) for c in f.components]
+    d = math.lcm(*[dc for dc, _, _ in conv])
+    terms: dict = {}
+    for c, (dc, re, im) in enumerate(conv):
+        for e in {**re, **im}:
+            terms.setdefault(e, []).append((c, re.get(e, 0) * (d // dc), im.get(e, 0) * (d // dc)))
+    return d, f.order, len(conv), list(terms.items())
+
+
+def eval_numerators(fn, x: NumPoint) -> NumPoint:
+    """The components of a :func:`map_numerators` form at the point ``x``,
+    as one ``(q', re, im)`` tuple, not normalised.
+
+    ``x`` is reduced by one gcd first, so q is the lcm of its reduced
+    denominators.  With p its numerators and k the order, each monomial
+    q^(k - |e|) p^e is built once from one table of the point's powers and
+    shared by every component; component c is the sum over e of its
+    numerator times that monomial, over q' = d * q^k."""
+    d, k, n, terms = fn
+    q, pr, pi = x
+    g = math.gcd(q, *pr, *pi)
+    if g > 1:
+        q, pr, pi = q // g, [v // g for v in pr], [v // g for v in pi]
+    qk = [q**j for j in range(k + 1)]
+    sr, si = [0] * n, [0] * n
+    if not any(pi):
+        pows = [[p**j for j in range(k + 1)] for p in pr]
+        for e, coeffs in terms:
+            m = qk[k - sum(e)]
+            for pw, j in zip(pows, e):
+                if j:
+                    m *= pw[j]
+            for c, a, b in coeffs:
+                sr[c] += a * m
+                if b:
+                    si[c] += b * m
+        return d * qk[k], tuple(sr), tuple(si)
+    pows = [gaussian_powers(a, b, k) for a, b in zip(pr, pi)]
+    for e, coeffs in terms:
+        mr, mi = qk[k - sum(e)], 0
+        for pw, j in zip(pows, e):
+            if j:
+                ur, ui = pw[j]
+                mr, mi = mr * ur - mi * ui, mr * ui + mi * ur
+        for c, a, b in coeffs:
+            sr[c] += a * mr - b * mi
+            si[c] += a * mi + b * mr
+    return d * qk[k], tuple(sr), tuple(si)
+
+
 def map_eval(f: PolyMap, point: Sequence[Coeff]) -> tuple[Coeff, ...]:
-    return tuple(jet_eval(c, point) for c in f.components)
+    """Exact values of the components at a point (tuple of Coeff), through
+    one :func:`eval_numerators`; one fraction is normalised per part."""
+    if len(point) != f.source_vars:
+        raise ShapeError("evaluation point has wrong length")
+    return point_from_numerators(eval_numerators(map_numerators(f), point_numerators(point)))
 
 
 def linear_part(f: PolyMap) -> list[list[Coeff]]:

@@ -14,10 +14,9 @@ from .errors import NotInvertibleError, ShapeError
 from .jets import (
     Jet,
     PolyMap,
+    PowerTable,
     jet_add,
-    jet_compose,
     jet_const,
-    jet_eval,
     jet_eq,
     jet_flip_var,
     jet_is_zero,
@@ -29,6 +28,8 @@ from .jets import (
     jet_sub,
     jet_with_order,
     jet_zero,
+    map_compose,
+    map_eval,
     sum_of_products,
 )
 from .scalars import Coeff, ONE, ZERO
@@ -136,8 +137,20 @@ def matrix_flip_var(a: JetMatrix, var: int) -> JetMatrix:
     return matrix_map(a, lambda x: jet_flip_var(x, var))
 
 
-def matrix_compose(a: JetMatrix, g: PolyMap) -> JetMatrix:
-    return matrix_map(a, lambda x: jet_compose(x, g))
+def _flat(a: JetMatrix) -> PolyMap:
+    """The entries in row order, as the components of one map."""
+    return PolyMap(a.num_vars, [x for row in a.entries for x in row])
+
+
+def _reshaped(a: JetMatrix, flat: Sequence) -> list[list]:
+    return [list(flat[r * a.cols:(r + 1) * a.cols]) for r in range(a.rows)]
+
+
+def matrix_compose(a: JetMatrix, g: PolyMap, powers: PowerTable | None = None) -> JetMatrix:
+    """Every entry composed after ``g`` in one :func:`map_compose`, so each
+    monomial of g is built once; a caller composing several matrices after
+    the same g passes its own table as ``powers``."""
+    return JetMatrix(_reshaped(a, map_compose(g, _flat(a), powers).components))
 
 
 def matrix_with_order(a: JetMatrix, order: int) -> JetMatrix:
@@ -145,7 +158,9 @@ def matrix_with_order(a: JetMatrix, order: int) -> JetMatrix:
 
 
 def matrix_eval(a: JetMatrix, point: Sequence[Coeff]) -> CoeffRows:
-    return [[jet_eval(x, point) for x in row] for row in a.entries]
+    """Every entry's value at ``point`` through one :func:`map_eval`, so the
+    point is converted once and its monomials are shared."""
+    return _reshaped(a, map_eval(_flat(a), point))
 
 
 def matrix_det(a: JetMatrix) -> Jet:

@@ -20,7 +20,9 @@ numerators over one denominator, each term's modulus is rounded up by the
 rule of :func:`germglue.scalars.sqrt_ub` (through ``sqrt_ub_ratio``), and
 the terms are summed over one common denominator into one Fraction.  The
 result is the rational the term-by-term Fraction sum gives.  Membership
-tests compare squared distances on the Fraction parts of the coordinates.
+runs on integers too: a point is taken as Gaussian-integer numerators over
+one denominator (:func:`germglue.jets.point_numerators`), and each
+coordinate's |x - c|^2 against r^2 is one cross-multiplied comparison.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from typing import Optional, Sequence, Tuple
 from .errors import CoverageLossError, ShapeError
 from .jets import (
     Jet,
+    NumPoint,
     Numerators,
     PolyMap,
     gaussian_powers,
     jet_from_numerators,
     jet_numerators,
+    point_numerators,
 )
 from .scalars import Coeff, ZERO, sqrt_ub, sqrt_ub_ratio
 
@@ -138,12 +142,6 @@ def _dist2(a: Coeff, b: Coeff) -> Fraction:
     dr = a.re - b.re
     di = a.im - b.im
     return dr * dr + di * di
-
-
-def _in_disc(d2: Fraction, r: Fraction, strict: bool) -> bool:
-    """A point at squared distance d2 from the centre lies in the disc of
-    radius r: the open disc when strict, else the closed one."""
-    return d2 < r * r if strict else d2 <= r * r
 
 
 def disc_contains(c_in: Coeff, r_in: Fraction, c_out: Coeff, r_out: Fraction) -> bool:
@@ -300,11 +298,26 @@ def polydisc_scale(p: Polydisc, factor: Fraction) -> Polydisc:
     return Polydisc(p.centers, tuple(r * factor for r in p.radii))
 
 
-def point_in_polydisc(x: Sequence[Coeff], p: Polydisc, strict: bool = True) -> bool:
-    if len(x) != p.dim:
+def _in_discs(x: NumPoint, discs: Sequence[tuple[Coeff, Fraction]], strict: bool) -> bool:
+    """``x`` lies in every disc (c_k, r_k), open when strict: for
+    x_k = (a + i*b) / q, c_k = m / n + i * m' / n' and r_k = s / t, the
+    integer test ((a n - m q)^2 n'^2 + (b n' - m' q)^2 n^2) t^2 < (s q n n')^2."""
+    q, xr, xi = x
+    if len(xr) != len(discs):
         raise ShapeError("point dimension mismatch")
-    return all(_in_disc(_dist2(xv, c), r, strict)
-               for xv, c, r in zip(x, p.centers, p.radii))
+    for a, b, (c, r) in zip(xr, xi, discs):
+        nr, ni = c.re.denominator, c.im.denominator
+        dr = (a * nr - c.re.numerator * q) * ni
+        di = (b * ni - c.im.numerator * q) * nr
+        lhs = (dr * dr + di * di) * r.denominator ** 2
+        rhs = (r.numerator * q * nr * ni) ** 2
+        if not (lhs < rhs if strict else lhs <= rhs):
+            return False
+    return True
+
+
+def point_in_polydisc(x: Sequence[Coeff], p: Polydisc, strict: bool = True) -> bool:
+    return _in_discs(point_numerators(x), tuple(zip(p.centers, p.radii)), strict)
 
 
 def _discs_common_point(discs: Sequence[tuple[Coeff, Fraction]]) -> Optional[Coeff]:
@@ -388,12 +401,28 @@ def tube_rel_compact(inner: TubeDomain, outer: TubeDomain) -> Optional[Fraction]
     return min(base_margin, fiber_margin)
 
 
+def tube_discs(t: TubeDomain) -> tuple[tuple[Coeff, Fraction], ...]:
+    """(centre, radius) per coordinate of the tube: the base discs, then
+    one disc around 0 per fiber variable."""
+    return (*zip(t.base.centers, t.base.radii), *((ZERO, t.fiber_radius),) * t.fiber_dim)
+
+
+def numerators_in_tube(x: NumPoint, t: TubeDomain, strict: bool = True) -> bool:
+    """Membership of a :func:`germglue.jets.point_numerators` point."""
+    return _in_discs(x, tube_discs(t), strict)
+
+
 def point_in_tube(x: Sequence[Coeff], t: TubeDomain, strict: bool = True) -> bool:
-    nb = t.base.dim
-    if len(x) != nb + t.fiber_dim:
-        raise ShapeError("point dimension mismatch")
-    return point_in_polydisc(x[:nb], t.base, strict) and all(
-        _in_disc(z.abs2(), t.fiber_radius, strict) for z in x[nb:])
+    return numerators_in_tube(point_numerators(x), t, strict)
+
+
+def max_dist2(x: NumPoint, y: NumPoint) -> Fraction:
+    """max over k of |x_k - y_k|^2, as one Fraction."""
+    q, xr, xi = x
+    p, yr, yi = y
+    top = max((a * p - c * q) ** 2 + (b * p - e * q) ** 2
+              for a, b, c, e in zip(xr, xi, yr, yi))
+    return Fraction(top, (q * p) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Seeded samplers and batched float evaluation of jets.
 
 Certificate audits sample exact rational points (denominator-bounded grids
-with rejection, drawn and tested on integers), so membership tests and
-residual evaluations stay exact.
+with rejection, drawn on integers) and keep each as Gaussian-integer
+numerators over one denominator, the form the integer membership test and
+evaluator take, so membership tests and residual evaluations stay exact.
 
 Separately, :func:`batch_eval` turns a jet into a flat term table (exponent
 matrix + complex coefficients) and evaluates it over many points at once
@@ -12,13 +13,14 @@ numpy is imported by those float functions, so exact runs never load it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .jets import Jet
-from .regions import Point, Polydisc, TubeDomain
-from .scalars import Coeff, ZERO
+from .jets import Jet, NumPoint, point_from_numerators
+from .regions import Point, Polydisc, TubeDomain, tube_discs
+from .scalars import Coeff
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,31 +33,44 @@ if TYPE_CHECKING:
 GRID_DENOMINATOR = 64
 
 
-def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction) -> Coeff:
-    """Exact rational point with |result - center| <= 9/10 * radius.
-
-    Draws grid numerators a, b in [-G, G] (G = GRID_DENOMINATOR) until
-    (a/G)^2 + (b/G)^2 <= 81/100, tested on integers, and returns
-    center + (a + i*b) * radius / G."""
+def _sample(rng: random.Random, discs: Sequence[tuple[Coeff, Fraction]]) -> NumPoint:
+    """A point c_k + (a_k + i*b_k) * r_k / G of the discs (c_k, r_k) as a
+    numerator tuple over q, the lcm of the c_k and G * r_k denominators: per
+    disc, grid numerators a, b in [-G, G] (G = GRID_DENOMINATOR) are drawn
+    until a^2 + b^2 <= 81/100 * G^2."""
     g = GRID_DENOMINATOR
-    while True:
-        a = rng.randrange(-g, g + 1)
-        b = rng.randrange(-g, g + 1)
-        if 100 * (a * a + b * b) <= 81 * g * g:
-            n, q = radius.numerator, g * radius.denominator
-            return Coeff(center.re + Fraction(a * n, q), center.im + Fraction(b * n, q))
+    q = math.lcm(*[n for c, r in discs
+                   for n in (c.re.denominator, c.im.denominator, g * r.denominator)])
+    re, im = [], []
+    for c, r in discs:
+        while True:
+            a = rng.randrange(-g, g + 1)
+            b = rng.randrange(-g, g + 1)
+            if 100 * (a * a + b * b) <= 81 * g * g:
+                break
+        s = r.numerator * (q // (g * r.denominator))
+        re.append(c.re.numerator * (q // c.re.denominator) + a * s)
+        im.append(c.im.numerator * (q // c.im.denominator) + b * s)
+    return q, tuple(re), tuple(im)
+
+
+def sample_numerators(rng: random.Random, t: TubeDomain) -> NumPoint:
+    """A point of the tube (base coordinates, then fiber), as numerators."""
+    return _sample(rng, tube_discs(t))
+
+
+def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction) -> Coeff:
+    """Exact rational point with |result - center| <= 9/10 * radius."""
+    return point_from_numerators(_sample(rng, ((center, radius),)))[0]
 
 
 def sample_in_polydisc(rng: random.Random, p: Polydisc) -> Point:
-    return tuple(sample_in_disc(rng, c, r) for c, r in zip(p.centers, p.radii))
+    return point_from_numerators(_sample(rng, tuple(zip(p.centers, p.radii))))
 
 
 def sample_in_tube(rng: random.Random, t: TubeDomain) -> Point:
-    """A point of the tube: the base coordinates first, then each fiber
-    coordinate around 0, the draws of :func:`sample_in_polydisc` on the
-    tube as a polydisc."""
-    return sample_in_polydisc(rng, t.base) + tuple(
-        sample_in_disc(rng, ZERO, t.fiber_radius) for _ in range(t.fiber_dim))
+    """:func:`sample_numerators` as a point of Coeff."""
+    return point_from_numerators(sample_numerators(rng, t))
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,6 @@ ZERO = Coeff(0)
 ONE = Coeff(1)
 
 
-def coeff_abs_ub(c: Coeff) -> Fraction:
-    """Rational upper bound for |c|; exact when |c|^2 is a rational square."""
-    return sqrt_ub(c.abs2())
-
-
 def coeff_abs_lb(c: Coeff) -> Fraction:
     """Rational lower bound for |c|."""
     return sqrt_lb(c.abs2())

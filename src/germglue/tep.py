@@ -24,6 +24,7 @@ from .errors import CompositionDomainError, ShapeError, ValidationFailure
 from .scalars import ZERO, Coeff
 from .jets import (
     PolyMap,
+    PowerTable,
     grlex_terms,
     jet_eval,
     jet_extend_vars,
@@ -492,7 +493,8 @@ def _intertwining_residuals(
             tag["direction"] = direction
         out.extend(_tagged(res, di.base_dim, t_cap, z_cap, tag))
 
-    a_composed = [matrix_compose(m, phi) for m in dj.a_mats]
+    powers = PowerTable()  # the monomials of Phi, shared by every composition
+    a_composed = [matrix_compose(m, phi, powers) for m in dj.a_mats]
     jac = [
         [jet_with_order(jet_partial(comps[b], a), w) for a in range(atlas_vars)]
         for b in range(atlas_vars)
@@ -503,18 +505,19 @@ def _intertwining_residuals(
             res = matrix_sub(res, matrix_scale_jet(matrix_mul(a_composed[b], gx), jac[b][a]))
         res = matrix_sub(res, _z_times(matrix_partial(gx, a), z, 1, w))
         collect(res, "A", a)
-    res = matrix_sub(matrix_mul(gx, di.b_mat), matrix_mul(matrix_compose(dj.b_mat, phi), gx))
+    res = matrix_sub(matrix_mul(gx, di.b_mat),
+                     matrix_mul(matrix_compose(dj.b_mat, phi, powers), gx))
     res = matrix_sub(res, _z_times(matrix_partial(gx, z), z, 2, w))
     collect(res, "B")
     res = matrix_sub(
         matrix_mul(
             matrix_transpose(matrix_flip_var(gx, z)),
-            matrix_mul(matrix_compose(dj.p_mat, phi), gx),
+            matrix_mul(matrix_compose(dj.p_mat, phi, powers), gx),
         ),
         di.p_mat,
     )
     collect(res, "P")
-    collect(matrix_sub(matrix_mul(gx, di.zeta), matrix_compose(dj.zeta, phi)), "zeta")
+    collect(matrix_sub(matrix_mul(gx, di.zeta), matrix_compose(dj.zeta, phi, powers)), "zeta")
     return out
 
 

@@ -5,22 +5,25 @@ substitute-then-truncate composition, term-by-term evaluation with repeated
 Fraction products, direct Lagrange inversion in one variable, cocycle
 checks that compose every ordering of every triple, binomial recentring and
 range bounds in Coeff arithmetic, and Fraction-grid sampling and Coeff
-membership tests.  None of it imports algorithmic code from the package
-beyond the plain data containers and ``coeff_abs_ub``, the rounding rule a
-range bound must reproduce, so agreement between the two sides is
-meaningful.
+membership tests, and the sampled closedness audit and chain selector on
+those.  None of it imports algorithmic code from the package
+beyond the plain data containers and the square-root bounds whose rounding
+the package must reproduce (``sqrt_ub`` for range bounds, through
+``coeff_abs_ub`` here, and ``sqrt_lb`` for the reported separation), so
+agreement between the two sides is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from germglue.jets import Jet, PolyMap
 from germglue.matrices import JetMatrix
 from germglue.regions import TubeDomain, polydisc_common_point
-from germglue.scalars import Coeff, ONE, ZERO, coeff_abs_ub
+from germglue.scalars import Coeff, ONE, ZERO, sqrt_lb, sqrt_ub
 
 
 def oracle_mul(a: Jet, b: Jet) -> Jet:
@@ -297,6 +300,12 @@ def oracle_recenter(f: Jet, center) -> dict:
     return {u: v for u, v in out.items() if not v.is_zero()}
 
 
+def coeff_abs_ub(c: Coeff) -> Fraction:
+    """Rational upper bound for |c|: ``sqrt_ub`` of |c|^2, exact when |c|^2
+    is a rational square.  The rounding rule a range bound reproduces."""
+    return sqrt_ub(c.abs2())
+
+
 def oracle_range_bound(f: Jet, centers, radii) -> Fraction:
     """sum over the recentred terms of coeff_abs_ub(c_u) * prod r**k, each
     product and sum taken in Fractions."""
@@ -342,3 +351,61 @@ def oracle_point_in_discs(x, discs, strict: bool) -> bool:
 
 def oracle_point_in_tube(x, t: TubeDomain, strict: bool) -> bool:
     return oracle_point_in_discs(x, _tube_discs(t), strict)
+
+
+def _oracle_pair_image(cover, i, j, x):
+    """phi_ij(x) by term-by-term evaluation when x lies in Q_i and in the
+    inner tube of O_ij and the image lies in Q_j, all by Coeff membership;
+    else None."""
+    data = cover.overlaps.get((i, j))
+    if data is None or data.vacuous or not oracle_point_in_tube(x, cover.tubes[i], True) \
+            or not oracle_point_in_tube(x, data.o_inner, True):
+        return None
+    image = tuple(oracle_eval(c, x) for c in cover.input.transitions[(i, j)].map.components)
+    return image if oracle_point_in_tube(image, cover.tubes[j], True) else None
+
+
+def oracle_closed_audit(cover, samples: int, seed: int) -> dict:
+    """The separation audit of ``check_closed_relation`` on Fraction points:
+    the same draws, each gap max |y_k - phi_ij(x)_k|^2 taken in Coeff."""
+    rng = random.Random(seed)
+    pairs = [pk for pk, cert in cover.pairs.items() if not cert.vacuous]
+    audited = separated = skipped = 0
+    min_separation = None
+    for _ in range(samples if pairs else 0):
+        i, j = pairs[rng.randrange(len(pairs))]
+        x = oracle_sample_in_tube(rng, cover.tubes[i])
+        y = oracle_sample_in_tube(rng, cover.tubes[j])
+        partner = _oracle_pair_image(cover, i, j, x)
+        if partner is None:
+            skipped += 1
+            continue
+        audited += 1
+        gap = max((a - b).abs2() for a, b in zip(y, partner))
+        if gap:
+            separated += 1
+            sep = sqrt_lb(gap)
+            if sep > 0 and (min_separation is None or sep < min_separation):
+                min_separation = sep
+    return {"samples": samples, "audited": audited, "separated": separated,
+            "skipped": skipped, "min_separation": min_separation}
+
+
+def oracle_sample_chains(cover, chains: int, seed: int) -> tuple[list, int]:
+    """``sample_chains`` on Fraction points: the same live triples and
+    draws, each link decided by ``_oracle_pair_image``."""
+    charts = sorted(cover.input.charts, key=repr)
+    live = [(i, j, k) for (i, j), cert in cover.pairs.items() for k in charts
+            if not cert.vacuous and k not in (i, j) and (j, k) in cover.pairs
+            and not cover.pairs[(j, k)].vacuous and (i, k) in cover.input.transitions]
+    rng = random.Random(seed)
+    accepted, attempts = [], 0
+    while live and len(accepted) < chains and attempts < chains * 200:
+        attempts += 1
+        i, j, k = live[rng.randrange(len(live))]
+        x = oracle_sample_in_tube(rng, cover.pairs[(i, j)].bound)
+        y = _oracle_pair_image(cover, i, j, x)
+        z = None if y is None else _oracle_pair_image(cover, j, k, y)
+        if z is not None:
+            accepted.append((i, j, k, x, z))
+    return accepted, attempts

@@ -21,6 +21,7 @@ from germglue.atlas import (
     enforce_triple_domains,
     glue_chartwise_maps,
     run_glue_pipeline,
+    sample_chains,
     shrink_tubes,
     validate_germ_data,
     zero_section_map,
@@ -42,7 +43,7 @@ from germglue.jets import (
 from germglue.regions import Polydisc, TubeDomain, polydisc_common_point
 from germglue.scalars import Coeff
 
-from .oracles import oracle_atlas_cocycle
+from .oracles import oracle_atlas_cocycle, oracle_closed_audit, oracle_sample_chains
 
 F = Fraction
 
@@ -580,16 +581,68 @@ def test_closedness_evaluates_each_sample_at_most_once(monkeypatch):
 
     cover = shrunk_cover(pinch_atlas())
     calls = []
-    real = germglue.atlas.map_eval
+    real = germglue.atlas.eval_numerators
 
-    def counted(f, x):
+    def counted(fn, x):
         calls.append(x)
-        return real(f, x)
+        return real(fn, x)
 
-    monkeypatch.setattr(germglue.atlas, "map_eval", counted)
+    monkeypatch.setattr(germglue.atlas, "eval_numerators", counted)
     closed = check_closed_relation(cover, samples=40, seed=3)
     assert closed["audit"]["audited"] > 0
-    assert len(calls) <= 40
+    assert 0 < len(calls) <= 40
+
+
+def test_chain_sampler_evaluates_at_most_twice_per_attempt(monkeypatch):
+    import germglue.atlas
+
+    cover = shrunk_cover(scaling_atlas())
+    enforce_triple_domains(cover)
+    calls = []
+    real = germglue.atlas.eval_numerators
+
+    def counted(fn, x):
+        calls.append(x)
+        return real(fn, x)
+
+    monkeypatch.setattr(germglue.atlas, "eval_numerators", counted)
+    accepted, attempts = sample_chains(cover, 20, seed=1)
+    assert accepted
+    assert 0 < len(calls) <= 2 * attempts
+
+
+def _sample_atlas_cover(name: str):
+    """The cover of a sample atlas as the triple stage leaves it, also when
+    that stage stops on a broken cocycle or at the radius floor."""
+    from germglue.documents import atlas_input_from_json, load_document
+
+    path = Path(__file__).resolve().parent.parent / "sample_inputs" / name
+    cover = shrunk_cover(atlas_input_from_json(load_document(str(path), "atlas-input")))
+    try:
+        enforce_triple_domains(cover)
+    except (ShrinkExhausted, ValidationFailure):
+        pass
+    return cover
+
+
+SAMPLE_ATLASES = sorted(
+    p.name for p in (Path(__file__).resolve().parent.parent / "sample_inputs").glob("*-atlas.json"))
+
+
+@pytest.mark.parametrize("name", SAMPLE_ATLASES)
+def test_sampled_audits_match_the_fraction_reference(name):
+    """The integer audits equal the Fraction-point reference: the audit
+    dict of the closedness check and the chains of the chain sampler."""
+    cover = _sample_atlas_cover(name)
+    audited = 0
+    for seed in range(3):
+        closed = check_closed_relation(cover, samples=60, seed=seed)
+        assert closed["audit"] == oracle_closed_audit(cover, 60, seed)
+        chains = sample_chains(cover, 20, seed=seed)
+        assert chains == oracle_sample_chains(cover, 20, seed)
+        audited += closed["audit"]["audited"]
+    # hidden-triple-atlas.json has no V-level pair overlap, so nothing to audit
+    assert audited > 0 or all(cert.vacuous for cert in cover.pairs.values())
 
 
 def test_triple_stage_decides_each_triple_once_per_radius(monkeypatch):

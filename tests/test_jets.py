@@ -39,9 +39,13 @@ from germglue.jets import (
     jet_with_order,
     jet_zero,
     linear_part,
+    eval_numerators,
     map_compose,
     map_inverse,
     map_eval,
+    map_numerators,
+    point_from_numerators,
+    point_numerators,
 )
 from germglue.regions import recenter
 from germglue.scalars import Coeff, ONE, ZERO
@@ -247,6 +251,26 @@ def test_eval_matches_oracle(real, data):
     f = data.draw(jets(real=real))
     x = data.draw(points(f.num_vars, real))
     assert jet_eval(f, x) == oracle_eval(f, x)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "gaussian"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_numerator_evaluator_matches_oracle_at_unreduced_points(real, data):
+    """Every component of a map at a real or Gaussian point given over an
+    unreduced denominator; the point is reduced once, so the value's
+    denominator is d * q^K for the reduced q."""
+    nv = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    f = PolyMap(nv, [data.draw(jets(num_vars=nv, order=k))
+                     for _ in range(data.draw(st.integers(1, 3)))])
+    x = data.draw(points(nv, real))
+    s = data.draw(st.integers(1, 50))
+    q, re, im = point_numerators(x)
+    fn = map_numerators(f)
+    got = eval_numerators(fn, (q * s, tuple(v * s for v in re), tuple(v * s for v in im)))
+    assert point_from_numerators(got) == tuple(oracle_eval(c, x) for c in f.components)
+    assert got[0] == fn[0] * q**k
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "gaussian"])

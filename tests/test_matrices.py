@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from germglue.errors import NotInvertibleError, ShapeError
 from germglue.jets import (
+    PowerTable,
     jet_add,
     jet_const,
     jet_eq,
-    jet_from_terms,
-    jet_is_zero,
     jet_mul,
     jet_pow,
     jet_truncate,
@@ -27,19 +26,19 @@ from germglue.matrices import (
     coeff_rank,
     column_span_rank,
     jet_reciprocal,
+    matrix_compose,
     matrix_det,
     matrix_eval,
     matrix_identity,
     matrix_inverse,
     matrix_mul,
     matrix_partial,
-    matrix_sub,
     matrix_transpose,
 )
 from germglue.scalars import Coeff, ONE, ZERO
 
-from .oracles import oracle_matmul
-from .test_jets import jets
+from .oracles import oracle_compose, oracle_eval, oracle_matmul
+from .test_jets import constant_free_maps, jets, points
 
 
 def frac(p, q=1):
@@ -126,6 +125,22 @@ def test_det_and_eval():
     assert d.terms == {(0, 0): ONE, (1, 2): -ONE}
     vals = matrix_eval(m, (frac(2), frac(3)))
     assert vals[0][1] == frac(6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compose_and_eval_through_one_table_match_the_entrywise_oracles(data):
+    """Two matrices composed after one map through one shared table, and
+    a matrix evaluated in one call, equal the entry-by-entry oracles."""
+    g = data.draw(constant_free_maps(target_vars=2))
+    mats = [JetMatrix([[data.draw(jets(num_vars=2, order=g.order)) for _ in range(2)]
+                       for _ in range(data.draw(st.integers(1, 2)))]) for _ in range(2)]
+    powers = PowerTable()
+    for m in mats:
+        got = matrix_compose(m, g, powers)
+        assert got.entries == [[oracle_compose(x, g) for x in row] for row in m.entries]
+    x = data.draw(points(2, data.draw(st.booleans())))
+    assert matrix_eval(mats[0], x) == [[oracle_eval(e, x) for e in row] for row in mats[0].entries]
 
 
 def test_det_multiplicative():

@@ -19,6 +19,7 @@ from germglue.jets import (
     jet_mul,
     jet_pow,
     jet_var,
+    point_numerators,
 )
 from germglue.regions import (
     CoverTriple,
@@ -26,9 +27,10 @@ from germglue.regions import (
     TubeDomain,
     disc_lens_inner,
     disc_lens_outer,
-    disc_margin,
     discs_disjoint,
     map_image_bound,
+    max_dist2,
+    numerators_in_tube,
     point_in_polydisc,
     point_in_tube,
     polydisc_common_point,
@@ -47,7 +49,7 @@ from germglue.regions import (
     tube_rel_compact,
 )
 from germglue.regions import _dist2
-from germglue.scalars import Coeff, ONE, ZERO, coeff_abs_ub
+from germglue.scalars import Coeff, ONE, ZERO
 
 from .oracles import (
     _inside,
@@ -442,10 +444,17 @@ def test_membership_agrees_with_the_coeff_reference(base, fiber_dim, fiber_radiu
         else c + Coeff(data.draw(rationals) * r / 3, data.draw(rationals) * r / 3)
         for c, r in discs
     )
+    # the integer test also on the point over an unreduced denominator
+    s = data.draw(st.integers(1, 30))
+    q, re, im = point_numerators(x)
+    unreduced = (q * s, tuple(v * s for v in re), tuple(v * s for v in im))
     for strict in (True, False):
         assert point_in_tube(x, t, strict=strict) == oracle_point_in_tube(x, t, strict)
+        assert numerators_in_tube(unreduced, t, strict) == oracle_point_in_tube(x, t, strict)
         assert point_in_polydisc(x[: p.dim], p, strict=strict) == \
             oracle_point_in_discs(x[: p.dim], discs[: p.dim], strict)
+    y = tuple(c for c, _ in discs)
+    assert max_dist2(unreduced, point_numerators(y)) == max((a - b).abs2() for a, b in zip(x, y))
     for xv, (c, _) in zip(x, discs):
         assert _dist2(xv, c) == (xv - c).abs2()
 

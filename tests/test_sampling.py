@@ -8,14 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from germglue.jets import jet_eval, jet_from_terms
-from germglue.regions import Polydisc, TubeDomain, point_in_polydisc, point_in_tube
+from germglue.jets import jet_eval, jet_from_terms, point_from_numerators
+from germglue.regions import (
+    Polydisc,
+    TubeDomain,
+    numerators_in_tube,
+    point_in_polydisc,
+    point_in_tube,
+)
 from germglue.sampling import (
     batch_eval,
     points_to_array,
     sample_in_disc,
     sample_in_polydisc,
     sample_in_tube,
+    sample_numerators,
     term_table,
 )
 from germglue.scalars import Coeff
@@ -63,6 +70,10 @@ def test_samplers_draw_the_reference_points(seed):
     for _ in range(20):
         assert sample_in_disc(got, center, radius) == oracle_sample_in_disc(want, center, radius)
         assert sample_in_tube(got, tube) == oracle_sample_in_tube(want, tube)
+        # the numerator tuples the audits draw, inside by the integer test
+        x = sample_numerators(got, tube)
+        assert point_from_numerators(x) == oracle_sample_in_tube(want, tube)
+        assert numerators_in_tube(x, tube, strict=True)
     assert got.getstate() == want.getstate()
 
 

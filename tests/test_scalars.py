@@ -12,10 +12,11 @@ from germglue.scalars import (
     ONE,
     ZERO,
     coeff_abs_lb,
-    coeff_abs_ub,
     sqrt_lb,
     sqrt_ub,
 )
+
+from .oracles import coeff_abs_ub
 
 
 def test_constructor_normalizes():
