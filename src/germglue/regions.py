@@ -23,6 +23,9 @@ result is the rational the term-by-term Fraction sum gives.  Membership
 runs on integers too: a point is taken as Gaussian-integer numerators over
 one denominator (:func:`germglue.jets.point_numerators`), and each
 coordinate's |x - c|^2 against r^2 is one cross-multiplied comparison.
+So are the disc certificates: each is an integer sign test on unreduced
+|Δc|^2 pairs, margins round through ``sqrt_ub_ratio``, and a Fraction is
+built only for a returned value.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class Polydisc:
 
     def __init__(self, centers: Sequence[Coeff], radii: Sequence[Fraction]):
         centers = tuple(centers)
-        radii = tuple(Fraction(r) for r in radii)
+        radii = tuple([Fraction(r) for r in radii])
         if len(centers) != len(radii) or not centers:
             raise ShapeError("polydisc needs matching nonempty centers and radii")
         if any(r <= 0 for r in radii):
@@ -134,33 +137,55 @@ class CoverTriple:
 
 
 # ---------------------------------------------------------------------------
-# single-disc certificates (exact rational arithmetic throughout)
+# single-disc certificates (cross-multiplied integer sign tests)
 # ---------------------------------------------------------------------------
 
 
-def _dist2(a: Coeff, b: Coeff) -> Fraction:
-    dr = a.re - b.re
-    di = a.im - b.im
-    return dr * dr + di * di
+def _diff(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """a - b as an unreduced pair ``(num, den)``, den > 0, with no gcd."""
+    p, q = a.denominator, b.denominator
+    if p == q:
+        return a.numerator - b.numerator, p
+    return a.numerator * q - b.numerator * p, p * q
+
+
+def _dist2_ratio(a: Coeff, b: Coeff) -> tuple[int, int]:
+    """|a - b|^2 as an unreduced pair ``(num, den)``, den > 0, built from the
+    parts' numerators and denominators with no gcd."""
+    x, xd = _diff(a.re, b.re)
+    y, yd = _diff(a.im, b.im)
+    return (x * yd) ** 2 + (y * xd) ** 2, (xd * yd) ** 2
 
 
 def disc_contains(c_in: Coeff, r_in: Fraction, c_out: Coeff, r_out: Fraction) -> bool:
-    """Closed disc (c_in, r_in) inside closed disc (c_out, r_out)."""
-    if r_in > r_out:
+    """Closed disc (c_in, r_in) inside closed disc (c_out, r_out):
+    r_in <= r_out and |Δc|^2 <= (r_out - r_in)^2."""
+    g, h = _diff(r_out, r_in)
+    if g < 0:
         return False
-    return _dist2(c_in, c_out) <= (r_out - r_in) ** 2
+    n, d = _dist2_ratio(c_in, c_out)
+    return n * h * h <= g * g * d
 
 
 def disc_margin(c_in: Coeff, r_in: Fraction, c_out: Coeff, r_out: Fraction) -> Optional[Fraction]:
-    """Certified lower bound for the boundary gap r_out - r_in - |Δc|,
-    or None when no positive margin is certified."""
-    m = r_out - r_in - sqrt_ub(_dist2(c_in, c_out))
-    return m if m > 0 else None
+    """Certified lower bound r_out - r_in - sqrt_ub(|Δc|^2) for the boundary
+    gap r_out - r_in - |Δc|, or None when no positive margin is certified."""
+    g, h = _diff(r_out, r_in)
+    s, e = sqrt_ub_ratio(*_dist2_ratio(c_in, c_out))
+    m = g * e - s * h
+    return Fraction(m, h * e) if m > 0 else None
 
 
-def discs_disjoint(c1: Coeff, r1: Fraction, c2: Coeff, r2: Fraction) -> bool:
-    """Certified disjointness of the open discs."""
-    return _dist2(c1, c2) >= (r1 + r2) ** 2
+def _lens(c1: Coeff, r1: Fraction, c2: Coeff, r2: Fraction) -> Optional[tuple[int, ...]]:
+    """``(big, d, u1, u2, w)`` with |Δc|^2 = big / (d w^2), r_k = u_k / w, or
+    None when the open discs are certifiably disjoint (|Δc| >= r1 + r2)."""
+    n, d = _dist2_ratio(c1, c2)
+    b1, b2 = r1.denominator, r2.denominator
+    u1, u2, w = r1.numerator * b2, r2.numerator * b1, b1 * b2
+    big = n * w * w
+    if big >= (u1 + u2) ** 2 * d:
+        return None
+    return big, d, u1, u2, w
 
 
 def disc_lens_outer_candidates(
@@ -173,22 +198,24 @@ def disc_lens_outer_candidates(
     lens; exact rational center, upper square-root radius bound) listed
     first, then either input disc.  Callers needing a single disc take the
     smallest; callers fitting the bound into a target may try each."""
-    if discs_disjoint(c1, r1, c2, r2):
+    lens = _lens(c1, r1, c2, r2)
+    if lens is None:
         return None
-    d2 = _dist2(c1, c2)
-    if d2 == 0:
+    big, d, u1, u2, w = lens
+    if not big:
         return [(c1, min(r1, r2))]
     candidates = []
-    s1 = d2 + r1 * r1 - r2 * r2
-    s2 = d2 + r2 * r2 - r1 * r1
-    if s1 >= 0 and s2 >= 0:
-        # chord disc: center on the segment, covering the lens because both
-        # circular arcs bend inside it when the chord lies between centers
-        t = s1 / (2 * d2)
-        m = c1 + (c2 - c1) * Coeff(t)
-        h2 = r1 * r1 - t * t * d2
+    # over d w^2: s1 = |Δc|^2 + r1^2 - r2^2 and s2 = |Δc|^2 + r2^2 - r1^2
+    diff = (u1 * u1 - u2 * u2) * d
+    s1 = big + diff
+    if s1 >= 0 and big >= diff:
+        # chord disc: center on the segment at t = s1 / (2 |Δc|^2), covering
+        # the lens because both circular arcs bend inside it when the chord
+        # lies between centers; h^2 = r1^2 - t^2 |Δc|^2
+        h2 = 4 * big * d * u1 * u1 - s1 * s1
         if h2 > 0:
-            candidates.append((m, sqrt_ub(h2)))
+            m = c1 + (c2 - c1) * Coeff(Fraction(s1, 2 * big))
+            candidates.append((m, sqrt_ub(Fraction(h2, 4 * big * d * w * w))))
     candidates.append((c1, r1))
     candidates.append((c2, r2))
     return candidates
@@ -212,20 +239,24 @@ def disc_lens_inner(
 
     Every point strictly within rho of the returned center lies in both
     open discs."""
-    if discs_disjoint(c1, r1, c2, r2):
+    lens = _lens(c1, r1, c2, r2)
+    if lens is None:
         return None
-    d2 = _dist2(c1, c2)
-    if d2 == 0:
+    big, d, u1, u2, w = lens
+    if not big:
         return (c1, min(r1, r2))
-    t = (d2 + r1 * r1 - r2 * r2) / (2 * d2)
-    # clamp the chord point onto the segment so the center is sensible even
-    # in one-disc-inside-the-other configurations
-    t = max(Fraction(0), min(Fraction(1), t))
-    m = c1 + (c2 - c1) * Coeff(t)
-    rho = min(r1 - sqrt_ub(_dist2(m, c1)), r2 - sqrt_ub(_dist2(m, c2)))
+    # the chord point at t = p / (2 big), clamped onto the segment so the
+    # center is sensible even in one-disc-inside-the-other configurations
+    p = min(max(big + (u1 * u1 - u2 * u2) * d, 0), 2 * big)
+    m = c1 + (c2 - c1) * Coeff(Fraction(p, 2 * big))
+    # |m - c1|^2 = p^2 / den and |m - c2|^2 = (2 big - p)^2 / den
+    den = 4 * big * d * w * w
+    q1, e = sqrt_ub_ratio(p * p, den)
+    q2, _ = sqrt_ub_ratio((2 * big - p) ** 2, den)
+    rho = min(u1 * e - q1 * w, u2 * e - q2 * w)
     if rho <= 0:
         return None
-    return (m, rho)
+    return (m, Fraction(rho, w * e))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +320,13 @@ def polydisc_intersection_inner(a: Polydisc, b: Polydisc) -> Optional[Polydisc]:
 def polydisc_inflate(p: Polydisc, delta: Fraction) -> Polydisc:
     if delta < 0:
         raise ShapeError("inflation amount must be nonnegative")
-    return Polydisc(p.centers, tuple(r + delta for r in p.radii))
+    return Polydisc(p.centers, [r + delta for r in p.radii])
 
 
 def polydisc_scale(p: Polydisc, factor: Fraction) -> Polydisc:
     if factor <= 0:
         raise ShapeError("scale factor must be positive")
-    return Polydisc(p.centers, tuple(r * factor for r in p.radii))
+    return Polydisc(p.centers, [r * factor for r in p.radii])
 
 
 def _in_discs(x: NumPoint, discs: Sequence[tuple[Coeff, Fraction]], strict: bool) -> bool:
@@ -328,26 +359,39 @@ def _discs_common_point(discs: Sequence[tuple[Coeff, Fraction]]) -> Optional[Coe
     At the minimiser 0 lies in the hull of the gradients 2(x - c_i) of the
     largest powers, so x lies in the hull of at most three centres of equal
     power (Caratheodory): a centre, the chord point of two discs, or the
-    radical centre of three.  The largest power is least at x among them."""
-    candidates = [c for c, _ in discs]
-    for (a, ra), (b, rb) in combinations(discs, 2):
-        d2 = _dist2(a, b)
+    radical centre of three.  The largest power is least at x among them.
+
+    Every disc is scaled by one common denominator L to integers
+    (x_i + i y_i, s_i), and each candidate is kept as (a, b, q) for the
+    point (a + i b) / (q L), q != 0: its largest power is an integer over
+    q^2, so powers compare cross-multiplied."""
+    scale = math.lcm(*[v.denominator for c, r in discs for v in (c.re, c.im, r)])
+    ints = [[v.numerator * (scale // v.denominator) for v in (c.re, c.im, r)]
+            for c, r in discs]
+    candidates = [(x, y, 1) for x, y, _ in ints]
+    for (ax, ay, ra), (bx, by, rb) in combinations(ints, 2):
+        bx, by = bx - ax, by - ay
+        d2 = bx * bx + by * by
         if d2:
-            candidates.append(a + (b - a) * Coeff((d2 + ra * ra - rb * rb) / (2 * d2)))
-    for (a, ra), (b, rb), (c, rc) in combinations(discs, 3):
+            s = d2 + ra * ra - rb * rb
+            candidates.append((2 * d2 * ax + bx * s, 2 * d2 * ay + by * s, 2 * d2))
+    for (ax, ay, ra), (bx, by, rb), (cx, cy, rc) in combinations(ints, 3):
         # equal powers at a + y: 2 y.(b - a) = pb and 2 y.(c - a) = pc
-        b, c = b - a, c - a
-        det = 2 * (b.re * c.im - b.im * c.re)
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        det = 2 * (bx * cy - by * cx)
         if det:
-            pb, pc = b.abs2() + ra * ra - rb * rb, c.abs2() + ra * ra - rc * rc
-            candidates.append(a + Coeff((pb * c.im - pc * b.im) / det,
-                                        (pc * b.re - pb * c.re) / det))
-
-    def power(x: Coeff) -> Fraction:
-        return max(_dist2(x, c) - r * r for c, r in discs)
-
-    best = min(candidates, key=power)
-    return best if power(best) < 0 else None
+            pb = bx * bx + by * by + ra * ra - rb * rb
+            pc = cx * cx + cy * cy + ra * ra - rc * rc
+            candidates.append((ax * det + pb * cy - pc * by, ay * det + pc * bx - pb * cx, det))
+    best = None
+    for a, b, q in candidates:
+        power = max((a - x * q) ** 2 + (b - y * q) ** 2 - (s * q) ** 2 for x, y, s in ints)
+        if best is None or power * best[2] ** 2 < best[3] * q * q:
+            best = (a, b, q, power)
+    a, b, q, power = best
+    if power >= 0:
+        return None
+    return Coeff(Fraction(a, q * scale), Fraction(b, q * scale))
 
 
 def polydisc_common_point(ps: Sequence[Polydisc]) -> Optional[Point]:

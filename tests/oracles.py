@@ -4,13 +4,15 @@ Everything in this module is deliberately naive: quadratic-time convolution,
 substitute-then-truncate composition, term-by-term evaluation with repeated
 Fraction products, direct Lagrange inversion in one variable, cocycle
 checks that compose every ordering of every triple, binomial recentring and
-range bounds in Coeff arithmetic, and Fraction-grid sampling and Coeff
-membership tests, and the sampled closedness audit and chain selector on
-those.  None of it imports algorithmic code from the package
+range bounds in Coeff arithmetic, the single-disc certificates and the
+overlap decision's candidate search in Fractions, Fraction-grid sampling
+and Coeff membership tests, and the sampled closedness audit and chain
+selector on those.  None of it imports algorithmic code from the package
 beyond the plain data containers and the square-root bounds whose rounding
 the package must reproduce (``sqrt_ub`` for range bounds, through
-``coeff_abs_ub`` here, and ``sqrt_lb`` for the reported separation), so
-agreement between the two sides is meaningful.
+``coeff_abs_ub`` here, and for disc radii and margins, and ``sqrt_lb`` for
+the reported separation), so agreement between the two sides is
+meaningful.
 """
 
 from __future__ import annotations
@@ -316,6 +318,95 @@ def oracle_range_bound(f: Jet, centers, radii) -> Fraction:
             term *= r**k
         total += term
     return total
+
+
+def dist2(a: Coeff, b: Coeff) -> Fraction:
+    """|a - b|^2 in Fractions."""
+    dr = a.re - b.re
+    di = a.im - b.im
+    return dr * dr + di * di
+
+
+def oracle_disc_contains(c_in: Coeff, r_in: Fraction, c_out: Coeff, r_out: Fraction) -> bool:
+    """Closed disc (c_in, r_in) inside closed disc (c_out, r_out)."""
+    if r_in > r_out:
+        return False
+    return dist2(c_in, c_out) <= (r_out - r_in) ** 2
+
+
+def oracle_disc_margin(c_in: Coeff, r_in: Fraction, c_out: Coeff, r_out: Fraction):
+    """r_out - r_in - sqrt_ub(|Δc|^2) when positive, else None."""
+    m = r_out - r_in - sqrt_ub(dist2(c_in, c_out))
+    return m if m > 0 else None
+
+
+def discs_disjoint(c1: Coeff, r1: Fraction, c2: Coeff, r2: Fraction) -> bool:
+    """Certified disjointness of the open discs: |Δc| >= r1 + r2."""
+    return dist2(c1, c2) >= (r1 + r2) ** 2
+
+
+def oracle_disc_lens_outer_candidates(c1: Coeff, r1: Fraction, c2: Coeff, r2: Fraction):
+    """The chord disc (when the chord separates the lens), then either
+    input disc; None when the open discs are disjoint."""
+    if discs_disjoint(c1, r1, c2, r2):
+        return None
+    d2 = dist2(c1, c2)
+    if d2 == 0:
+        return [(c1, min(r1, r2))]
+    candidates = []
+    s1 = d2 + r1 * r1 - r2 * r2
+    s2 = d2 + r2 * r2 - r1 * r1
+    if s1 >= 0 and s2 >= 0:
+        t = s1 / (2 * d2)
+        m = c1 + (c2 - c1) * Coeff(t)
+        h2 = r1 * r1 - t * t * d2
+        if h2 > 0:
+            candidates.append((m, sqrt_ub(h2)))
+    candidates.append((c1, r1))
+    candidates.append((c2, r2))
+    return candidates
+
+
+def oracle_disc_lens_inner(c1: Coeff, r1: Fraction, c2: Coeff, r2: Fraction):
+    """A disc around the chord point clamped onto the segment, of radius
+    the smaller sqrt_ub margin into either disc; None when not positive."""
+    if discs_disjoint(c1, r1, c2, r2):
+        return None
+    d2 = dist2(c1, c2)
+    if d2 == 0:
+        return (c1, min(r1, r2))
+    t = (d2 + r1 * r1 - r2 * r2) / (2 * d2)
+    t = max(Fraction(0), min(Fraction(1), t))
+    m = c1 + (c2 - c1) * Coeff(t)
+    rho = min(r1 - sqrt_ub(dist2(m, c1)), r2 - sqrt_ub(dist2(m, c2)))
+    if rho <= 0:
+        return None
+    return (m, rho)
+
+
+def oracle_discs_common_point(discs):
+    """Among the centres, the chord points of pairs and the radical centres
+    of triples (in that order), the first with the least largest power
+    |x - c|^2 - r^2, in Coeff arithmetic; None unless that power is
+    negative."""
+    candidates = [c for c, _ in discs]
+    for (a, ra), (b, rb) in itertools.combinations(discs, 2):
+        d2 = dist2(a, b)
+        if d2:
+            candidates.append(a + (b - a) * Coeff((d2 + ra * ra - rb * rb) / (2 * d2)))
+    for (a, ra), (b, rb), (c, rc) in itertools.combinations(discs, 3):
+        b, c = b - a, c - a
+        det = 2 * (b.re * c.im - b.im * c.re)
+        if det:
+            pb, pc = b.abs2() + ra * ra - rb * rb, c.abs2() + ra * ra - rc * rc
+            candidates.append(a + Coeff((pb * c.im - pc * b.im) / det,
+                                        (pc * b.re - pb * c.re) / det))
+
+    def power(x: Coeff) -> Fraction:
+        return max(dist2(x, c) - r * r for c, r in discs)
+
+    best = min(candidates, key=power)
+    return best if power(best) < 0 else None
 
 
 def oracle_sample_in_disc(rng, center: Coeff, radius: Fraction) -> Coeff:

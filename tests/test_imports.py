@@ -1,5 +1,5 @@
-"""Every name a library module, the sample generator or a test module
-imports is used.
+"""Every name a library module, the sample generator, a test module or a
+benchmark module imports is used.
 
 An AST check stands in for a linter: neither pyflakes nor ruff is a
 dependency.  ``__init__.py`` is skipped, since a package's own imports may be
@@ -20,7 +20,7 @@ MODULES = sorted(
 ) + [ROOT / "sample_inputs" / "generate.py"] + sorted(
     p for p in (ROOT / "tests").glob("*.py")
     if p.name not in ("__init__.py", "test_acceptance.py")
-)
+) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -25,9 +25,11 @@ from germglue.regions import (
     CoverTriple,
     Polydisc,
     TubeDomain,
+    disc_contains,
     disc_lens_inner,
     disc_lens_outer,
-    discs_disjoint,
+    disc_lens_outer_candidates,
+    disc_margin,
     map_image_bound,
     max_dist2,
     numerators_in_tube,
@@ -48,11 +50,17 @@ from germglue.regions import (
     tube_contains,
     tube_rel_compact,
 )
-from germglue.regions import _dist2
+from germglue.regions import _discs_common_point, _dist2_ratio
 from germglue.scalars import Coeff, ONE, ZERO
 
 from .oracles import (
     _inside,
+    discs_disjoint,
+    oracle_disc_contains,
+    oracle_disc_lens_inner,
+    oracle_disc_lens_outer_candidates,
+    oracle_disc_margin,
+    oracle_discs_common_point,
     oracle_eval,
     oracle_point_in_discs,
     oracle_point_in_tube,
@@ -167,6 +175,98 @@ def test_lens_concentric_exact():
     assert disc_lens_inner(frac(0), Fraction(2), frac(0), Fraction(1)) == (frac(0), Fraction(1))
 
 
+# the integer certificates equal their Fraction forms (tests/oracles.py):
+# the same bool, the same None, the same candidates in the same order
+
+gauss_discs = st.builds(
+    lambda a, da, b, db, k, dk: (Coeff(Fraction(a, da), Fraction(b, db)), Fraction(k, dk)),
+    st.integers(-12, 12), st.integers(1, 6), st.integers(-12, 12), st.integers(1, 6),
+    st.integers(1, 18), st.integers(1, 6),
+)
+
+# unit directions (p + i q) / h with rational components
+DIRECTIONS = [(1, 0, 1), (0, 1, 1), (3, 4, 5), (-5, 12, 13), (-4, -3, 5)]
+
+
+@st.composite
+def disc_pairs(draw):
+    """Independent pairs, or a second disc at s (r1 +- r2) from the first
+    along a rational direction: s = 1 is external or internal tangency,
+    s = 0 concentric (a duplicate when r2 = r1), 0 < s < 1 with r1 - r2 one
+    disc inside the other."""
+    c1, r1 = draw(gauss_discs)
+    if draw(st.booleans()):
+        return (c1, r1), draw(gauss_discs)
+    r2 = draw(st.one_of(st.just(r1), gauss_discs.map(lambda cr: cr[1])))
+    p, q, h = draw(st.sampled_from(DIRECTIONS))
+    s = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                              Fraction(1), Fraction(3, 2)]))
+    gap = s * (r1 + r2 if draw(st.booleans()) else r1 - r2)
+    return (c1, r1), (c1 + Coeff(gap * Fraction(p, h), gap * Fraction(q, h)), r2)
+
+
+def assert_certificates_match(c1, r1, c2, r2):
+    for a, ra, b, rb in ((c1, r1, c2, r2), (c2, r2, c1, r1)):
+        assert disc_contains(a, ra, b, rb) == oracle_disc_contains(a, ra, b, rb)
+        assert disc_margin(a, ra, b, rb) == oracle_disc_margin(a, ra, b, rb)
+        assert disc_lens_outer_candidates(a, ra, b, rb) == \
+            oracle_disc_lens_outer_candidates(a, ra, b, rb)
+        assert disc_lens_inner(a, ra, b, rb) == oracle_disc_lens_inner(a, ra, b, rb)
+    assert (disc_lens_outer_candidates(c1, r1, c2, r2) is None) == discs_disjoint(c1, r1, c2, r2)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(disc_pairs())
+def test_disc_certificates_equal_their_fraction_forms(pair):
+    (c1, r1), (c2, r2) = pair
+    assert_certificates_match(c1, r1, c2, r2)
+
+
+C0 = Coeff(Fraction(1, 3), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("d1, d2, disjoint, inside", [
+    # |Δc| = r1 + r2 along (3 + 4i) / 5: the open discs are disjoint
+    ((C0, Fraction(1)), (C0 + Coeff(Fraction(3, 2), 2), Fraction(3, 2)), True, False),
+    # |Δc| = r1 - r2: the second closed disc lies in the first, with no margin
+    ((C0, Fraction(2)), (C0 + Coeff(Fraction(9, 10), Fraction(6, 5)), Fraction(1, 2)), False, True),
+    ((C0, Fraction(2)), (C0, Fraction(1, 2)), False, True),
+    ((C0, Fraction(5, 3)), (C0, Fraction(5, 3)), False, True),
+    ((C0, Fraction(2)), (C0 + Coeff(Fraction(1, 5), Fraction(1, 7)), Fraction(1, 2)), False, True),
+    # |Δc|^2 + r2^2 = r1^2: the chord runs through c2, so s2 = 0
+    ((C0, Fraction(5, 4)), (C0 + Coeff(Fraction(3, 5), Fraction(4, 5)), Fraction(3, 4)), False, False),
+], ids=["external-tangent", "internal-tangent", "concentric", "duplicate", "nested",
+        "chord-through-centre"])
+def test_disc_certificates_at_the_boundaries(d1, d2, disjoint, inside):
+    (c1, r1), (c2, r2) = d1, d2
+    assert_certificates_match(c1, r1, c2, r2)
+    assert (disc_lens_outer_candidates(c1, r1, c2, r2) is None) == disjoint
+    assert disc_contains(c2, r2, c1, r1) == inside
+
+
+@st.composite
+def disc_lists(draw):
+    """1-5 Gaussian discs, or discs with collinear centres c + k v (every
+    triple has det = 0); either kind sometimes with one disc repeated."""
+    if draw(st.booleans()):
+        discs = draw(st.lists(gauss_discs, min_size=1, max_size=5))
+    else:
+        (c, _), (v, _) = draw(gauss_discs), draw(gauss_discs)
+        discs = [(c + v * Coeff(Fraction(k, 2)), r)
+                 for k, r in draw(st.lists(st.tuples(st.integers(-4, 4),
+                                                     gauss_discs.map(lambda cr: cr[1])),
+                                           min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        discs.append(draw(st.sampled_from(discs)))
+    return discs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disc_lists())
+def test_common_point_equals_its_fraction_form(discs):
+    assert _discs_common_point(discs) == oracle_discs_common_point(discs)
+
+
 def test_polydisc_intersections_and_common_point():
     a = Polydisc([frac(0), frac(0)], [Fraction(1), Fraction(1)])
     b = Polydisc([frac(1), frac(0)], [Fraction(1), Fraction(2)])
@@ -249,8 +349,11 @@ def test_common_point_is_found_wherever_the_grid_meets_all_discs(ps):
 ], ids=["external-tangent", "internal-tangent", "concentric", "identical",
         "nested", "collinear", "collinear-tangent"])
 def test_common_point_edge_cases(discs, point):
-    pt = polydisc_common_point([disc(c, r) for c, r in discs])
+    ps = [disc(c, r) for c, r in discs]
+    pt = polydisc_common_point(ps)
     assert pt == (None if point is None else (point,))
+    pairs = [(p.centers[0], p.radii[0]) for p in ps]
+    assert _discs_common_point(pairs) == oracle_discs_common_point(pairs)
 
 
 def test_common_point_of_a_triple_no_chord_point_reaches():
@@ -262,6 +365,11 @@ def test_common_point_of_a_triple_no_chord_point_reaches():
     for a, b in itertools.combinations(ps, 2):
         chord = polydisc_common_point([a, b])
         assert not all(_inside(chord, p) for p in ps)
+    # the reversed order turns the triangle clockwise: a negative determinant
+    assert polydisc_common_point(ps[::-1]) == pt
+    pairs = [(p.centers[0], p.radii[0]) for p in ps]
+    for order in (pairs, pairs[::-1]):
+        assert _discs_common_point(order) == oracle_discs_common_point(order)
 
 
 def test_pairwise_overlaps_need_not_make_a_triple_overlap():
@@ -456,7 +564,7 @@ def test_membership_agrees_with_the_coeff_reference(base, fiber_dim, fiber_radiu
     y = tuple(c for c, _ in discs)
     assert max_dist2(unreduced, point_numerators(y)) == max((a - b).abs2() for a, b in zip(x, y))
     for xv, (c, _) in zip(x, discs):
-        assert _dist2(xv, c) == (xv - c).abs2()
+        assert Fraction(*_dist2_ratio(xv, c)) == (xv - c).abs2()
 
 
 def test_membership_on_the_boundary_depends_on_strictness():

@@ -14,6 +14,7 @@ from germglue.scalars import (
     coeff_abs_lb,
     sqrt_lb,
     sqrt_ub,
+    sqrt_ub_ratio,
 )
 
 from .oracles import coeff_abs_ub
@@ -63,6 +64,14 @@ def test_sqrt_bounds_bracket(q):
 def test_sqrt_exact_on_squares():
     assert sqrt_ub(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_lb(Fraction(9, 4)) == Fraction(3, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**12), st.integers(1, 10**9), st.integers(1, 10**6))
+def test_sqrt_ub_ratio_does_not_depend_on_a_common_factor(n, d, g):
+    # the disc certificates pass |Δc|^2 as an unreduced pair
+    assert Fraction(*sqrt_ub_ratio(g * n, g * d)) == Fraction(*sqrt_ub_ratio(n, d)) \
+        == sqrt_ub(Fraction(n, d))
 
 
 @settings(max_examples=60, deadline=None)
