@@ -16,6 +16,7 @@ exhausted below the radius floor); 4 usage, input, schema, or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -306,7 +307,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each rebuilt one,
+    a reference cycle, would be left to the cyclic collector."""
     parser = _Parser(prog="germglue", description="certified gluing of chart-wise germ data")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from fractions import Fraction
 from importlib import resources
@@ -29,7 +30,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .atlas import GermAtlasInput, GermTransition
 from .errors import SchemaError, ValidationFailure
-from .jets import Jet, PolyMap, jet_with_order
+from .jets import Jet, PolyMap, jet_canonical, jet_filter, jet_with_order
 from .matrices import JetMatrix
 from .regions import Point, Polydisc, TubeDomain
 from .scalars import Coeff
@@ -262,12 +263,18 @@ def fraction_to_json(x: Fraction) -> str:
 _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def fraction_from_json(v: object) -> Fraction:
+def _ratio_from_json(v: object) -> tuple[int, int]:
+    """A fraction string as its integer parts ``(num, den)``, den > 0, not
+    reduced."""
     match = _FRACTION_RE.fullmatch(v) if isinstance(v, str) else None
     den = int(match[2] or 1) if match else 0
     if not den:
         raise SchemaError(f"bad fraction {v!r}")
-    return Fraction(int(match[1]), den)
+    return int(match[1]), den
+
+
+def fraction_from_json(v: object) -> Fraction:
+    return Fraction(*_ratio_from_json(v))
 
 
 def _integer(value: object, field: str) -> int:
@@ -283,12 +290,19 @@ def coeff_to_json(c: Coeff) -> object:
     return {"re": fraction_to_json(c.re), "im": fraction_to_json(c.im)}
 
 
-def coeff_from_json(v: object) -> Coeff:
+def _coeff_ratios(v: object) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A coefficient as the :func:`_ratio_from_json` parts of its real and
+    imaginary parts."""
     if isinstance(v, str):
-        return Coeff(fraction_from_json(v))
+        return _ratio_from_json(v), (0, 1)
     if isinstance(v, dict):
-        return Coeff(fraction_from_json(v["re"]), fraction_from_json(v["im"]))
+        return _ratio_from_json(v["re"]), _ratio_from_json(v["im"])
     raise SchemaError(f"bad coefficient {v!r}")
+
+
+def coeff_from_json(v: object) -> Coeff:
+    (a, b), (c, d) = _coeff_ratios(v)
+    return Coeff(Fraction(a, b), Fraction(c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +319,11 @@ def jet_to_json(f: Jet) -> dict:
 
 
 def jet_from_json(doc: dict) -> Jet:
+    """The jet of a term list, built from the integer parts of its fraction
+    strings over their lcm and normalised once."""
     num_vars = _integer(doc["vars"], "vars")
     order = _integer(doc["order"], "order")
-    terms: Dict[tuple, Coeff] = {}
+    terms: Dict[tuple, tuple] = {}  # exponent -> its _coeff_ratios
     for item in doc["terms"]:
         exp = tuple(item["exponent"])
         if len(exp) != num_vars:
@@ -319,10 +335,15 @@ def jet_from_json(doc: dict) -> Jet:
             raise SchemaError(f"term {list(exp)} exceeds the declared order")
         if exp in terms:
             raise SchemaError(f"duplicate term {list(exp)}")
-        value = coeff_from_json(item["value"])
-        if not value.is_zero():
-            terms[exp] = value
-    return Jet(num_vars, order, terms)
+        parts = _coeff_ratios(item["value"])
+        if parts[0][0] or parts[1][0]:
+            terms[exp] = parts
+    den = math.lcm(*[d for parts in terms.values() for _, d in parts])
+    re: Dict[tuple, int] = {}
+    im: Dict[tuple, int] = {}
+    for e, ((a, b), (c, d)) in terms.items():
+        re[e], im[e] = a * (den // b), c * (den // d)
+    return jet_canonical(num_vars, order, den, re, im)
 
 
 def map_to_json(f: PolyMap) -> dict:
@@ -548,12 +569,8 @@ def _box_truncate(m: JetMatrix, base_dim: int, t_order: int, z_order: int) -> Je
     for row in m.entries:
         out_row = []
         for x in row:
-            kept = {
-                e: c
-                for e, c in x.terms.items()
-                if sum(e[:base_dim]) <= t_order and e[base_dim] <= z_order
-            }
-            out_row.append(Jet(x.num_vars, x.order, kept))
+            out_row.append(jet_filter(
+                x, lambda e: sum(e[:base_dim]) <= t_order and e[base_dim] <= z_order))
         entries.append(out_row)
     return JetMatrix(entries)
 

@@ -1,25 +1,29 @@
 """Truncated multivariate power series (jets) and polynomial map germs.
 
 A :class:`Jet` stores a polynomial in ``num_vars`` variables, truncated at a
-total degree ``order``, as a sparse mapping from exponent tuples to
-:class:`~germglue.scalars.Coeff`.  Jets are the computational stand-in for
-germs of holomorphic functions along a zero section: two germs are treated as
-equal when their jets agree, and every certificate produced downstream
-records the order at which identities were checked.
+total degree ``order``, as Gaussian-integer numerators over one denominator:
+f = sum over e of (re[e] + i*im[e]) / den * x^e.  Jets are the
+computational stand-in for germs of holomorphic functions along a zero
+section: two germs are treated as equal when their jets agree, and every
+certificate produced downstream records the order at which identities were
+checked.
 
-``Jet.terms`` is the only stored representation and stays canonical
-(normalised fractions, no zero coefficients).  The hot kernels work on a
-transient integer view instead: :func:`jet_numerators` writes a jet as
-Gaussian-integer numerators over one shared denominator, the kernel runs on
-plain ints (real parts only when every operand is real), and each result is
-normalised once.  The integer kernels are :func:`jet_mul` (with
+The numerators are the only stored representation and stay canonical:
+``den > 0``, the gcd of ``den`` and every numerator is 1, no entry is zero,
+and ``im`` is empty for a real jet (the content-and-primitive-part layout of
+FLINT's ``fmpq_poly``; Hart, "FLINT: Fast Library for Number Theory", ICMS
+2010).  So two jets are equal exactly when their fields are.  Every kernel
+reads the fields and hands its result to :func:`jet_canonical`, the one
+constructor that normalises, by one gcd.  The kernels run on plain ints
+(real parts only when every operand is real): :func:`jet_mul` (with
 :func:`sum_of_products`), :func:`jet_compose` and :func:`eval_numerators`
 (behind :func:`jet_eval` and :func:`map_eval`) here, and
 :func:`germglue.regions.recenter`, :func:`germglue.regions.range_bound` and
 :func:`germglue.regions.map_image_bound`, which bound the recentred
-numerators without building a jet.  :func:`jet_from_numerators` turns an
-integer result back into a jet.  No fraction is reduced inside an inner
-loop.
+numerators without building a jet.  No fraction is reduced inside an inner
+loop.  ``Jet.terms`` is a read-only view that builds one
+:class:`~germglue.scalars.Coeff` per term on each read, for output:
+serialization, reports and messages.
 
 A :class:`PolyMap` is a tuple of jets sharing one source variable count and
 one order, and models a map germ.  Composition and inversion are only defined
@@ -29,13 +33,13 @@ through their jets.
 
 Composition has one routine.  It sums each outer component from one table of
 the monomials g^e of the inner map g (a :class:`PowerTable`), in which every
-monomial is built once through :func:`jet_mul` and converted once to its
-numerators; every component of the outer map reads from it (Brent & Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 25(4), 1978,
-share the powers of the inner series the same way).  The table belongs to
-the caller: :func:`map_compose` takes one as ``powers``, so that several
-compositions after the same g share it, and builds a fresh one otherwise.
-Nothing is cached on a jet, a map or the module.
+monomial is built once through :func:`jet_mul`; every component of the outer
+map reads from it (Brent & Kung, "Fast algorithms for manipulating formal
+power series", J. ACM 25(4), 1978, share the powers of the inner series the
+same way).  The table belongs to the caller: :func:`map_compose` takes one
+as ``powers``, so that several compositions after the same g share it, and
+builds a fresh one otherwise.  Nothing is cached on a jet, a map or the
+module.
 
 Evaluation has one routine too: :func:`eval_numerators` takes a map
 converted once by :func:`map_numerators` and a point given as
@@ -49,10 +53,11 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     CompositionDomainError,
@@ -63,22 +68,33 @@ from .scalars import Coeff, ONE, ZERO
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Coeff]
+Numerators = Dict[Exponent, int]
 
 
 class Jet:
     """Polynomial truncated at total degree ``order``.
 
-    ``terms`` maps exponent tuples of length ``num_vars`` to nonzero
-    coefficients; no stored exponent exceeds ``order`` in total degree.
-    Instances are immutable by convention: no public operation mutates them.
+    ``re`` and ``im`` map exponent tuples of length ``num_vars`` to the
+    nonzero numerators of the real and imaginary parts over ``den``, in the
+    canonical form the module docstring states; no stored exponent exceeds
+    ``order`` in total degree.  ``Jet(num_vars, order, {exponent: Coeff})``
+    builds a jet from its coefficients through :func:`jet_from_terms`;
+    kernels build theirs through :func:`jet_canonical`.  Instances are
+    immutable by convention: no public operation mutates them.
     """
 
-    __slots__ = ("num_vars", "order", "terms")
+    __slots__ = ("num_vars", "order", "den", "re", "im")
 
     def __init__(self, num_vars: int, order: int, terms: Terms):
-        self.num_vars = num_vars
-        self.order = order
-        self.terms = terms
+        f = jet_from_terms(num_vars, order, terms.items())
+        self.num_vars, self.order = num_vars, order
+        self.den, self.re, self.im = f.den, f.re, f.im
+
+    @property
+    def terms(self) -> Terms:
+        """The nonzero coefficients as ``{exponent: Coeff}``, built on each
+        read."""
+        return {e: _coeff(self, e) for e in {**self.re, **self.im}}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Jet):
@@ -89,10 +105,20 @@ class Jet:
         raise TypeError("jets are not hashable")
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"{c!r}*x^{e}" for e, c in sorted(self.terms.items(), key=_grlex_key)
-        )
+        body = " + ".join(f"{c!r}*x^{e}" for e, c in grlex_terms(self))
         return f"Jet({self.num_vars} vars, order {self.order}: {body or '0'})"
+
+
+def jet_canonical(num_vars: int, order: int, den: int, re: Numerators,
+                  im: Numerators) -> Jet:
+    """The jet sum over e of (re[e] + i*im[e]) / den * x^e, for den > 0, in
+    canonical form: reduced by one gcd, zero entries dropped."""
+    g = math.gcd(den, *re.values(), *im.values())
+    f = Jet.__new__(Jet)
+    f.num_vars, f.order, f.den = num_vars, order, den // g
+    f.re = {e: v // g for e, v in re.items() if v}
+    f.im = {e: v // g for e, v in im.items() if v}
+    return f
 
 
 def _grlex_key(item):
@@ -108,13 +134,10 @@ def grlex_terms(f: Jet):
 
 def jet_zero(num_vars: int, order: int) -> Jet:
     _check_shape_args(num_vars, order)
-    return Jet(num_vars, order, {})
+    return jet_canonical(num_vars, order, 1, {}, {})
 
 
 def jet_const(num_vars: int, order: int, value: Coeff) -> Jet:
-    _check_shape_args(num_vars, order)
-    if value.is_zero():
-        return Jet(num_vars, order, {})
     return Jet(num_vars, order, {(0,) * num_vars: value})
 
 
@@ -126,28 +149,29 @@ def jet_var(num_vars: int, order: int, index: int) -> Jet:
     if order < 1:
         raise ShapeError("order must be >= 1 to hold a coordinate monomial")
     e = tuple(1 if k == index else 0 for k in range(num_vars))
-    return Jet(num_vars, order, {e: ONE})
+    return jet_canonical(num_vars, order, 1, {e: 1}, {})
 
 
 def jet_from_terms(num_vars: int, order: int, terms: Iterable[tuple[Exponent, Coeff]]) -> Jet:
-    """Build a jet from explicit terms, rejecting out-of-shape exponents."""
+    """Build a jet from explicit terms, rejecting out-of-shape exponents;
+    repeated exponents add.  The coefficients are written over the lcm of
+    their denominators and normalised once."""
     _check_shape_args(num_vars, order)
-    out: Terms = {}
+    items = []
     for e, c in terms:
         e = tuple(e)
         if len(e) != num_vars or any(k < 0 for k in e):
             raise ShapeError(f"exponent {e} does not fit {num_vars} variables")
         if sum(e) > order:
             raise ShapeError(f"exponent {e} exceeds truncation order {order}")
-        if c.is_zero():
-            continue
-        acc = out.get(e)
-        c = c if acc is None else acc + c
-        if c.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = c
-    return Jet(num_vars, order, out)
+        items.append((e, c))
+    den = math.lcm(*[v.denominator for _, c in items for v in (c.re, c.im)])
+    re: Numerators = {}
+    im: Numerators = {}
+    for e, c in items:
+        re[e] = re.get(e, 0) + c.re.numerator * (den // c.re.denominator)
+        im[e] = im.get(e, 0) + c.im.numerator * (den // c.im.denominator)
+    return jet_canonical(num_vars, order, den, re, im)
 
 
 def _check_shape_args(num_vars: int, order: int) -> None:
@@ -161,41 +185,6 @@ def _check_same_shape(a: Jet, b: Jet) -> None:
             f"jet shape mismatch: ({a.num_vars} vars, order {a.order}) vs "
             f"({b.num_vars} vars, order {b.order})"
         )
-
-
-Numerators = Dict[Exponent, int]
-
-_FRACTION_ZERO = Fraction(0)
-
-
-def jet_numerators(f: Jet) -> tuple[int, Numerators, Numerators]:
-    """``f`` as ``(d, re, im)``: f = sum over e of (re[e] + i*im[e]) / d * x^e.
-
-    ``d`` is the lcm of the coefficient denominators.  Each dict holds only
-    the exponents whose part is nonzero, so ``im`` is empty for a real jet."""
-    items = f.terms.items()
-    res = [(e, c.re.as_integer_ratio()) for e, c in items]
-    ims = [(e, c.im.as_integer_ratio()) for e, c in items]
-    d = math.lcm(*{m for _, (_, m) in res}, *{m for _, (_, m) in ims})
-    re = {e: n * (d // m) for e, (n, m) in res if n}
-    im = {e: n * (d // m) for e, (n, m) in ims if n}
-    return d, re, im
-
-
-def jet_from_numerators(
-    num_vars: int, order: int, d: int, re: Numerators, im: Numerators
-) -> Jet:
-    """The jet sum over e of (re[e] + i*im[e]) / d * x^e, one normalised
-    coefficient per nonzero term (the inverse of :func:`jet_numerators`)."""
-    if not im:
-        terms = {e: Coeff(Fraction(n, d), _FRACTION_ZERO) for e, n in re.items() if n}
-    else:
-        terms = {}
-        for e in {**re, **im}:
-            a, b = re.get(e, 0), im.get(e, 0)
-            if a or b:
-                terms[e] = Coeff(Fraction(a, d), Fraction(b, d))
-    return Jet(num_vars, order, terms)
 
 
 def gaussian_powers(re: int, im: int, k: int) -> list[tuple[int, int]]:
@@ -230,63 +219,80 @@ def _axpy_into(out: Numerators, s: int, src: Numerators) -> None:
             out[e] = out.get(e, 0) + s * v
 
 
-def jet_add(a: Jet, b: Jet) -> Jet:
+def _moved(a: Jet, num_vars: int, order: int,
+           move: Callable[[Exponent], Optional[tuple[Exponent, int]]]) -> Jet:
+    """``a`` with each term moved to the exponent e' and its numerators
+    multiplied by the nonzero int s, where move(e) = (e', s); a term is
+    dropped where move(e) is None."""
+    parts: tuple[Numerators, Numerators] = ({}, {})
+    for out, part in zip(parts, (a.re, a.im)):
+        for e, v in part.items():
+            m = move(e)
+            if m is not None:
+                out[m[0]] = v * m[1]
+    return jet_canonical(num_vars, order, a.den, *parts)
+
+
+def _combine(a: Jet, b: Jet, sign: int) -> Jet:
+    """a + sign * b over the lcm of the two denominators."""
     _check_same_shape(a, b)
-    out = dict(a.terms)
-    for e, c in b.terms.items():
-        acc = out.get(e)
-        s = c if acc is None else acc + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return Jet(a.num_vars, a.order, out)
+    den = math.lcm(a.den, b.den)
+    re: Numerators = {}
+    im: Numerators = {}
+    for s, f in ((den // a.den, a), (sign * (den // b.den), b)):
+        _axpy_into(re, s, f.re)
+        _axpy_into(im, s, f.im)
+    return jet_canonical(a.num_vars, a.order, den, re, im)
+
+
+def jet_add(a: Jet, b: Jet) -> Jet:
+    return _combine(a, b, 1)
 
 
 def jet_neg(a: Jet) -> Jet:
-    return Jet(a.num_vars, a.order, {e: -c for e, c in a.terms.items()})
+    return _combine(jet_zero(a.num_vars, a.order), a, -1)
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:
-    return jet_add(a, jet_neg(b))
+    return _combine(a, b, -1)
 
 
 def jet_scale(a: Jet, s: Coeff) -> Jet:
-    if s.is_zero():
-        return Jet(a.num_vars, a.order, {})
-    out = {}
-    for e, c in a.terms.items():
-        v = s * c
-        if not v.is_zero():
-            out[e] = v
-    return Jet(a.num_vars, a.order, out)
+    """s * a: with s = (p + i*r) / q, the numerators times p + i*r over
+    a.den * q, each term kept under its exponent."""
+    q, (p,), (r,) = point_numerators((s,))
+    re: Numerators = {}
+    im: Numerators = {}
+    _axpy_into(re, p, a.re)
+    _axpy_into(re, -r, a.im)
+    _axpy_into(im, r, a.re)
+    _axpy_into(im, p, a.im)
+    return jet_canonical(a.num_vars, a.order, a.den * q, re, im)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Truncated product; degree pairs above ``order`` are never formed."""
     _check_same_shape(a, b)
-    return sum_of_products(a.num_vars, a.order,
-                           [(jet_numerators(a), jet_numerators(b))])
+    return sum_of_products(a.num_vars, a.order, [(a, b)])
 
 
-def sum_of_products(num_vars: int, order: int, pairs) -> Jet:
-    """The truncated sum of a_k * b_k over ``pairs`` of
-    :func:`jet_numerators` triples ``(a_k, b_k)``.
+def sum_of_products(num_vars: int, order: int, pairs: Sequence[tuple[Jet, Jet]]) -> Jet:
+    """The truncated sum of a_k * b_k over ``pairs`` of jets ``(a_k, b_k)``.
 
-    Every product is accumulated on integers over one denominator, the lcm
-    of the products' denominators, and the sum is normalised once; the
+    Every product is accumulated on the numerators over one denominator, the
+    lcm of the products' denominators, and the sum is normalised once; the
     imaginary convolutions run only for a complex operand."""
-    lcm = math.lcm(*(da * db for (da, _, _), (db, _, _) in pairs))
+    lcm = math.lcm(*(a.den * b.den for a, b in pairs))
     re: Numerators = {}
     im: Numerators = {}
-    for (da, ar, ai), (db, br, bi) in pairs:
-        s = lcm // (da * db)
-        _convolve_into(re, ar, br, order, s)
-        if ai or bi:
-            _convolve_into(re, ai, bi, order, -s)
-            _convolve_into(im, ar, bi, order, s)
-            _convolve_into(im, ai, br, order, s)
-    return jet_from_numerators(num_vars, order, lcm, re, im)
+    for a, b in pairs:
+        s = lcm // (a.den * b.den)
+        _convolve_into(re, a.re, b.re, order, s)
+        if a.im or b.im:
+            _convolve_into(re, a.im, b.im, order, -s)
+            _convolve_into(im, a.re, b.im, order, s)
+            _convolve_into(im, a.im, b.re, order, s)
+    return jet_canonical(num_vars, order, lcm, re, im)
 
 
 def jet_pow(a: Jet, k: int) -> Jet:
@@ -298,11 +304,16 @@ def jet_pow(a: Jet, k: int) -> Jet:
     return out
 
 
+def jet_filter(a: Jet, keep: Callable[[Exponent], bool]) -> Jet:
+    """The terms of ``a`` whose exponent passes ``keep``."""
+    return _moved(a, a.num_vars, a.order, lambda e: (e, 1) if keep(e) else None)
+
+
 def jet_truncate(a: Jet, order: int) -> Jet:
     """Forget terms above ``order`` (which must not exceed the current one)."""
     if order > a.order:
         raise ShapeError("cannot truncate to a higher order; use jet_with_order")
-    return Jet(a.num_vars, order, {e: c for e, c in a.terms.items() if sum(e) <= order})
+    return _moved(a, a.num_vars, order, lambda e: (e, 1) if sum(e) <= order else None)
 
 
 def jet_with_order(a: Jet, order: int) -> Jet:
@@ -311,23 +322,17 @@ def jet_with_order(a: Jet, order: int) -> Jet:
     truncates."""
     if order < a.order:
         return jet_truncate(a, order)
-    return Jet(a.num_vars, order, dict(a.terms))
+    return jet_canonical(a.num_vars, order, a.den, a.re, a.im)
 
 
 def jet_eq(a: Jet, b: Jet) -> bool:
-    if a.num_vars != b.num_vars or a.order != b.order:
-        return False
-    if a.terms.keys() == b.terms.keys():
-        pairs = ((a.terms[e], b.terms[e]) for e in a.terms)
-    else:
-        keys = set(a.terms) | set(b.terms)
-        zero = ZERO
-        pairs = ((a.terms.get(e, zero), b.terms.get(e, zero)) for e in keys)
-    return all(x == y for x, y in pairs)
+    """Equal shapes and values: on canonical forms, equal fields."""
+    return (a.num_vars == b.num_vars and a.order == b.order and a.den == b.den
+            and a.re == b.re and a.im == b.im)
 
 
 def jet_is_zero(a: Jet) -> bool:
-    return all(c.is_zero() for c in a.terms.values())
+    return not (a.re or a.im)
 
 
 def jet_partial(a: Jet, var: int) -> Jet:
@@ -335,17 +340,12 @@ def jet_partial(a: Jet, var: int) -> Jet:
     grading (total order here), never below zero."""
     if not 0 <= var < a.num_vars:
         raise ShapeError(f"variable index {var} out of range")
-    out: Terms = {}
-    for e, c in a.terms.items():
+
+    def lower(e):
         k = e[var]
-        if k == 0:
-            continue
-        d = list(e)
-        d[var] = k - 1
-        v = Coeff(k) * c
-        if not v.is_zero():
-            out[tuple(d)] = v
-    return Jet(a.num_vars, max(a.order - 1, 0), out)
+        return (e[:var] + (k - 1,) + e[var + 1:], k) if k else None
+
+    return _moved(a, a.num_vars, max(a.order - 1, 0), lower)
 
 
 def jet_mul_var(a: Jet, var: int, power: int = 1) -> Jet:
@@ -355,14 +355,13 @@ def jet_mul_var(a: Jet, var: int, power: int = 1) -> Jet:
     need headroom should lift the order first (`jet_with_order`)."""
     if not 0 <= var < a.num_vars:
         raise ShapeError(f"variable index {var} out of range")
-    out: Terms = {}
-    for e, c in a.terms.items():
+
+    def shift(e):
         if sum(e) + power > a.order:
             raise ShapeError("variable shift exceeds truncation order")
-        d = list(e)
-        d[var] += power
-        out[tuple(d)] = c
-    return Jet(a.num_vars, a.order, out)
+        return e[:var] + (e[var] + power,) + e[var + 1:], 1
+
+    return _moved(a, a.num_vars, a.order, shift)
 
 
 def jet_eval(a: Jet, point: Sequence[Coeff]) -> Coeff:
@@ -374,8 +373,7 @@ def jet_eval(a: Jet, point: Sequence[Coeff]) -> Coeff:
 def jet_substitute_zero(a: Jet, vars_to_zero: Sequence[int]) -> Jet:
     """Set the given variables to zero, keeping the variable count."""
     kill = set(vars_to_zero)
-    out = {e: c for e, c in a.terms.items() if all(e[i] == 0 for i in kill)}
-    return Jet(a.num_vars, a.order, dict(out))
+    return jet_filter(a, lambda e: all(e[i] == 0 for i in kill))
 
 
 def jet_project(a: Jet, keep: Sequence[int]) -> Jet:
@@ -383,12 +381,13 @@ def jet_project(a: Jet, keep: Sequence[int]) -> Jet:
     must have already been removed (ShapeError otherwise)."""
     keep = list(keep)
     dropped = [i for i in range(a.num_vars) if i not in keep]
-    out: Terms = {}
-    for e, c in a.terms.items():
+
+    def project(e):
         if any(e[i] for i in dropped):
             raise ShapeError("projection would lose a term; substitute zero first")
-        out[tuple(e[i] for i in keep)] = c
-    return Jet(len(keep), a.order, out)
+        return tuple(e[i] for i in keep), 1
+
+    return _moved(a, len(keep), a.order, project)
 
 
 def jet_extend_vars(a: Jet, num_vars: int) -> Jet:
@@ -396,25 +395,28 @@ def jet_extend_vars(a: Jet, num_vars: int) -> Jet:
     if num_vars < a.num_vars:
         raise ShapeError("cannot extend to fewer variables")
     pad = (0,) * (num_vars - a.num_vars)
-    return Jet(num_vars, a.order, {e + pad: c for e, c in a.terms.items()})
+    return _moved(a, num_vars, a.order, lambda e: (e + pad, 1))
 
 
 def jet_flip_var(a: Jet, var: int) -> Jet:
     """Substitute x_var -> -x_var (sign twist by exponent parity)."""
     if not 0 <= var < a.num_vars:
         raise ShapeError(f"variable index {var} out of range")
-    out = {}
-    for e, c in a.terms.items():
-        out[e] = -c if e[var] % 2 else c
-    return Jet(a.num_vars, a.order, out)
+    return _moved(a, a.num_vars, a.order, lambda e: (e, -1 if e[var] % 2 else 1))
+
+
+def _coeff(a: Jet, e: Exponent) -> Coeff:
+    """The coefficient of x^e in ``a``."""
+    return Coeff(Fraction(a.re.get(e, 0), a.den), Fraction(a.im.get(e, 0), a.den))
 
 
 def jet_constant_term(a: Jet) -> Coeff:
-    return a.terms.get((0,) * a.num_vars, ZERO)
+    return _coeff(a, (0,) * a.num_vars)
 
 
 def jet_is_constant_free(a: Jet) -> bool:
-    return jet_constant_term(a).is_zero()
+    origin = (0,) * a.num_vars
+    return origin not in a.re and origin not in a.im
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +501,13 @@ def map_numerators(f: PolyMap) -> tuple:
     d the lcm of the denominators, k the order, n the component count and
     one ``(e, [(c, re, im), ...])`` in ``terms`` per exponent e, listing the
     components c whose coefficient (re + i*im) / d of x^e is nonzero."""
-    conv = [jet_numerators(c) for c in f.components]
-    d = math.lcm(*[dc for dc, _, _ in conv])
+    d = math.lcm(*[comp.den for comp in f.components])
     terms: dict = {}
-    for c, (dc, re, im) in enumerate(conv):
+    for c, comp in enumerate(f.components):
+        s, re, im = d // comp.den, comp.re, comp.im
         for e in {**re, **im}:
-            terms.setdefault(e, []).append((c, re.get(e, 0) * (d // dc), im.get(e, 0) * (d // dc)))
-    return d, f.order, len(conv), list(terms.items())
+            terms.setdefault(e, []).append((c, re.get(e, 0) * s, im.get(e, 0) * s))
+    return d, f.order, f.target_vars, list(terms.items())
 
 
 def eval_numerators(fn, x: NumPoint) -> NumPoint:
@@ -559,19 +561,13 @@ def map_eval(f: PolyMap, point: Sequence[Coeff]) -> tuple[Coeff, ...]:
 
 def linear_part(f: PolyMap) -> list[list[Coeff]]:
     """Matrix L with L[i][j] = coefficient of x_j in component i."""
-    mat = []
-    for comp in f.components:
-        row = []
-        for j in range(f.source_vars):
-            e = tuple(1 if k == j else 0 for k in range(f.source_vars))
-            row.append(comp.terms.get(e, ZERO))
-        mat.append(row)
-    return mat
+    n = f.source_vars
+    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    return [[_coeff(comp, e) for e in units] for comp in f.components]
 
 
 class PowerTable:
-    """The monomials g^e of one inner map g, each kept with its
-    :func:`jet_numerators` form and built on first use.
+    """The monomials g^e of one inner map g, each built on first use.
 
     A caller that composes several outer maps after the same g keeps one
     table and hands it to :func:`map_compose` each time.  The table records
@@ -583,7 +579,7 @@ class PowerTable:
 
     def __init__(self):
         self.inner = None
-        self.entries: dict[Exponent, tuple[Jet, tuple[int, Numerators, Numerators]]] = {}
+        self.entries: dict[Exponent, Jet] = {}
 
 
 def _compose(fs: Sequence[Jet], g: PolyMap, powers: PowerTable) -> list[Jet]:
@@ -610,31 +606,30 @@ def _compose(fs: Sequence[Jet], g: PolyMap, powers: PowerTable) -> list[Jet]:
     order = g.order
     nv = g.source_vars
     if powers.inner is not g:
-        one = jet_const(nv, order, ONE)
         powers.inner = g
-        powers.entries = {(0,) * g.target_vars: (one, jet_numerators(one))}
+        powers.entries = {(0,) * g.target_vars: jet_const(nv, order, ONE)}
     entries = powers.entries
     out = []
     for f in fs:
         # sum of c_e * g^e over the lcm of the monomials' denominators
-        d, fr, fi = jet_numerators(f)
-        parts = [(_monomial(entries, e, g.components)[1], fr.get(e, 0), fi.get(e, 0))
+        fr, fi = f.re, f.im
+        parts = [(_monomial(entries, e, g.components), fr.get(e, 0), fi.get(e, 0))
                  for e in {**fr, **fi}]
-        lcm = math.lcm(*(m[0] for m, _, _ in parts))
+        lcm = math.lcm(*(m.den for m, _, _ in parts))
         re: Numerators = {}
         im: Numerators = {}
-        for (dm, mr, mi), cr, ci in parts:
-            s = lcm // dm
-            _axpy_into(re, cr * s, mr)
-            _axpy_into(re, -ci * s, mi)
-            _axpy_into(im, cr * s, mi)
-            _axpy_into(im, ci * s, mr)
-        out.append(jet_from_numerators(nv, order, d * lcm, re, im))
+        for m, cr, ci in parts:
+            s = lcm // m.den
+            _axpy_into(re, cr * s, m.re)
+            _axpy_into(re, -ci * s, m.im)
+            _axpy_into(im, cr * s, m.im)
+            _axpy_into(im, ci * s, m.re)
+        out.append(jet_canonical(nv, order, f.den * lcm, re, im))
     return out
 
 
-def _monomial(entries: dict, e: Exponent, components: Sequence[Jet]):
-    """The entry (g^e, its numerators) of the ``components``, built through
+def _monomial(entries: dict, e: Exponent, components: Sequence[Jet]) -> Jet:
+    """The monomial g^e of the ``components``, built through
     :func:`jet_mul` from g^(e - 1_i) on first use and kept in ``entries``.
 
     A module-level function rather than a closure over ``entries``: a
@@ -645,8 +640,7 @@ def _monomial(entries: dict, e: Exponent, components: Sequence[Jet]):
         i = next(k for k, v in enumerate(e) if v > 0)
         prev = list(e)
         prev[i] -= 1
-        m = jet_mul(_monomial(entries, tuple(prev), components)[0], components[i])
-        got = entries[e] = (m, jet_numerators(m))
+        got = entries[e] = jet_mul(_monomial(entries, tuple(prev), components), components[i])
     return got
 
 
@@ -691,14 +685,8 @@ def _coeff_matrix_inverse(mat: list[list[Coeff]]) -> list[list[Coeff]]:
 
 
 def _apply_linear(mat: list[list[Coeff]], vec: Sequence[Jet]) -> list[Jet]:
-    out = []
-    for row in mat:
-        acc = jet_zero(vec[0].num_vars, vec[0].order)
-        for c, jet in zip(row, vec):
-            if not c.is_zero():
-                acc = jet_add(acc, jet_scale(jet, c))
-        out.append(acc)
-    return out
+    """The jets sum over k of row[k] * vec[k], one per row of ``mat``."""
+    return [functools.reduce(jet_add, map(jet_scale, vec, row)) for row in mat]
 
 
 def map_inverse(f: PolyMap) -> PolyMap:
@@ -715,10 +703,7 @@ def map_inverse(f: PolyMap) -> PolyMap:
 
     # Higher-degree part h := f - linear(f); the fixed-point iteration
     # g <- L^{-1} (id - h o g) gains at least one correct order per step.
-    higher = []
-    for comp in f.components:
-        terms = {e: c for e, c in comp.terms.items() if sum(e) >= 2}
-        higher.append(Jet(n, order, terms))
+    higher = [jet_filter(comp, lambda e: sum(e) >= 2) for comp in f.components]
     ident = identity_map(n, order)
     g = PolyMap(n, _apply_linear(lin_inv, ident.components))
     for _ in range(max(order, 2)):

@@ -17,12 +17,13 @@ from .jets import (
     PowerTable,
     jet_add,
     jet_const,
+    jet_constant_term,
     jet_eq,
     jet_flip_var,
+    jet_is_constant_free,
     jet_is_zero,
     jet_mul,
     jet_neg,
-    jet_numerators,
     jet_partial,
     jet_scale,
     jet_sub,
@@ -102,18 +103,17 @@ def matrix_scale_jet(a: JetMatrix, f: Jet) -> JetMatrix:
 
 
 def matrix_mul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
-    """Product over the jet ring.  Each operand entry is converted to
-    integer numerators once, and each product entry is one
-    :func:`sum_of_products` over one denominator."""
+    """Product over the jet ring: each product entry is one
+    :func:`sum_of_products` of the row's and the column's entries, over one
+    denominator."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if (a.num_vars, a.order) != (b.num_vars, b.order):
         raise ShapeError("matrix factors must share one jet shape")
-    rows = [[jet_numerators(x) for x in row] for row in a.entries]
-    cols = [[jet_numerators(x) for x in col] for col in zip(*b.entries)]
+    cols = list(zip(*b.entries))
     return JetMatrix([
         [sum_of_products(a.num_vars, a.order, list(zip(row, col))) for col in cols]
-        for row in rows
+        for row in a.entries
     ])
 
 
@@ -196,7 +196,7 @@ def jet_reciprocal(f: Jet) -> Jet:
     With f = c (1 - u) and u constant-free, the geometric series terminates
     at the truncation order.
     """
-    c = f.terms.get((0,) * f.num_vars, ZERO)
+    c = jet_constant_term(f)
     if c.is_zero():
         raise NotInvertibleError("reciprocal of a jet with zero constant term")
     inv_c = ONE / c
@@ -228,7 +228,7 @@ def matrix_inverse(a: JetMatrix) -> JetMatrix:
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if not work[r][col].terms.get((0,) * nv, ZERO).is_zero():
+            if not jet_is_constant_free(work[r][col]):
                 pivot = r
                 break
         if pivot is None:

@@ -42,8 +42,7 @@ from .jets import (
     Numerators,
     PolyMap,
     gaussian_powers,
-    jet_from_numerators,
-    jet_numerators,
+    jet_canonical,
     point_numerators,
 )
 from .scalars import Coeff, ZERO, sqrt_ub, sqrt_ub_ratio
@@ -58,7 +57,7 @@ class Polydisc:
 
     def __init__(self, centers: Sequence[Coeff], radii: Sequence[Fraction]):
         centers = tuple(centers)
-        radii = tuple([Fraction(r) for r in radii])
+        radii = tuple([r if isinstance(r, Fraction) else Fraction(r) for r in radii])
         if len(centers) != len(radii) or not centers:
             raise ShapeError("polydisc needs matching nonempty centers and radii")
         if any(r <= 0 for r in radii):
@@ -88,7 +87,8 @@ class TubeDomain:
     __slots__ = ("chart", "base", "fiber_dim", "fiber_radius")
 
     def __init__(self, chart, base: Polydisc, fiber_dim: int, fiber_radius: Fraction):
-        fiber_radius = Fraction(fiber_radius)
+        if not isinstance(fiber_radius, Fraction):
+            fiber_radius = Fraction(fiber_radius)
         if fiber_dim < 1:
             raise ShapeError("tube needs at least one fiber variable")
         if fiber_radius <= 0:
@@ -488,26 +488,26 @@ def _shift_into(out: dict, num: dict, var: int, weights: list) -> None:
 def recenter(f: Jet, center: Sequence[Coeff]) -> Jet:
     """The polynomial u -> f(center + u), exact (no truncation loss: the
     total degree never grows under the shift)."""
-    return jet_from_numerators(f.num_vars, f.order, *_recentered(f, center))
+    return jet_canonical(f.num_vars, f.order, *_recentered(f, center))
 
 
 def _recentered(f: Jet, center: Sequence[Coeff]) -> tuple[int, Numerators, Numerators]:
-    """:func:`recenter` as :func:`jet_numerators` triple ``(d, re, im)``.
+    """:func:`recenter` as a triple ``(d, re, im)`` of the jet's fields.
 
     For each shift x_i -> x_i + p/q (p a Gaussian integer) the whole
     polynomial is scaled by q^k, k the largest power of x_i, so
     (x_i + p/q)^m expands with the integer weights C(m, j) p^(m-j) q^(k-m+j).
-    Nothing is normalised: a term that cancels stays as a zero numerator."""
+    Nothing is normalised: a term that cancels stays as a zero numerator.
+    With no nonzero centre coordinate the dicts are f's own, so callers
+    must not mutate them."""
     if len(center) != f.num_vars:
         raise ShapeError("center has wrong dimension")
-    d, re, im = jet_numerators(f)
+    d, re, im = f.den, f.re, f.im
     for var, c in enumerate(center):
         if c.is_zero():
             continue
         k = max((e[var] for e in {**re, **im}), default=0)
-        q = math.lcm(c.re.denominator, c.im.denominator)
-        pr = c.re.numerator * (q // c.re.denominator)
-        pi = c.im.numerator * (q // c.im.denominator)
+        q, (pr,), (pi,) = point_numerators((c,))
         # p^t q^(k-t) for t = 0..k
         scaled = [(a * q ** (k - t), b * q ** (k - t))
                   for t, (a, b) in enumerate(gaussian_powers(pr, pi, k))]
@@ -540,9 +540,9 @@ def range_bound(f: Jet, d: Polydisc) -> Fraction:
 
 
 def _numerators_bound(d: int, re: Numerators, im: Numerators,
-                      radii: Sequence[Fraction]) -> Fraction:
-    """sum over e of |(re[e] + i*im[e]) / d| * radii**e, each modulus
-    rounded up as :func:`sqrt_ub` rounds it, summed on integers.
+                      radii: Sequence[Fraction], skip: Optional[tuple] = None) -> Fraction:
+    """sum over e != skip of |(re[e] + i*im[e]) / d| * radii**e, each
+    modulus rounded up as :func:`sqrt_ub` rounds it, summed on integers.
 
     A real or imaginary term contributes |n| / d, which is what sqrt_ub
     gives for n^2 / d^2, so it needs no square root.  A mixed term rounds
@@ -552,6 +552,7 @@ def _numerators_bound(d: int, re: Numerators, im: Numerators,
     prod rn_i^k_i rd_i^(K_i - k_i) over prod rd_i^K_i, and one Fraction is
     built at the end."""
     keys = {**re, **im}
+    keys.pop(skip, None)
     tops = [max((e[i] for e in keys), default=0) for i in range(len(radii))]
     weights = [[r.numerator ** k * r.denominator ** (top - k) for k in range(top + 1)]
                for r, top in zip(radii, tops)]
@@ -606,9 +607,9 @@ def map_image_bound(
     centers, radii = [], []
     for comp in f.components[:target_base_dim]:
         den, re, im = _recentered(comp, box.centers)
-        centers.append(Coeff(Fraction(re.pop(origin, 0), den),
-                             Fraction(im.pop(origin, 0), den)))
-        radii.append(_numerators_bound(den, re, im, box.radii))
+        centers.append(Coeff(Fraction(re.get(origin, 0), den),
+                             Fraction(im.get(origin, 0), den)))
+        radii.append(_numerators_bound(den, re, im, box.radii, skip=origin))
     fiber = Fraction(0)
     for comp in f.components[target_base_dim:]:
         fiber = max(fiber, range_bound(comp, box))

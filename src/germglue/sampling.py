@@ -82,14 +82,15 @@ def term_table(f: Jet) -> tuple[np.ndarray, np.ndarray]:
     """(T, num_vars) int64 exponent matrix and length-T complex coefficients."""
     import numpy as np
 
-    if not f.terms:
+    terms = f.terms
+    if not terms:
         return (
             np.zeros((0, f.num_vars), dtype=np.int64),
             np.zeros(0, dtype=np.complex128),
         )
-    exps = np.array(sorted(f.terms), dtype=np.int64)
+    exps = np.array(sorted(terms), dtype=np.int64)
     coeffs = np.array(
-        [complex(f.terms[tuple(e)].re, f.terms[tuple(e)].im) for e in exps.tolist()],
+        [complex(terms[tuple(e)].re, terms[tuple(e)].im) for e in exps.tolist()],
         dtype=np.complex128,
     )
     return exps, coeffs

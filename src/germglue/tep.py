@@ -155,7 +155,7 @@ class TEPData:
     def _check_box(self, mat: JetMatrix, label: str) -> None:
         for row in mat.entries:
             for x in row:
-                for e in x.terms:
+                for e in {**x.re, **x.im}:
                     if sum(e[: self.base_dim]) > self.t_order or e[self.base_dim] > self.z_order:
                         raise ShapeError(
                             f"{label} has a term at exponent {list(e)} outside the "
@@ -377,18 +377,8 @@ def check_miniversal(
     if n <= SYMBOLIC_RANK_CAP:
         unit = lambda c: tuple(1 if i == c else 0 for i in range(n))
         rows = [
-            [
-                jet_from_terms(
-                    n,
-                    n,
-                    [
-                        (unit(c), mats[a][r][c])
-                        for c in range(n)
-                        if not mats[a][r][c].is_zero()
-                    ],
-                )
-                for a in range(n)
-            ]
+            [jet_from_terms(n, n, [(unit(c), mats[a][r][c]) for c in range(n)])
+             for a in range(n)]
             for r in range(n)
         ]
         det = matrix_det(JetMatrix(rows))

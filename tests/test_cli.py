@@ -247,6 +247,26 @@ def test_help_exits_0(capsys):
     assert "--radius-floor" in capsys.readouterr().out
 
 
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    from germglue import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    counts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["glue", "--help"])
+        counts.append(len(built))
+    # the second call builds nothing, whether or not the first one did
+    assert counts[1] == counts[0]
+
+
 def test_missing_file_exits_4(tmp_path):
     code, envelope, _ = run_cli(tmp_path, "validate", tmp_path / "absent.json")
     assert code == 4

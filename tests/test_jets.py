@@ -4,6 +4,7 @@ independent oracles."""
 from __future__ import annotations
 
 import gc
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from germglue.jets import (
     jet_const,
     jet_eval,
     jet_eq,
+    jet_extend_vars,
+    jet_filter,
     jet_flip_var,
     jet_from_terms,
     jet_is_zero,
@@ -32,12 +35,15 @@ from germglue.jets import (
     jet_neg,
     jet_partial,
     jet_pow,
+    jet_project,
     jet_scale,
     jet_sub,
+    jet_substitute_zero,
     jet_truncate,
     jet_var,
     jet_with_order,
     jet_zero,
+    sum_of_products,
     linear_part,
     eval_numerators,
     map_compose,
@@ -47,6 +53,7 @@ from germglue.jets import (
     point_from_numerators,
     point_numerators,
 )
+from germglue.documents import jet_from_json, jet_to_json
 from germglue.regions import recenter
 from germglue.scalars import Coeff, ONE, ZERO
 
@@ -102,9 +109,15 @@ def points(num_vars: int, real: bool):
 
 
 def assert_canonical(f: Jet) -> None:
-    """Every stored term is nonzero and within the truncation order."""
-    assert all(not c.is_zero() for c in f.terms.values())
-    assert all(sum(e) <= f.order for e in f.terms)
+    """The stored numerators are canonical: den > 0, gcd 1 with every
+    numerator, no zero entry, ``im`` empty iff the jet is real, every
+    exponent within the shape; and the Coeff view builds the same jet."""
+    assert f.den > 0
+    assert math.gcd(f.den, *f.re.values(), *f.im.values()) == 1
+    assert all(f.re.values()) and all(f.im.values())
+    assert (not f.im) == all(c.im == 0 for c in f.terms.values())
+    assert all(len(e) == f.num_vars and sum(e) <= f.order for e in {**f.re, **f.im})
+    assert Jet(f.num_vars, f.order, f.terms) == f
 
 
 @st.composite
@@ -137,6 +150,53 @@ def test_from_terms_rejects_overflow_and_merges():
         jet_from_terms(2, 2, [((3, 0), ONE)])
     j = jet_from_terms(2, 3, [((1, 0), frac(1)), ((1, 0), frac(-1))])
     assert jet_is_zero(j)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_operation_returns_the_canonical_form(data):
+    nv = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    a, b = data.draw(jets(num_vars=nv, order=k)), data.draw(jets(num_vars=nv, order=k))
+    s = data.draw(coeffs(data.draw(st.booleans())))
+    var = data.draw(st.integers(0, nv - 1))
+    inner = data.draw(constant_free_maps(source_vars=nv, target_vars=nv, order=k))
+    rest = [i for i in range(nv) if i != var]
+    results = [
+        a, jet_zero(nv, k), jet_const(nv, k, s), jet_var(nv, k, var),
+        jet_from_terms(nv, k, [*a.terms.items(), *b.terms.items()]),
+        jet_add(a, b), jet_sub(a, b), jet_neg(a), jet_scale(a, s), jet_mul(a, b),
+        jet_pow(a, 2), sum_of_products(nv, k, [(a, b), (b, a)]),
+        jet_truncate(a, k - 1), jet_with_order(a, k + 1), jet_partial(a, var),
+        jet_mul_var(jet_with_order(a, k + 1), var), jet_flip_var(a, var),
+        jet_substitute_zero(a, rest), jet_project(jet_substitute_zero(a, rest), [var]),
+        jet_extend_vars(a, nv + 1), jet_filter(a, lambda e: e[var] % 2 == 0),
+        jet_compose(a, inner), *map_compose(inner, PolyMap(nv, [a, b])).components,
+        recenter(a, data.draw(points(nv, data.draw(st.booleans())))),
+        jet_from_json(jet_to_json(a)),
+    ]
+    for f in results:
+        assert_canonical(f)
+    # == is structural on canonical forms and agrees with the Coeff views
+    for x, y in [(a, b), (a, jet_add(jet_sub(a, b), b)), (jet_mul(a, b), jet_mul(b, a))]:
+        assert (x == y) == (x.num_vars == y.num_vars and x.order == y.order
+                            and x.terms == y.terms)
+    assert a == jet_add(jet_sub(a, b), b)
+
+
+def test_canonical_form_edge_cases():
+    x = jet_var(1, 2, 0)
+    zero = jet_sub(jet_scale(x, frac(1, 7)), jet_scale(x, frac(1, 7)))
+    assert (zero.den, zero.re, zero.im) == (1, {}, {}) and zero == jet_zero(1, 2)
+    assert (jet_zero(2, 3).den, jet_zero(2, 3).re, jet_zero(2, 3).im) == (1, {}, {})
+    imaginary = Jet(1, 2, {(1,): Coeff(0, Fraction(2, 6))})
+    assert (imaginary.den, imaginary.re, imaginary.im) == (3, {}, {(1,): 1})
+    assert imaginary.terms == {(1,): Coeff(0, Fraction(1, 3))}
+    # dropping the only term over 9 shrinks the denominator from 18 to 2
+    f = jet_from_terms(1, 2, [((0,), frac(1, 2)), ((2,), frac(1, 9))])
+    assert f.den == 18
+    low = jet_truncate(f, 1)
+    assert (low.den, low.re, low.im) == (2, {(0,): 1}, {})
 
 
 def test_var_and_const():

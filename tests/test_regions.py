@@ -98,6 +98,16 @@ def test_polydisc_validation():
         Polydisc([frac(0), frac(1)], [Fraction(1)])
 
 
+def test_radii_are_kept_or_made_fractions():
+    r = Fraction(1, 3)
+    p = Polydisc([frac(0), frac(1)], [r, 2])
+    t = TubeDomain("c", p, 1, r)
+    assert p.radii[0] is r and t.fiber_radius is r
+    assert type(p.radii[1]) is Fraction and p.radii[1] == 2
+    one = TubeDomain("c", p, 1, 1).fiber_radius
+    assert type(one) is Fraction and one == 1
+
+
 def test_contains_examples():
     assert polydisc_contains(disc(0, 1), disc(0, 2))
     assert polydisc_rel_compact(disc(0, 1), disc(0, 2)) == 1
