@@ -9,10 +9,9 @@ Schema shipped in ``germglue/schemas`` before decoding.  Structural violations
 raise SchemaError; semantic violations found later (germ axioms, cocycle
 failures) keep their own error types.
 
-The check that decides is ``compile_schema``: each shipped schema becomes,
-once per process, a tree of closures over the few keywords the schemas use,
-and an accepted document costs one walk of it.  Only a rejected document
-imports ``jsonschema``, whose ``best_match`` words the ``SchemaError``.
+The one schema check is ``compile_schema``: once per process, each shipped
+schema becomes a tree of closures that decides in one walk and gives the
+reason that ``validate_document`` words.  jsonschema is the tests' oracle.
 JSON Schema's integer type admits integral floats such as ``3.0``; the
 decoders reject those, naming the field, because the exact pipeline counts
 with Python ints.
@@ -57,23 +56,10 @@ def shipped_schema(kind: str) -> dict:
 # compiled schema checks
 # ---------------------------------------------------------------------------
 
-Check = Callable[[object], bool]
+Check = Callable[[object], Optional[tuple]]
 
-
-def _is_integer(v: object) -> bool:
-    # jsonschema's "integer": a bool is not one, an integral float is.
-    if isinstance(v, float):
-        return v.is_integer()
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-_TYPES: Dict[str, Check] = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "integer": _is_integer,
-    "boolean": lambda v: isinstance(v, bool),
-}
+_NOT_OF_TYPE = "{!r} is not of type {!r}"
+_CLASSES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
 _OBJECT = {"properties", "required", "additionalProperties", "minProperties"}
 _ARRAY = {"items", "minItems", "maxItems"}
 _KEYWORDS = _OBJECT | _ARRAY | {
@@ -83,13 +69,13 @@ _KEYWORDS = _OBJECT | _ARRAY | {
 
 
 def compile_schema(schema: dict) -> Check:
-    """A predicate giving jsonschema's verdict on ``schema`` for JSON values.
+    """A check giving jsonschema's verdict on ``schema``: None for an accepted
+    JSON value, else a reason ``(path, keyword, template, *values)`` that is
+    one of jsonschema's errors: the keys and indices down to the failing
+    node, its keyword, and the message ``template.format(*values)``.
 
-    Covers the keywords of the shipped schemas: ``type``, ``properties``,
-    ``required``, ``additionalProperties``, ``minProperties``, ``items``,
-    ``minItems``/``maxItems``, ``minimum``/``maximum``, ``const``/``enum``
-    over strings, ``pattern`` (``re.search``, as jsonschema), ``oneOf``
-    and ``$ref`` into the root's ``$defs``.  Any other keyword raises
+    Covers ``_KEYWORDS``, with ``const``/``enum`` over strings only and
+    ``$ref`` into the root's ``$defs`` only; any other keyword raises
     ValueError, so a schema edit cannot silently widen what is accepted."""
     defs = schema.get("$defs", {})
     done: Dict[str, Check] = {}
@@ -107,25 +93,25 @@ def compile_schema(schema: dict) -> Check:
         if unknown:
             raise ValueError(f"cannot compile schema keywords {sorted(unknown)}")
         kind = s.get("type")
-        if kind is not None and (not isinstance(kind, str) or kind not in _TYPES):
+        if kind is not None and (not isinstance(kind, str) or kind not in _CLASSES):
             raise ValueError(f"cannot compile type {kind!r}")
         checks = []
         if kind is not None and kind not in ("object", "array"):
-            checks.append(_TYPES[kind])
+            checks.append(_type_check(kind))
         if kind == "object" or _OBJECT & s.keys():
             checks.append(_object_check(s, kind == "object", node))
         if kind == "array" or _ARRAY & s.keys():
             checks.append(_array_check(s, kind == "array", node))
         if "minimum" in s or "maximum" in s:
             checks.append(_bounds_check(s.get("minimum"), s.get("maximum")))
-        if "const" in s or "enum" in s:
-            allowed = (s["const"],) if "const" in s else tuple(s["enum"])
-            if not all(isinstance(a, str) for a in allowed):
-                raise ValueError(f"cannot compile non-string const/enum {allowed!r}")
-            checks.append(lambda v: v in allowed)
+        if "const" in s:
+            checks.append(_choice_check("const", [s["const"]], "{1[0]!r} was expected"))
+        if "enum" in s:
+            checks.append(_choice_check("enum", s["enum"], "{!r} is not one of {!r}"))
         if "pattern" in s:
             search = re.compile(s["pattern"]).search
-            checks.append(lambda v: not isinstance(v, str) or search(v) is not None)
+            checks.append(lambda v: None if not isinstance(v, str) or search(v) else (
+                (), "pattern", "{!r} does not match {!r}", v, s["pattern"]))
         if "oneOf" in s:
             checks.append(_one_of([node(b) for b in s["oneOf"]]))
         if "$ref" in s:
@@ -135,31 +121,40 @@ def compile_schema(schema: dict) -> Check:
     return node(schema)
 
 
+def _type_check(kind: str) -> Check:
+    if kind == "integer":
+        # jsonschema's "integer": a bool is not one, an integral float is.
+        return lambda v: None if (
+            v.is_integer() if isinstance(v, float)
+            else isinstance(v, int) and not isinstance(v, bool)
+        ) else ((), "type", _NOT_OF_TYPE, v, kind)
+    cls = _CLASSES[kind]
+    return lambda v: None if isinstance(v, cls) else ((), "type", _NOT_OF_TYPE, v, kind)
+
+
 def _object_check(s: dict, strict: bool, node: Callable[[dict], Check]) -> Check:
     props = {key: node(sub) for key, sub in s.get("properties", {}).items()}
     required = tuple(s.get("required", ()))
     least = s.get("minProperties", 0)
-    extra = s.get("additionalProperties", True)
-    if extra is True:
-        extra = None
-    elif extra is False:
-        extra = lambda v: False
-    else:
-        extra = node(extra)
+    extra = s.get("additionalProperties", True)  # None: any other key; False: none
+    extra = None if extra is True else extra is not False and node(extra)
 
-    def check(v: object) -> bool:
+    def check(v: object) -> Optional[tuple]:
         if not isinstance(v, dict):
-            return not strict
+            return ((), "type", _NOT_OF_TYPE, v, "object") if strict else None
         if len(v) < least:
-            return False
+            return ((), "minProperties", "{!r} does not have enough properties", v)
         for key in required:
             if key not in v:
-                return False
+                return ((), "required", "{!r} is a required property", key)
         for key, value in v.items():
             sub = props.get(key, extra)
-            if sub is not None and not sub(value):
-                return False
-        return True
+            if sub is False:
+                return ((), "additionalProperties",
+                        "Additional properties are not allowed ({!r} was unexpected)", key)
+            if sub and (reason := sub(value)):
+                return ((key, *reason[0]), *reason[1:])
+        return None
 
     return check
 
@@ -168,23 +163,39 @@ def _array_check(s: dict, strict: bool, node: Callable[[dict], Check]) -> Check:
     item = node(s["items"]) if "items" in s else None
     least, most = s.get("minItems", 0), s.get("maxItems")
 
-    def check(v: object) -> bool:
+    def check(v: object) -> Optional[tuple]:
         if not isinstance(v, list):
-            return not strict
-        if len(v) < least or (most is not None and len(v) > most):
-            return False
-        return item is None or all(map(item, v))
+            return ((), "type", _NOT_OF_TYPE, v, "array") if strict else None
+        if len(v) < least:
+            return ((), "minItems", "{!r} is too short", v)
+        if most is not None and len(v) > most:
+            return ((), "maxItems", "{!r} is too long", v)
+        # a C-level scan; the failing index is looked up only after a failure
+        if item is None or next(filter(None, map(item, v)), None) is None:
+            return None
+        index, reason = next((i, r) for i, r in enumerate(map(item, v)) if r)
+        return ((index, *reason[0]), *reason[1:])
 
     return check
 
 
 def _bounds_check(low, high) -> Check:
-    def check(v: object) -> bool:
+    def check(v: object) -> Optional[tuple]:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return True
-        return not ((low is not None and v < low) or (high is not None and v > high))
+            return None
+        if low is not None and v < low:
+            return ((), "minimum", "{!r} is less than the minimum of {!r}", v, low)
+        if high is not None and v > high:
+            return ((), "maximum", "{!r} is greater than the maximum of {!r}", v, high)
+        return None
 
     return check
+
+
+def _choice_check(keyword: str, allowed: list, template: str) -> Check:
+    if not all(isinstance(a, str) for a in allowed):
+        raise ValueError(f"cannot compile non-string {keyword} {allowed!r}")
+    return lambda v: None if v in allowed else ((), keyword, template, v, allowed)
 
 
 def _all_of(checks: Sequence[Check]) -> Check:
@@ -192,19 +203,20 @@ def _all_of(checks: Sequence[Check]) -> Check:
         return checks[0]
     if len(checks) == 2:
         first, second = checks
-        return lambda v: first(v) and second(v)
-    return lambda v: all(c(v) for c in checks)
+        return lambda v: first(v) or second(v)
+    return lambda v: next(filter(None, (c(v) for c in checks)), None)
 
 
 def _one_of(branches: Sequence[Check]) -> Check:
-    def check(v: object) -> bool:
+    def check(v: object) -> Optional[tuple]:
         matched = False
         for branch in branches:
-            if branch(v):
+            if branch(v) is None:
                 if matched:
-                    return False
+                    return ((), "oneOf", "{!r} is valid under more than one schema", v)
                 matched = True
-        return matched
+        return None if matched else (
+            (), "oneOf", "{!r} is not valid under any of the given schemas", v)
 
     return check
 
@@ -214,32 +226,20 @@ def _checker(kind: str) -> Check:
     return compile_schema(shipped_schema(kind))
 
 
-@functools.cache
-def _validator(kind: str):
-    """jsonschema's validator for the kind, meta-checked; built on rejection."""
-    import jsonschema
-
-    schema = shipped_schema(kind)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def validate_document(doc: object, kind: str) -> dict:
     """Check a parsed document against the published schema for ``kind``.
 
-    The compiled checker decides; a rejected document is re-checked by
-    jsonschema, whose best-matching error becomes the SchemaError message."""
+    A rejection's SchemaError words the compiled checker's reason, naming
+    the JSON path and failing keyword of a failure below the root."""
     if kind not in SCHEMA_IDS:
         raise SchemaError(f"unknown document kind {kind!r}")
-    if _checker(kind)(doc):
+    reason = _checker(kind)(doc)
+    if reason is None:
         return doc
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
-    if error is None:
-        raise SchemaError(f"{kind} document rejected")
-    raise SchemaError(f"{kind} document rejected: {error.message}") from error
+    path, keyword, template, *values = reason
+    where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+    message = (f"${where} fails {keyword}: " if path else "") + template.format(*values)
+    raise SchemaError(f"{kind} document rejected: {message}")
 
 
 def load_document(path: str, kind: str) -> dict:
@@ -257,7 +257,7 @@ def load_document(path: str, kind: str) -> dict:
 
 
 def fraction_to_json(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x)
 
 
 _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

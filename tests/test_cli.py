@@ -323,7 +323,7 @@ print(json.dumps([code, "jsonschema" in sys.modules, "numpy" in sys.modules]))
         (["glue", "identity-atlas.json"], [0, False, False]),
         (["glue", "identity-atlas.json", "--mode", "float", "--samples", "10"],
          [0, False, True]),
-        (["glue", "rank2-sheaf.json"], [4, True, False]),
+        (["glue", "rank2-sheaf.json"], [4, False, False]),
     ],
     ids=["exact", "float", "rejected"],
 )

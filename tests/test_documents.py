@@ -1,5 +1,6 @@
 """Round trips through the JSON document layer and schema rejection."""
 
+import abc
 import contextlib
 import copy
 import functools
@@ -205,14 +206,31 @@ def test_unexpected_keys_rejected():
         validate_document(doc, "atlas-input")
 
 
-def test_rejection_without_a_jsonschema_error_still_raises(monkeypatch):
-    # the compiled checker decides; jsonschema only words the message
+def test_a_rejection_reason_from_the_checker_becomes_the_message(monkeypatch):
+    # the compiled checker decides and words every rejection
     from germglue import documents
 
-    monkeypatch.setattr(documents, "_checker", lambda kind: lambda doc: False)
+    reason = (("charts", "A", "radii", 0), "pattern", "{!r} does not match {!r}", "1/", "^x$")
+    monkeypatch.setattr(documents, "_checker", lambda kind: lambda doc: reason)
     doc = json.loads((SAMPLES / "identity-atlas.json").read_text())
-    with pytest.raises(SchemaError, match=r"^atlas-input document rejected$"):
+    with pytest.raises(SchemaError) as info:
         validate_document(doc, "atlas-input")
+    assert str(info.value) == (
+        "atlas-input document rejected: $.charts.A.radii[0] fails pattern: "
+        "'1/' does not match '^x$'"
+    )
+
+
+def test_a_nested_rejection_names_its_path_and_keyword():
+    doc = json.loads((SAMPLES / "identity-atlas.json").read_text())
+    doc["transitions"][0]["map"]["components"][1]["terms"][0]["value"] = "1.5"
+    with pytest.raises(SchemaError) as info:
+        validate_document(doc, "atlas-input")
+    assert str(info.value) == (
+        "atlas-input document rejected: "
+        "$.transitions[0].map.components[1].terms[0].value fails oneOf: "
+        "'1.5' is not valid under any of the given schemas"
+    )
 
 
 def test_unknown_document_kind_rejected():
@@ -239,6 +257,24 @@ def test_jsonable_converts_exact_values():
     assert out == {"('A', 'B')": "1/2", "x": ["1/3"], "n": 4}
     with pytest.raises(TypeError):
         jsonable(object())
+
+
+def test_serialising_builds_no_fraction(monkeypatch):
+    from germglue import documents
+
+    class Refused(abc.ABC):
+        # every Fraction is still an instance; building one fails
+        def __new__(cls, *args):
+            raise AssertionError("a Fraction was built while serialising")
+
+    Refused.register(F)
+    coeff, disc = Coeff(F(1, 2), F(-5, 3)), identity_atlas().charts["A"]
+    report = {"margin": F(-7, 4), "point": (coeff, Coeff(F(2)))}
+    expected = [polydisc_to_json(disc), dump_report(report)]
+    monkeypatch.setattr(documents, "Fraction", Refused)
+    assert coeff_to_json(coeff) == {"re": "1/2", "im": "-5/3"}
+    assert [polydisc_to_json(disc), dump_report(report)] == expected
+    assert jsonable(report) == {"margin": "-7/4", "point": [{"re": "1/2", "im": "-5/3"}, "2"]}
 
 
 def test_dump_report_is_canonical():
@@ -275,7 +311,8 @@ def _jsonschema_validator(kind):
 
 @functools.cache
 def _compiled(kind):
-    return compile_schema(shipped_schema(kind))
+    check = compile_schema(shipped_schema(kind))
+    return lambda doc: check(doc) is None
 
 
 @functools.cache
@@ -365,6 +402,10 @@ def test_compiled_checker_agrees_with_jsonschema_on_mutations(data):
     verdict = _jsonschema_validator(kind).is_valid(mutant)
     assert _compiled(kind)(mutant) == verdict
     if not verdict:
+        # the reason names one of the errors jsonschema reports
+        path, keyword = compile_schema(shipped_schema(kind))(mutant)[:2]
+        errors = _jsonschema_validator(kind).iter_errors(mutant)
+        assert (path, keyword) in {(tuple(e.absolute_path), e.validator) for e in errors}
         with pytest.raises(SchemaError, match=f"^{kind} document rejected: "):
             validate_document(mutant, kind)
 
