@@ -161,28 +161,24 @@ class GermAtlasInput:
 class OverlapData:
     """Certified tube data for one ordered pair (i, j).
 
-    ``core`` is a polydisc containing the base lens U_i ∩ U_j; ``o_inner``
-    (the core inflated by delta, with a certified fiber radius) is a tube
-    certified inside the true overlap domain O_ij; ``witness`` is the
-    relatively compact witness P, the 0.9-fraction tube between core and
-    o_inner.  ``vacuous`` marks pairs whose U-level base overlap is
-    certifiably empty.  ``escape`` holds the base-escape jets of phi_ij
-    (base component k minus t_k), which every range bound of the pair
-    reads."""
+    ``o_inner`` (a polydisc containing the base lens U_i ∩ U_j, inflated by
+    a margin delta, with a certified fiber radius) is a tube certified
+    inside the true overlap domain O_ij; ``witness`` is the relatively
+    compact witness P, the same polydisc inflated by 0.9 delta, at 0.9 of
+    the fiber radius.  ``vacuous`` marks pairs whose U-level base overlap
+    is certifiably empty; both tubes are None for them.  ``escape`` holds
+    the base-escape jets of phi_ij (base component k minus t_k), which
+    every range bound of the pair reads."""
 
-    __slots__ = ("i", "j", "vacuous", "escape", "core", "delta", "o_inner",
-                 "witness", "margins")
+    __slots__ = ("i", "j", "vacuous", "escape", "o_inner", "witness")
 
-    def __init__(self, i, j, vacuous, escape, core, delta, o_inner, witness, margins):
+    def __init__(self, i, j, vacuous, escape, o_inner, witness):
         self.i = i
         self.j = j
         self.vacuous = vacuous
         self.escape = escape
-        self.core = core
-        self.delta = delta
         self.o_inner = o_inner
         self.witness = witness
-        self.margins = margins
 
 
 class PairCertificate:
@@ -470,9 +466,7 @@ def compute_overlaps(
         built, reason = _witness_base(u_i, u_j, v_i, v_j)
         if built is None:
             if reason == "empty":
-                overlaps[(i, j)] = OverlapData(
-                    i, j, True, escape, None, None, None, None, {}
-                )
+                overlaps[(i, j)] = OverlapData(i, j, True, escape, None, None)
                 continue
             raise ShrinkExhausted(
                 f"pair {(i, j)!r}: {reason}"
@@ -506,13 +500,7 @@ def compute_overlaps(
             inp.fiber_dim,
             rho * Fraction(9, 10),
         )
-        margins = {
-            "witness_base": delta / 10,
-            "witness_fiber": rho / 10,
-        }
-        overlaps[(i, j)] = OverlapData(
-            i, j, False, escape, core, delta, o_inner, witness, margins
-        )
+        overlaps[(i, j)] = OverlapData(i, j, False, escape, o_inner, witness)
     return overlaps
 
 

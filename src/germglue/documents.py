@@ -226,20 +226,36 @@ def _checker(kind: str) -> Check:
     return compile_schema(shipped_schema(kind))
 
 
-def validate_document(doc: object, kind: str) -> dict:
+def validate_document(doc: object, kind: str, at: Tuple = ()) -> dict:
     """Check a parsed document against the published schema for ``kind``.
 
     A rejection's SchemaError words the compiled checker's reason, naming
-    the JSON path and failing keyword of a failure below the root."""
+    the JSON path and failing keyword of a failure below the root.  ``at``
+    is the document's own path inside an enclosing file, put in front of
+    the reason's path."""
     if kind not in SCHEMA_IDS:
         raise SchemaError(f"unknown document kind {kind!r}")
     reason = _checker(kind)(doc)
     if reason is None:
         return doc
     path, keyword, template, *values = reason
+    path = (*at, *path)
     where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
     message = (f"${where} fails {keyword}: " if path else "") + template.format(*values)
     raise SchemaError(f"{kind} document rejected: {message}")
+
+
+def _validate_at(doc: object, kind: str, at: Tuple) -> None:
+    """:func:`validate_document` for a document found at path ``at`` of
+    the file it came in.  The check that accepts is the plain call, one per
+    document; only a rejected nested document is checked once more, so that
+    its reason names the path in the file."""
+    try:
+        validate_document(doc, kind)
+    except SchemaError:
+        if at:
+            validate_document(doc, kind, at)
+        raise
 
 
 def load_document(path: str, kind: str) -> dict:
@@ -310,11 +326,21 @@ def coeff_from_json(v: object) -> Coeff:
 # ---------------------------------------------------------------------------
 
 
+def _ratio_to_json(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, reduced by one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def jet_to_json(f: Jet) -> dict:
-    terms = [
-        {"exponent": list(e), "value": coeff_to_json(c)}
-        for e, c in sorted(f.terms.items())
-    ]
+    """The term list in exponent order, each part written from its
+    numerator over ``f.den``, as :func:`coeff_to_json` writes a Coeff."""
+    terms = []
+    for e in sorted({**f.re, **f.im}):
+        value = _ratio_to_json(f.re.get(e, 0), f.den)
+        if e in f.im:
+            value = {"re": value, "im": _ratio_to_json(f.im[e], f.den)}
+        terms.append({"exponent": list(e), "value": value})
     return {"vars": f.num_vars, "order": f.order, "terms": terms}
 
 
@@ -458,8 +484,9 @@ def atlas_input_to_json(inp: GermAtlasInput) -> dict:
     }
 
 
-def atlas_input_from_json(doc: dict, order: Optional[int] = None) -> GermAtlasInput:
-    validate_document(doc, "atlas-input")
+def atlas_input_from_json(doc: dict, order: Optional[int] = None, *,
+                          at: Tuple = ()) -> GermAtlasInput:
+    _validate_at(doc, "atlas-input", at)
     declared = _integer(doc["order"], "order")
     target = order if order is not None else declared
     charts = {cid: polydisc_from_json(w) for cid, w in doc["charts"].items()}
@@ -535,8 +562,8 @@ def _pair_matrices(items: Sequence[dict]) -> Dict[tuple, JetMatrix]:
     return out
 
 
-def sheaf_input_from_json(doc: dict) -> SheafInput:
-    validate_document(doc, "sheaf-input")
+def sheaf_input_from_json(doc: dict, *, at: Tuple = ()) -> SheafInput:
+    _validate_at(doc, "sheaf-input", at)
     domains = {
         tuple(item["charts"]): tube_from_json(item["domain"])
         for item in doc["domains"]
@@ -595,8 +622,10 @@ def tep_data_from_json(
     doc: dict,
     t_order: Optional[int] = None,
     z_order: Optional[int] = None,
+    *,
+    at: Tuple = (),
 ) -> TEPData:
-    validate_document(doc, "tep-input")
+    _validate_at(doc, "tep-input", at)
     m = _integer(doc["m"], "m")
     if len(doc["A"]) != m:
         raise SchemaError(f"need exactly {m} connection matrices, got {len(doc['A'])}")
@@ -646,12 +675,13 @@ def tep_glue_input_from_json(
     order: Optional[int] = None,
     z_order: Optional[int] = None,
 ):
-    """Returns (charts, atlas_input, sheaf_input, points)."""
+    """Returns (charts, atlas_input, sheaf_input, points).  A rejection
+    inside a nested document names its path in this one."""
     validate_document(doc, "tep-glue-input")
-    atlas = atlas_input_from_json(doc["atlas"], order=order)
-    sheaf = sheaf_input_from_json(doc["sheaf"])
+    atlas = atlas_input_from_json(doc["atlas"], order=order, at=("atlas",))
+    sheaf = sheaf_input_from_json(doc["sheaf"], at=("sheaf",))
     charts = {
-        cid: tep_data_from_json(item, z_order=z_order)
+        cid: tep_data_from_json(item, z_order=z_order, at=("charts", cid))
         for cid, item in doc["charts"].items()
     }
     points = [

@@ -59,12 +59,8 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import (
-    CompositionDomainError,
-    NotInvertibleError,
-    ShapeError,
-)
-from .scalars import Coeff, ONE, ZERO
+from .errors import CompositionDomainError, ShapeError
+from .scalars import Coeff, ONE, coeff_inverse
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Coeff]
@@ -662,28 +658,6 @@ def map_compose(g: PolyMap, f: PolyMap, powers: PowerTable | None = None) -> Pol
     return PolyMap(g.source_vars, _compose(f.components, g, table))
 
 
-def _coeff_matrix_inverse(mat: list[list[Coeff]]) -> list[list[Coeff]]:
-    """Exact Gauss-Jordan inverse of a square Coeff matrix."""
-    n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] + [ONE if i == j else ZERO for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise NotInvertibleError("linear part is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [inv * x for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor.is_zero():
-                continue
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _apply_linear(mat: list[list[Coeff]], vec: Sequence[Jet]) -> list[Jet]:
     """The jets sum over k of row[k] * vec[k], one per row of ``mat``."""
     return [functools.reduce(jet_add, map(jet_scale, vec, row)) for row in mat]
@@ -692,14 +666,16 @@ def _apply_linear(mat: list[list[Coeff]], vec: Sequence[Jet]) -> list[Jet]:
 def map_inverse(f: PolyMap) -> PolyMap:
     """Formal inverse germ of a constant-free square map with invertible
     linear part.  The result ``g`` satisfies f o g = g o f = id up to the
-    truncation order."""
+    truncation order.  The linear part is inverted by
+    :func:`germglue.scalars.coeff_inverse`, which raises NotInvertibleError
+    when it is singular."""
     if f.source_vars != f.target_vars:
         raise ShapeError("only square maps can be inverted")
     if not map_is_constant_free(f):
         raise CompositionDomainError("map with constant term has no germ inverse at 0")
     n = f.source_vars
     order = f.order
-    lin_inv = _coeff_matrix_inverse(linear_part(f))
+    lin_inv = coeff_inverse(linear_part(f))
 
     # Higher-degree part h := f - linear(f); the fixed-point iteration
     # g <- L^{-1} (id - h o g) gains at least one correct order per step.

@@ -1,16 +1,21 @@
 """Matrices over the jet ring, plus exact scalar-matrix linear algebra.
 
 Jet-valued matrices carry transition data for sheaf gluing and connection
-matrices for flatness checks.  Scalar (Coeff) matrices appear wherever data
-is restricted to a point: rank computations for the injectivity and
-generation conditions, and Jacobians of linear parts.
+matrices for flatness checks.  A jet matrix is inverted by the terminating
+geometric series around the inverse of its constant terms
+(:func:`matrix_inverse`), with no pivot search over jets;
+:func:`jet_reciprocal` is its 1x1 case.  Scalar (Coeff) matrices appear
+wherever data is restricted to a point: rank computations for the
+injectivity and generation conditions, determinants, and Jacobians of
+linear parts.  Their rank, determinant and inverse all read the one
+elimination, :func:`germglue.scalars.coeff_eliminate`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from .errors import NotInvertibleError, ShapeError
+from .errors import ShapeError
 from .jets import (
     Jet,
     PolyMap,
@@ -20,12 +25,10 @@ from .jets import (
     jet_constant_term,
     jet_eq,
     jet_flip_var,
-    jet_is_constant_free,
     jet_is_zero,
     jet_mul,
     jet_neg,
     jet_partial,
-    jet_scale,
     jet_sub,
     jet_with_order,
     jet_zero,
@@ -33,7 +36,7 @@ from .jets import (
     map_eval,
     sum_of_products,
 )
-from .scalars import Coeff, ONE, ZERO
+from .scalars import Coeff, ONE, ZERO, coeff_eliminate, coeff_inverse
 
 JetRows = List[List[Jet]]
 CoeffRows = List[List[Coeff]]
@@ -191,62 +194,33 @@ def matrix_det(a: JetMatrix) -> Jet:
 
 
 def jet_reciprocal(f: Jet) -> Jet:
-    """1/f as a jet, requiring an invertible constant term.
-
-    With f = c (1 - u) and u constant-free, the geometric series terminates
-    at the truncation order.
-    """
-    c = jet_constant_term(f)
-    if c.is_zero():
-        raise NotInvertibleError("reciprocal of a jet with zero constant term")
-    inv_c = ONE / c
-    u = jet_neg(jet_scale(jet_sub(f, jet_const(f.num_vars, f.order, c)), inv_c))
-    acc = jet_const(f.num_vars, f.order, ONE)
-    power = jet_const(f.num_vars, f.order, ONE)
-    for _ in range(f.order):
-        power = jet_mul(power, u)
-        if jet_is_zero(power):
-            break
-        acc = jet_add(acc, power)
-    return jet_scale(acc, inv_c)
+    """1/f as a jet, requiring an invertible constant term: the 1x1 case of
+    :func:`matrix_inverse`."""
+    return matrix_inverse(JetMatrix([[f]])).entries[0][0]
 
 
 def matrix_inverse(a: JetMatrix) -> JetMatrix:
-    """Inverse over the jet ring via Gauss-Jordan with jet pivots.
+    """Inverse over the jet ring, requiring the scalar matrix C of constant
+    terms to be invertible (otherwise no inverse exists over the local ring).
 
-    Requires the scalar matrix of constant terms to be invertible (otherwise
-    no inverse exists over the local ring)."""
+    With a = C(1 - u), u = 1 - C^-1 a is constant-free, so u^(K+1) vanishes
+    at the truncation order K and the geometric series terminates:
+    a^-1 = (1 + u + ... + u^K) C^-1 exactly."""
     if a.rows != a.cols:
         raise ShapeError("inverse of a non-square matrix")
-    n = a.rows
-    nv, order = a.num_vars, a.order
-    work = [list(row) for row in a.entries]
-    out = [
-        [jet_const(nv, order, ONE if i == j else ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not jet_is_constant_free(work[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            raise NotInvertibleError("constant term of matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        out[col], out[pivot] = out[pivot], out[col]
-        inv = jet_reciprocal(work[col][col])
-        work[col] = [jet_mul(inv, x) for x in work[col]]
-        out[col] = [jet_mul(inv, x) for x in out[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if jet_is_zero(factor):
-                continue
-            work[r] = [jet_sub(x, jet_mul(factor, y)) for x, y in zip(work[r], work[col])]
-            out[r] = [jet_sub(x, jet_mul(factor, y)) for x, y in zip(out[r], out[col])]
-    return JetMatrix(out)
+    n, nv, order = a.rows, a.num_vars, a.order
+    c_inv = matrix_var_coeff(
+        n, nv, order, coeff_inverse([[jet_constant_term(x) for x in row] for row in a.entries])
+    )
+    one = matrix_identity(n, nv, order)
+    u = matrix_sub(one, matrix_mul(c_inv, a))
+    acc = power = one
+    for _ in range(order):
+        power = matrix_mul(power, u)
+        if all(jet_is_zero(x) for row in power.entries for x in row):
+            break
+        acc = matrix_add(acc, power)
+    return matrix_mul(acc, c_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -261,56 +235,20 @@ def coeff_matvec(a: CoeffRows, v: Sequence[Coeff]) -> list[Coeff]:
 
 
 def coeff_rank(mat: CoeffRows) -> int:
-    """Exact rank by Gaussian elimination (fraction-free not needed at the
-    sizes involved)."""
+    """Exact rank: the pivot count of :func:`coeff_eliminate`."""
     if not mat:
         return 0
-    work = [list(row) for row in mat]
-    rows, cols = len(work), len(work[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = ONE / work[row][col]
-        work[row] = [inv * x for x in work[row]]
-        for r in range(rows):
-            if r == row:
-                continue
-            f = work[r][col]
-            if f.is_zero():
-                continue
-            work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
+    return len(coeff_eliminate(mat, len(mat[0]))[1])
 
 
 def coeff_det(mat: CoeffRows) -> Coeff:
+    """Exact determinant: the signed pivot product of
+    :func:`coeff_eliminate`, or zero without a full set of pivots."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ShapeError("determinant of a non-square matrix")
-    work = [list(row) for row in mat]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = ONE / work[col][col]
-        for r in range(col + 1, n):
-            f = work[r][col] * inv
-            if f.is_zero():
-                continue
-            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+    _, pivots, det = coeff_eliminate(mat, n)
+    return det if len(pivots) == n else ZERO
 
 
 def column_span_rank(columns: Sequence[Sequence[Coeff]]) -> int:

@@ -1,9 +1,15 @@
-"""Gaussian-rational scalars and certified square-root bounds.
+"""Gaussian-rational scalars, their one exact elimination, and certified
+square-root bounds.
 
 A :class:`Coeff` is a complex number ``re + im*i`` whose parts are exact
 :class:`fractions.Fraction` values.  It is the package's one scalar type:
 every equality test is exact, and float work (the float-mode audit) runs on
 numpy arrays in :mod:`germglue.sampling` and :mod:`germglue.numeval`.
+
+Linear algebra over Coeff has one routine, the Gauss–Jordan elimination
+:func:`coeff_eliminate`; :func:`coeff_inverse` is its case ``[mat | 1]``,
+here rather than in :mod:`germglue.matrices` because
+:func:`germglue.jets.map_inverse` needs it.
 
 The module also provides rational upper/lower bounds for square roots of
 non-negative rationals.  These are what make disc geometry decidable: a
@@ -15,7 +21,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
+
+from .errors import NotInvertibleError, ShapeError
 
 Rat = Fraction
 
@@ -88,6 +96,49 @@ class Coeff:
 
 ZERO = Coeff(0)
 ONE = Coeff(1)
+
+
+def coeff_eliminate(rows: Sequence[Sequence[Coeff]], cols: int):
+    """Gauss–Jordan elimination of a copy of ``rows`` over their first
+    ``cols`` columns.
+
+    Returns the reduced rows (each pivot 1, alone in its column), the pivot
+    columns in order, and the product of the pivots, negated once per row
+    swap: the determinant when ``rows`` is square and every column has a
+    pivot."""
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    det = ONE
+    for col in range(cols):
+        top = len(pivots)
+        p = next((r for r in range(top, len(work)) if not work[r][col].is_zero()), None)
+        if p is None:
+            continue
+        if p != top:
+            work[top], work[p] = work[p], work[top]
+            det = -det
+        det = det * work[top][col]
+        inv = ONE / work[top][col]
+        work[top] = pivot_row = [inv * x for x in work[top]]
+        for r, row in enumerate(work):
+            f = row[col]
+            if r != top and not f.is_zero():
+                work[r] = [x - f * y for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+    return work, pivots, det
+
+
+def coeff_inverse(mat: Sequence[Sequence[Coeff]]) -> list[list[Coeff]]:
+    """Exact inverse of a square Coeff matrix: the right half of
+    ``[mat | 1]`` after :func:`coeff_eliminate`."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ShapeError("inverse of a non-square matrix")
+    aug = [[*row, *(ONE if i == j else ZERO for j in range(n))] for i, row in enumerate(mat)]
+    reduced, pivots, _ = coeff_eliminate(aug, n)
+    if len(pivots) < n:
+        raise NotInvertibleError("scalar matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def coeff_abs_lb(c: Coeff) -> Fraction:

@@ -3,11 +3,12 @@
 Everything in this module is deliberately naive: quadratic-time convolution,
 substitute-then-truncate composition, term-by-term evaluation with repeated
 Fraction products, direct Lagrange inversion in one variable, cocycle
-checks that compose every ordering of every triple, binomial recentring and
-range bounds in Coeff arithmetic, the single-disc certificates and the
-overlap decision's candidate search in Fractions, Fraction-grid sampling
-and Coeff membership tests, and the sampled closedness audit and chain
-selector on those.  None of it imports algorithmic code from the package
+checks that compose every ordering of every triple, forward elimination
+for scalar rank and determinant, Gauss-Jordan with jet pivots for the
+inverse of a jet matrix, binomial recentring and range bounds in Coeff
+arithmetic, the single-disc certificates and the overlap decision's
+candidate search in Fractions, Fraction-grid sampling and Coeff membership
+tests, and the sampled closedness audit and chain selector on those.  None of it imports algorithmic code from the package
 beyond the plain data containers and the square-root bounds whose rounding
 the package must reproduce (``sqrt_ub`` for range bounds, through
 ``coeff_abs_ub`` here, and for disc radii and margins, and ``sqrt_lb`` for
@@ -22,6 +23,7 @@ import math
 import random
 from fractions import Fraction
 
+from germglue.errors import NotInvertibleError
 from germglue.jets import Jet, PolyMap
 from germglue.matrices import JetMatrix
 from germglue.regions import TubeDomain, polydisc_common_point
@@ -232,6 +234,116 @@ def oracle_matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
                            {e: v for e, v in acc.items() if not v.is_zero()}))
         rows.append(row)
     return JetMatrix(rows)
+
+
+def oracle_coeff_rank(mat) -> int:
+    """Rank by forward elimination with a pivot search per column."""
+    if not mat:
+        return 0
+    work = [list(row) for row in mat]
+    rows, cols = len(work), len(work[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if not work[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, rows):
+            f = work[r][col] / work[rank][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def oracle_coeff_det(mat) -> Coeff:
+    """Determinant by forward elimination, negated once per row swap."""
+    n = len(mat)
+    work = [list(row) for row in mat]
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] / work[col][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return det
+
+
+def oracle_coeff_inverse(mat) -> list:
+    """Gauss-Jordan on ``[mat | 1]``, its own loop."""
+    n = len(mat)
+    aug = [list(mat[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise NotInvertibleError("singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = ONE / aug[col][col]
+        aug[col] = [inv * x for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _jet_axpy(a: Jet, s: Coeff, b: Jet) -> Jet:
+    """a + s*b, term by term."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, ZERO) + s * c
+    return Jet(a.num_vars, a.order, out)
+
+
+def oracle_jet_reciprocal(f: Jet) -> Jet:
+    """1/f = (1 + u + ... + u^K) / c for f = c(1 - u), c the constant term,
+    with the powers of u taken by oracle_mul."""
+    zero = Jet(f.num_vars, f.order, {})
+    c = f.terms.get((0,) * f.num_vars, ZERO)
+    if c.is_zero():
+        raise NotInvertibleError("zero constant term")
+    one = Jet(f.num_vars, f.order, {(0,) * f.num_vars: ONE})
+    u = _jet_axpy(one, -ONE / c, f)
+    acc = power = one
+    for _ in range(f.order):
+        power = oracle_mul(power, u)
+        acc = _jet_axpy(acc, ONE, power)
+    return _jet_axpy(zero, ONE / c, acc)
+
+
+def oracle_matrix_inverse(a: JetMatrix) -> JetMatrix:
+    """Gauss-Jordan over the jet ring: a pivot search for an entry with a
+    nonzero constant term, whose oracle_jet_reciprocal scales its row."""
+    n, nv, order = a.rows, a.num_vars, a.order
+    const = (0,) * nv
+    work = [list(row) for row in a.entries]
+    out = [[Jet(nv, order, {const: ONE} if i == j else {}) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n)
+                      if not work[r][col].terms.get(const, ZERO).is_zero()), None)
+        if pivot is None:
+            raise NotInvertibleError("constant term of matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        out[col], out[pivot] = out[pivot], out[col]
+        inv = oracle_jet_reciprocal(work[col][col])
+        work[col] = [oracle_mul(inv, x) for x in work[col]]
+        out[col] = [oracle_mul(inv, x) for x in out[col]]
+        for r in range(n):
+            if r != col:
+                factor = work[r][col]
+                work[r] = [_jet_axpy(x, -ONE, oracle_mul(factor, y))
+                           for x, y in zip(work[r], work[col])]
+                out[r] = [_jet_axpy(x, -ONE, oracle_mul(factor, y))
+                          for x, y in zip(out[r], out[col])]
+    return JetMatrix(out)
 
 
 def _matrix_violation(product: JetMatrix, target: JetMatrix, head: dict) -> list:

@@ -53,6 +53,7 @@ from germglue.matrices import matrix_eq
 from germglue.scalars import Coeff
 
 from .test_atlas import identity_atlas, pinch_atlas
+from .test_jets import jets
 from .test_numeval import random_jet
 from .test_sheaf import rank2_input
 from .test_tep import glue_frame, identity_bundle
@@ -233,6 +234,32 @@ def test_a_nested_rejection_names_its_path_and_keyword():
     )
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["atlas"]["charts"]["A"]["radii"].__setitem__(0, "1.5"),
+         "atlas-input document rejected: $.atlas.charts.A.radii[0] fails pattern: "
+         "'1.5' does not match '^-?[0-9]+(/[0-9]+)?$'"),
+        (lambda doc: doc["atlas"].pop("base_dim"),
+         "atlas-input document rejected: $.atlas fails required: "
+         "'base_dim' is a required property"),
+        (lambda doc: doc["sheaf"].pop("ranks"),
+         "sheaf-input document rejected: $.sheaf fails required: "
+         "'ranks' is a required property"),
+        (lambda doc: doc["charts"]["B"].pop("m"),
+         "tep-input document rejected: $.charts.B fails required: "
+         "'m' is a required property"),
+    ],
+    ids=["atlas-radius", "atlas-base-dim", "sheaf-ranks", "chart-m"],
+)
+def test_a_rejection_inside_a_tep_glue_file_names_its_path_in_the_file(edit, message):
+    doc = json.loads((SAMPLES / "tep-glue.json").read_text())
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        tep_glue_input_from_json(doc)
+    assert str(info.value) == message
+
+
 def test_unknown_document_kind_rejected():
     with pytest.raises(SchemaError, match="unknown document kind"):
         validate_document({}, "nope")
@@ -275,6 +302,18 @@ def test_serialising_builds_no_fraction(monkeypatch):
     assert coeff_to_json(coeff) == {"re": "1/2", "im": "-5/3"}
     assert [polydisc_to_json(disc), dump_report(report)] == expected
     assert jsonable(report) == {"margin": "-7/4", "point": [{"re": "1/2", "im": "-5/3"}, "2"]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jets())
+def test_jet_to_json_writes_the_coeff_view_from_the_numerators(f):
+    # real and Gaussian jets with denominators up to 97
+    assert jet_to_json(f) == {
+        "vars": f.num_vars,
+        "order": f.order,
+        "terms": [{"exponent": list(e), "value": coeff_to_json(c)}
+                  for e, c in sorted(f.terms.items())],
+    }
 
 
 def test_dump_report_is_canonical():

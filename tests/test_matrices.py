@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from germglue.errors import NotInvertibleError, ShapeError
 from germglue.jets import (
@@ -13,6 +13,7 @@ from germglue.jets import (
     jet_add,
     jet_const,
     jet_eq,
+    jet_is_constant_free,
     jet_mul,
     jet_pow,
     jet_truncate,
@@ -35,10 +36,19 @@ from germglue.matrices import (
     matrix_partial,
     matrix_transpose,
 )
-from germglue.scalars import Coeff, ONE, ZERO
+from germglue.scalars import Coeff, ONE, ZERO, coeff_inverse
 
-from .oracles import oracle_compose, oracle_eval, oracle_matmul
-from .test_jets import constant_free_maps, jets, points
+from .oracles import (
+    oracle_coeff_det,
+    oracle_coeff_inverse,
+    oracle_coeff_rank,
+    oracle_compose,
+    oracle_eval,
+    oracle_jet_reciprocal,
+    oracle_matmul,
+    oracle_matrix_inverse,
+)
+from .test_jets import coeffs, constant_free_maps, jets, points
 
 
 def frac(p, q=1):
@@ -215,3 +225,111 @@ def test_rank_bounds_and_det_consistency(rows):
     assert 0 <= r <= 3
     d = coeff_det(rows)
     assert (r == 3) == (not d.is_zero())
+
+
+# ---------------------------------------------------------------------------
+# the one elimination and the series inverse against the references
+# ---------------------------------------------------------------------------
+
+
+def scalar_rows(draw, rows: int, cols: int, real: bool) -> list:
+    """Entries zero half the time, so pivots are often missing from the top
+    row and the elimination must swap."""
+    entry = st.one_of(st.just(ZERO), coeffs(real))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def coeff_matrices(draw):
+    """Real or Gaussian matrices of size 1-4, square half the time, with up
+    to two rows replaced by a combination of two rows (a zero row when both
+    factors are zero), so many are rank-deficient."""
+    n = draw(st.integers(1, 4))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 4))
+    real = draw(st.booleans())
+    rows = scalar_rows(draw, n, m, real)
+    for _ in range(draw(st.integers(0, 2))):
+        k, i, j = (draw(st.integers(0, n - 1)) for _ in range(3))
+        s, t = (draw(st.one_of(st.just(ZERO), coeffs(real))) for _ in range(2))
+        rows[k] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeff_matrices())
+@example([[ZERO, ONE], [ONE, ZERO]])  # one swap: det -1
+@example([[ZERO, ZERO, ONE], [ZERO, ONE, ZERO], [frac(2), ZERO, ZERO]])
+@example([[ZERO, ZERO], [ZERO, frac(3)]])
+def test_rank_det_and_inverse_match_the_reference_eliminations(rows):
+    assert coeff_rank(rows) == oracle_coeff_rank(rows)
+    if len(rows) != len(rows[0]):
+        with pytest.raises(ShapeError):
+            coeff_det(rows)
+        with pytest.raises(ShapeError):
+            coeff_inverse(rows)
+        return
+    assert coeff_det(rows) == oracle_coeff_det(rows)
+    try:
+        want = oracle_coeff_inverse(rows)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            coeff_inverse(rows)
+    else:
+        assert coeff_inverse(rows) == want
+
+
+def unit_constant_matrix(draw, const: list, nv: int, order: int, real: bool) -> JetMatrix:
+    """The constant matrix ``const`` plus constant-free jets in every entry."""
+    def free():
+        if not order:
+            return jet_zero(nv, order)
+        return draw(jets(num_vars=nv, order=order, min_degree=1, real=real))
+
+    return JetMatrix([[jet_add(jet_const(nv, order, c), free()) for c in row]
+                      for row in const])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_matrix_inverse_and_reciprocal_match_the_jet_pivot_reference(data):
+    n, nv = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    order, real = data.draw(st.integers(0, 6)), data.draw(st.booleans())
+    const = scalar_rows(data.draw, n, n, real)
+    assume(not oracle_coeff_det(const).is_zero())
+    a = unit_constant_matrix(data.draw, const, nv, order, real)
+    inv = matrix_inverse(a)
+    assert inv == oracle_matrix_inverse(a)
+    one = matrix_identity(n, nv, order)
+    assert matrix_mul(a, inv) == one and matrix_mul(inv, a) == one
+    for x in (x for row in a.entries for x in row):
+        if not jet_is_constant_free(x):
+            assert jet_reciprocal(x) == oracle_jet_reciprocal(x)
+    if n == 1:
+        assert jet_reciprocal(a.entries[0][0]) == inv.entries[0][0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_singular_constant_part_or_a_non_square_matrix_has_no_inverse(data):
+    n, nv = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    order, real = data.draw(st.integers(0, 4)), data.draw(st.booleans())
+    const = scalar_rows(data.draw, n, n, real)
+    k, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if k == j:  # a zero column
+        for row in const:
+            row[k] = ZERO
+    else:  # row k a multiple of row j
+        s = data.draw(coeffs(real))
+        const[k] = [s * x for x in const[j]]
+    a = unit_constant_matrix(data.draw, const, nv, order, real)
+    with pytest.raises(NotInvertibleError):
+        oracle_matrix_inverse(a)
+    with pytest.raises(NotInvertibleError):
+        matrix_inverse(a)
+    if n == 1:
+        with pytest.raises(NotInvertibleError):
+            jet_reciprocal(a.entries[0][0])
+    wide = JetMatrix([row + [row[0]] for row in a.entries])
+    for fn in (matrix_inverse, matrix_det):
+        with pytest.raises(ShapeError):
+            fn(wide)
