@@ -4,12 +4,14 @@ Exact scalars travel as fraction strings ("3/4", "-2"); a complex value
 with nonzero imaginary part becomes {"re": ..., "im": ...}.  Jets are term
 lists under their declared variable count and order; maps, matrices, and
 regions nest those.  Every input document carries a "schema" field naming
-its contract version, and each decoder checks it against the matching JSON
-Schema shipped in ``germglue/schemas`` before decoding.  Structural violations
-raise SchemaError; semantic violations found later (germ axioms, cocycle
+its contract version.  One shipped JSON Schema document,
+``germglue/schemas/germglue.v1.json``, holds the five kinds and the
+definitions they share under ``$defs``; each decoder checks its document,
+nested documents included, before decoding.  Structural violations raise
+SchemaError; semantic violations found later (germ axioms, cocycle
 failures) keep their own error types.
 
-The one schema check is ``compile_schema``: once per process, each shipped
+The one schema check is ``compile_schema``: once per process, each kind's
 schema becomes a tree of closures that decides in one walk and gives the
 reason that ``validate_document`` words.  jsonschema is the tests' oracle.
 JSON Schema's integer type admits integral floats such as ``3.0``; the
@@ -45,11 +47,13 @@ SCHEMA_IDS = {
 }
 
 
-@functools.cache
 def shipped_schema(kind: str) -> dict:
-    """The kind's JSON Schema, read once per process."""
-    path = resources.files("germglue").joinpath("schemas", f"{kind}.v1.json")
-    return json.loads(path.read_text())
+    """The shipped document rooted at the kind's definition, read afresh on
+    each call: ``_checker`` keeps only the compiled form."""
+    path = resources.files("germglue").joinpath("schemas", "germglue.v1.json")
+    shipped = json.loads(path.read_text())
+    return {"$schema": shipped["$schema"], "$defs": shipped["$defs"],
+            "$ref": f"#/$defs/{kind}"}
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +230,21 @@ def _checker(kind: str) -> Check:
     return compile_schema(shipped_schema(kind))
 
 
-def validate_document(doc: object, kind: str, at: Tuple = ()) -> dict:
-    """Check a parsed document against the published schema for ``kind``.
+def validate_document(doc: object, kind: str) -> dict:
+    """Check a parsed document, nested documents included, against the
+    shipped schema for ``kind``.
 
     A rejection's SchemaError words the compiled checker's reason, naming
-    the JSON path and failing keyword of a failure below the root.  ``at``
-    is the document's own path inside an enclosing file, put in front of
-    the reason's path."""
+    the JSON path and failing keyword of a failure below the root."""
     if kind not in SCHEMA_IDS:
         raise SchemaError(f"unknown document kind {kind!r}")
     reason = _checker(kind)(doc)
     if reason is None:
         return doc
     path, keyword, template, *values = reason
-    path = (*at, *path)
     where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
     message = (f"${where} fails {keyword}: " if path else "") + template.format(*values)
     raise SchemaError(f"{kind} document rejected: {message}")
-
-
-def _validate_at(doc: object, kind: str, at: Tuple) -> None:
-    """:func:`validate_document` for a document found at path ``at`` of
-    the file it came in.  The check that accepts is the plain call, one per
-    document; only a rejected nested document is checked once more, so that
-    its reason names the path in the file."""
-    try:
-        validate_document(doc, kind)
-    except SchemaError:
-        if at:
-            validate_document(doc, kind, at)
-        raise
 
 
 def load_document(path: str, kind: str) -> dict:
@@ -484,9 +473,12 @@ def atlas_input_to_json(inp: GermAtlasInput) -> dict:
     }
 
 
-def atlas_input_from_json(doc: dict, order: Optional[int] = None, *,
-                          at: Tuple = ()) -> GermAtlasInput:
-    _validate_at(doc, "atlas-input", at)
+def atlas_input_from_json(doc: dict, order: Optional[int] = None) -> GermAtlasInput:
+    validate_document(doc, "atlas-input")
+    return _atlas_input(doc, order)
+
+
+def _atlas_input(doc: dict, order: Optional[int]) -> GermAtlasInput:
     declared = _integer(doc["order"], "order")
     target = order if order is not None else declared
     charts = {cid: polydisc_from_json(w) for cid, w in doc["charts"].items()}
@@ -562,8 +554,12 @@ def _pair_matrices(items: Sequence[dict]) -> Dict[tuple, JetMatrix]:
     return out
 
 
-def sheaf_input_from_json(doc: dict, *, at: Tuple = ()) -> SheafInput:
-    _validate_at(doc, "sheaf-input", at)
+def sheaf_input_from_json(doc: dict) -> SheafInput:
+    validate_document(doc, "sheaf-input")
+    return _sheaf_input(doc)
+
+
+def _sheaf_input(doc: dict) -> SheafInput:
     domains = {
         tuple(item["charts"]): tube_from_json(item["domain"])
         for item in doc["domains"]
@@ -622,10 +618,12 @@ def tep_data_from_json(
     doc: dict,
     t_order: Optional[int] = None,
     z_order: Optional[int] = None,
-    *,
-    at: Tuple = (),
 ) -> TEPData:
-    _validate_at(doc, "tep-input", at)
+    validate_document(doc, "tep-input")
+    return _tep_data(doc, t_order, z_order)
+
+
+def _tep_data(doc: dict, t_order: Optional[int], z_order: Optional[int]) -> TEPData:
     m = _integer(doc["m"], "m")
     if len(doc["A"]) != m:
         raise SchemaError(f"need exactly {m} connection matrices, got {len(doc['A'])}")
@@ -675,15 +673,12 @@ def tep_glue_input_from_json(
     order: Optional[int] = None,
     z_order: Optional[int] = None,
 ):
-    """Returns (charts, atlas_input, sheaf_input, points).  A rejection
-    inside a nested document names its path in this one."""
+    """Returns (charts, atlas_input, sheaf_input, points).  One check covers
+    the nested documents too, so a rejection names its path in this one."""
     validate_document(doc, "tep-glue-input")
-    atlas = atlas_input_from_json(doc["atlas"], order=order, at=("atlas",))
-    sheaf = sheaf_input_from_json(doc["sheaf"], at=("sheaf",))
-    charts = {
-        cid: tep_data_from_json(item, z_order=z_order, at=("charts", cid))
-        for cid, item in doc["charts"].items()
-    }
+    atlas = _atlas_input(doc["atlas"], order)
+    sheaf = _sheaf_input(doc["sheaf"])
+    charts = {cid: _tep_data(item, None, z_order) for cid, item in doc["charts"].items()}
     points = [
         (item["chart"], point_from_json(item["point"]))
         for item in doc.get("points", [])

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
+from .atlas import RADIUS_FLOOR_DEFAULT
 from .errors import (
     AgreementError,
     NotInvertibleError,
@@ -370,14 +371,15 @@ def _lens_fits(us: Sequence[Polydisc], target: Polydisc) -> bool:
     return True
 
 
-def glue_sheaf(inp: SheafInput, atlas, radius_floor=Fraction(1, 2**20)) -> GluedSheaf:
+def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> GluedSheaf:
     """Restrict validated sheaf data to certified tubes over the atlas.
 
     eps_i is the largest certified radius: it must not exceed the atlas
     chart radius, the declared A_ij fiber radii of pairs at i, or the B_ijk
     fiber radii of triples at i; base inclusions of the (outer-bounded)
     pairwise and triple overlaps into the declared domains are certified
-    directly and do not depend on eps."""
+    directly and do not depend on eps, so each domain is decided once, from
+    the first chart that reads it."""
     dets: Dict[Pair, Jet] = {}
     validate_sheaf_cocycle(inp, dets)
     cover = atlas.cover
@@ -386,27 +388,22 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=Fraction(1, 2**20)) -> Glued
         if cid not in charts:
             raise ShapeError(f"sheaf references unknown chart {cid!r}")
 
+    # (charts, domain, overlap kind, domain name); the pairs before the triples
+    declared = [(key, dom, "pair", "A") for key, dom in inp.domains.items() if key[0] != key[1]]
+    declared += [(key, dom, "triple", "B") for key, dom in inp.triple_domains.items()]
+    fitted = set()
     epsilons: Dict[object, Fraction] = {}
     for cid in sorted(inp.ranks, key=repr):
         eps = cover.radii[cid]
-        for key, dom in inp.domains.items():
-            if cid not in key or key[0] == key[1]:
+        for key, dom, overlap, name in declared:
+            if cid not in key:
                 continue
-            other = key[0] if key[1] == cid else key[1]
-            u_i, u_j = cover.triples[cid].U, cover.triples[other].U
-            if not _lens_fits([u_i, u_j], dom.base):
-                raise ShrinkExhausted(
-                    f"pair overlap {key!r} not certified inside A domain"
-                )
-            eps = min(eps, dom.fiber_radius)
-        for skey, dom in inp.triple_domains.items():
-            if cid not in skey:
-                continue
-            us = [cover.triples[c].U for c in skey]
-            if not _lens_fits(us, dom.base):
-                raise ShrinkExhausted(
-                    f"triple overlap {skey!r} not certified inside B domain"
-                )
+            if key not in fitted:
+                if not _lens_fits([cover.triples[c].U for c in key], dom.base):
+                    raise ShrinkExhausted(
+                        f"{overlap} overlap {key!r} not certified inside {name} domain"
+                    )
+                fitted.add(key)
             eps = min(eps, dom.fiber_radius)
         if eps < radius_floor:
             raise ShrinkExhausted(

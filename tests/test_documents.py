@@ -238,16 +238,16 @@ def test_a_nested_rejection_names_its_path_and_keyword():
     "edit, message",
     [
         (lambda doc: doc["atlas"]["charts"]["A"]["radii"].__setitem__(0, "1.5"),
-         "atlas-input document rejected: $.atlas.charts.A.radii[0] fails pattern: "
+         "tep-glue-input document rejected: $.atlas.charts.A.radii[0] fails pattern: "
          "'1.5' does not match '^-?[0-9]+(/[0-9]+)?$'"),
         (lambda doc: doc["atlas"].pop("base_dim"),
-         "atlas-input document rejected: $.atlas fails required: "
+         "tep-glue-input document rejected: $.atlas fails required: "
          "'base_dim' is a required property"),
         (lambda doc: doc["sheaf"].pop("ranks"),
-         "sheaf-input document rejected: $.sheaf fails required: "
+         "tep-glue-input document rejected: $.sheaf fails required: "
          "'ranks' is a required property"),
         (lambda doc: doc["charts"]["B"].pop("m"),
-         "tep-input document rejected: $.charts.B fails required: "
+         "tep-glue-input document rejected: $.charts.B fails required: "
          "'m' is a required property"),
     ],
     ids=["atlas-radius", "atlas-base-dim", "sheaf-ranks", "chart-m"],
@@ -467,6 +467,44 @@ def test_shipped_schemas_are_valid_json_schemas(kind):
     schema = shipped_schema(kind)
     jsonschema.validators.validator_for(schema).check_schema(schema)
     compile_schema(schema)
+
+
+def _subschemas(schema):
+    """Every dict nested in a schema, the schema itself included."""
+    return [v for _, v in _nodes(schema) if isinstance(v, dict)]
+
+
+def test_every_shipped_definition_is_reached_from_a_kind():
+    defs = shipped_schema("report")["$defs"]  # each kind's view holds them all
+    reached, todo = set(), sorted(SCHEMA_IDS)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [s["$ref"].removeprefix("#/$defs/")
+                     for s in _subschemas(defs[name]) if "$ref" in s]
+    assert reached == set(defs)
+
+
+def test_no_shipped_definition_body_appears_twice():
+    defs = shipped_schema("report")["$defs"]
+    bodies = [json.dumps(body, sort_keys=True) for body in defs.values()]
+    assert len(set(bodies)) == len(bodies)
+    # nor is any definition written out again inside another one
+    inline = {json.dumps(s, sort_keys=True)
+              for body in defs.values() for s in _subschemas(body)[1:]}
+    assert inline.isdisjoint(bodies)
+
+
+def test_a_nested_document_of_the_wrong_kind_is_rejected_at_its_schema_field():
+    doc = json.loads((SAMPLES / "tep-glue.json").read_text())
+    doc["atlas"]["schema"] = SCHEMA_IDS["sheaf-input"]
+    with pytest.raises(SchemaError) as info:
+        tep_glue_input_from_json(doc)
+    assert str(info.value) == (
+        "tep-glue-input document rejected: $.atlas.schema fails const: "
+        "'germglue/atlas-input/v1' was expected"
+    )
 
 
 # (sample input, path to an integer field, the name the rejection gives it)

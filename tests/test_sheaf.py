@@ -336,6 +336,23 @@ def test_glue_computes_each_determinant_once(identity_glued, monkeypatch):
     assert all(b > 0 for b in sheaf.det_bounds.values())
 
 
+def test_glue_decides_each_declared_domain_once(identity_glued, monkeypatch):
+    import germglue.sheaf
+
+    inp = gauge_sheaf("ABC")
+    calls = []
+    real = germglue.sheaf._lens_fits
+
+    def counted(us, target):
+        calls.append(target)
+        return real(us, target)
+
+    monkeypatch.setattr(germglue.sheaf, "_lens_fits", counted)
+    glue_sheaf(inp, identity_glued)
+    declared = [key for key in inp.domains if key[0] != key[1]] + list(inp.triple_domains)
+    assert len(calls) == len(declared) == 4
+
+
 def test_glue_single_chart_free_module(identity_glued):
     inp = SheafInput(ranks={"A": 3}, domains={}, matrices={})
     sheaf = glue_sheaf(inp, identity_glued)

@@ -33,6 +33,7 @@ from germglue.regions import Polydisc
 from germglue.scalars import ONE, ZERO, Coeff
 from germglue.sheaf import SheafInput
 from germglue.tep import (
+    SYMBOLIC_RANK_CAP,
     TEPData,
     check_GC,
     check_IC,
@@ -258,6 +259,36 @@ def test_miniversal_two_directions():
     ok, info = check_miniversal(d)
     assert ok
     assert info["method"] == "symbolic"
+
+
+def diagonal_frame(n: int, units: bool) -> TEPData:
+    """Rank-n frame over n base directions whose A_a has a single 1 at
+    (a, a), so det[A_1 x | ... | A_n x] = x_1 ... x_n; all-zero A when not
+    ``units``."""
+    order = 1
+    mats = [
+        matrix_var_coeff(n, n + 1, order, [
+            [ONE if units and r == k == a else ZERO for k in range(n)] for r in range(n)
+        ])
+        for a in range(n)
+    ]
+    zeta = [jet_const(n + 1, order, ONE)] + [jet_zero(n + 1, order)] * (n - 1)
+    return TEPData(n, n, order, order, mats, matrix_zero(n, n, n + 1, order),
+                   matrix_identity(n, n + 1, order), zeta)
+
+
+def test_miniversal_above_the_symbolic_cap_is_randomized():
+    n = SYMBOLIC_RANK_CAP + 1
+    assert n == 6
+    ok, info = check_miniversal(diagonal_frame(n, units=True), seed=7)
+    assert ok and info.keys() == {"method", "seed", "witness"}
+    assert (info["method"], info["seed"]) == ("randomized", 7)
+    # the witness is a point where x_1 ... x_n does not vanish
+    assert len(info["witness"]) == n and not any(x.is_zero() for x in info["witness"])
+    assert check_miniversal(diagonal_frame(n, units=True), seed=7) == (True, info)
+    ok, info = check_miniversal(diagonal_frame(n, units=False), seed=7)
+    assert not ok
+    assert info == {"method": "randomized", "seed": 7, "trials": 12, "witness": None}
 
 
 def test_domain_gates_pointwise_checks():
