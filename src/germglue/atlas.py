@@ -21,10 +21,10 @@ the mathematical intersections; the artifact carries certified tube bounds
 for them (an inner tube witness for O_ij, an outer tube bound for Q_ij), and
 every certificate is sound for the true sets.
 
-Certified constructions prefer shrinking to failing: each search is bounded
-(fiber radii 1/n for n = 1, 2, 4, ... up to n_max, then geometric halving
-down to a radius floor) and raises a shrink-exhausted error naming the
-blocking pair or triple when the budget runs out.
+Certified constructions prefer shrinking to failing: both shrink stages
+halve fiber radii 1/n (n = 1, 2, 4, ...) and stop at one budget, the radius
+floor, raising a shrink-exhausted error that names the blocking pair or
+triple and the floor.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .regions import (
 from .sampling import sample_in_polydisc, sample_in_tube, sample_numerators
 from .scalars import ZERO, sqrt_lb
 
-N_MAX_DEFAULT = 2**16
 RADIUS_FLOOR_DEFAULT = Fraction(1, 2**20)
 
 Pair = Tuple[object, object]
@@ -567,14 +566,14 @@ def shrink_tubes(
     inp: GermAtlasInput,
     triples: Dict[object, CoverTriple],
     overlaps: Dict[Pair, OverlapData],
-    n_max: int = N_MAX_DEFAULT,
+    radius_floor: Fraction = RADIUS_FLOOR_DEFAULT,
 ) -> ShrunkCover:
     """Find fiber radii r_i = 1/n(i) so that every pair satisfies (c).
 
     Every chart starts at n = 1.  While some pair's certificate fails at the
     current radii, n doubles at that pair's first chart, whose radius is the
-    only one its bound reads; a pair still blocking once the doubled n would
-    pass n_max raises ShrinkExhausted."""
+    only one its bound reads; a pair still blocking once the halved radius
+    would fall below radius_floor raises ShrinkExhausted."""
     n_index = {cid: 1 for cid in inp.charts}
     radii = {cid: Fraction(1) for cid in inp.charts}
     tubes = {
@@ -587,9 +586,9 @@ def shrink_tubes(
         if blocking is None:
             return cover
         i = blocking[0]
-        if cover.n_index[i] * 2 > n_max:
+        if cover.radii[i] / 2 < radius_floor:
             raise ShrinkExhausted(
-                f"pair {blocking!r} not certified at n_max = {n_max}"
+                f"pair {blocking!r} not certified; radius floor {radius_floor} reached"
             )
         _set_chart_n(cover, i, cover.n_index[i] * 2)
 
@@ -700,7 +699,9 @@ def enforce_triple_domains(
 ) -> Dict[Triple, TripleCertificate]:
     """Shrink per-chart radii (geometric halving) until condition (d) is
     certified for every triple (i, j, k) with i != j, j != k, and attach the
-    symbolic (e) certificate plus the derived stronger inclusion.
+    symbolic (e) certificate plus the derived stronger inclusion.  Every
+    round halves a radius that stays at least radius_floor, so the floor
+    bounds the rounds; a halving below it raises ShrinkExhausted.
 
     Triples with j == k or i == j hold by the definitions of Q_ij and (c),
     so only the remaining ones are enforced; that includes (i, j, i), whose
@@ -722,7 +723,6 @@ def enforce_triple_domains(
     # the residual depends only on the input: decide it once per triple
     residual_checked: set[Triple] = set()
     powers = PowerTable()
-    guard = 0
     while True:
         blocking = None
         for (i, j, k) in work:
@@ -754,9 +754,6 @@ def enforce_triple_domains(
                 break
             shrink_target = lost[0]
         certs.clear()
-        guard += 1
-        if guard > 200:
-            raise ShrinkExhausted("triple enforcement did not stabilize")
     return certs
 
 
@@ -910,7 +907,6 @@ def build_glued_atlas(
 
 def run_glue_pipeline(
     inp: GermAtlasInput,
-    n_max: int = N_MAX_DEFAULT,
     radius_floor: Fraction = RADIUS_FLOOR_DEFAULT,
     samples: int = 200,
     seed: int = 0,
@@ -922,7 +918,7 @@ def run_glue_pipeline(
     )
     triples = dict(zip(sorted(inp.charts, key=repr), triple_list))
     overlaps = compute_overlaps(inp, triples, radius_floor)
-    cover = shrink_tubes(inp, triples, overlaps, n_max)
+    cover = shrink_tubes(inp, triples, overlaps, radius_floor)
     triple_certs = enforce_triple_domains(cover, radius_floor)
     closedness = check_closed_relation(cover, samples=samples, seed=seed)
     atlas = build_glued_atlas(cover, triple_certs, closedness)
@@ -1143,21 +1139,20 @@ def glue_chartwise_maps(
     for cid in sorted(inp1.charts, key=repr):
         eps = atlas1.cover.radii[cid]
         while True:
-            ok = eps <= atlas1.cover.radii[cid]
-            if ok:
-                for (i, j), cert in atlas1.cover.pairs.items():
-                    if i != cid or cert.vacuous or cert.bound is None:
-                        continue
-                    probe = TubeDomain(
-                        cid, cert.bound.base, inp1.fiber_dim,
-                        min(eps, cert.bound.fiber_radius),
-                    )
-                    image = map_image_bound(maps[cid], probe, inp1.base_dim, target_chart=cid)
-                    target = atlas2.cover.overlaps.get((i, j))
-                    if target is None or target.vacuous \
-                            or not tube_contains(image, target.o_inner):
-                        ok = False
-                        break
+            ok = True
+            for (i, j), cert in atlas1.cover.pairs.items():
+                if i != cid or cert.vacuous or cert.bound is None:
+                    continue
+                probe = TubeDomain(
+                    cid, cert.bound.base, inp1.fiber_dim,
+                    min(eps, cert.bound.fiber_radius),
+                )
+                image = map_image_bound(maps[cid], probe, inp1.base_dim, target_chart=cid)
+                target = atlas2.cover.overlaps.get((i, j))
+                if target is None or target.vacuous \
+                        or not tube_contains(image, target.o_inner):
+                    ok = False
+                    break
             if ok:
                 break
             eps = eps / 2

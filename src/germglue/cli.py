@@ -21,12 +21,7 @@ import json
 import os
 import sys
 
-from .atlas import (
-    N_MAX_DEFAULT,
-    RADIUS_FLOOR_DEFAULT,
-    run_glue_pipeline,
-    validate_germ_data,
-)
+from .atlas import RADIUS_FLOOR_DEFAULT, run_glue_pipeline, validate_germ_data
 from .documents import (
     SCHEMA_IDS,
     atlas_input_from_json,
@@ -62,12 +57,9 @@ EXIT_INPUT = 4
 def _check_budgets(args):
     """Check the search budgets before any input is read; return the
     radius floor."""
-    # a negative sample count would be written into the report as run, and
-    # a search depth below 1 would end as a false gluing obstruction
+    # a negative sample count would be written into the report as run
     if args.samples < 0:
         raise SchemaError(f"--samples must be >= 0, got {args.samples}")
-    if args.n_max < 1:
-        raise SchemaError(f"--n-max must be >= 1, got {args.n_max}")
     if args.radius_floor is None:
         return RADIUS_FLOOR_DEFAULT
     floor = fraction_from_json(args.radius_floor)
@@ -81,7 +73,7 @@ def _result(args, ok: bool, payload: dict, cover):
     """(ok, payload, exit code); float mode adds the numeric chain audit."""
     if args.mode == "float":
         audit = payload["float_audit"] = float_transition_audit(
-            cover, chains=args.samples, seed=args.seed, tolerance=args.tolerance
+            cover, chains=args.samples, seed=args.seed
         )
         ok = ok and audit["ok"]
     return ok, payload, EXIT_OK if ok else EXIT_VALIDATION
@@ -102,8 +94,7 @@ def _cmd_glue(args):
     floor = _check_budgets(args)
     inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
     report, atlas = run_glue_pipeline(
-        inp, n_max=args.n_max, radius_floor=floor, samples=args.samples,
-        seed=args.seed,
+        inp, radius_floor=floor, samples=args.samples, seed=args.seed
     )
     payload = {
         "validation": report,
@@ -126,8 +117,7 @@ def _cmd_glue_sheaf(args):
     atlas_inp = atlas_input_from_json(load_document(args.atlas, "atlas-input"), args.order)
     sheaf_inp = sheaf_input_from_json(load_document(args.input, "sheaf-input"))
     _, atlas = run_glue_pipeline(
-        atlas_inp, n_max=args.n_max, radius_floor=floor, samples=args.samples,
-        seed=args.seed,
+        atlas_inp, radius_floor=floor, samples=args.samples, seed=args.seed
     )
     glued = glue_sheaf(sheaf_inp, atlas, radius_floor=floor)
     payload = {
@@ -162,8 +152,8 @@ def _cmd_glue_tep(args):
         doc, order=args.order, z_order=args.z_order
     )
     glued = glue_tep(
-        charts, atlas_inp, sheaf_inp, points=points, n_max=args.n_max,
-        radius_floor=floor, samples=args.samples, seed=args.seed,
+        charts, atlas_inp, sheaf_inp, points=points, radius_floor=floor,
+        samples=args.samples, seed=args.seed,
     )
     return _result(
         args, glued.certificate["valid"], {"certificate": glued.certificate},
@@ -172,8 +162,7 @@ def _cmd_glue_tep(args):
 
 
 # Each command parses only the flags it reads, after its input document.
-_GLUE_FLAGS = ("--order", "--mode", "--tolerance", "--n-max", "--radius-floor",
-               "--samples", "--seed", "--out")
+_GLUE_FLAGS = ("--order", "--mode", "--radius-floor", "--samples", "--seed", "--out")
 _COMMANDS = {
     "validate": (_cmd_validate, "check germ-data axioms for an atlas document",
                  ("--order", "--out")),
@@ -192,10 +181,7 @@ _FLAGS = {
                                    "or the t-order in tep-check"),
     "--z-order": dict(type=int, help="override the z truncation order"),
     "--mode": dict(choices=("exact", "float"), default="exact",
-                   help="float adds a numeric chain audit; exact ignores the tolerance"),
-    "--tolerance": dict(type=float, default=1e-9, help="float-mode residual tolerance"),
-    "--n-max": dict(type=int, default=N_MAX_DEFAULT,
-                    help="cap on each chart's n (radius 1/n) in the pair stage"),
+                   help="float adds a numeric chain audit"),
     "--radius-floor": dict(help="smallest allowed tube radius, as p/q"),
     "--samples": dict(type=int, default=200, help="sample count for seeded audits"),
     "--seed": dict(type=int, default=0, help="audit RNG seed"),

@@ -45,7 +45,7 @@ class AgreementError(ValidationFailure):
 
 
 class ShrinkExhausted(GermGlueError):
-    """Radius search hit its cap / floor before all inclusions certified."""
+    """Radius search hit its floor before all inclusions certified."""
 
 
 class CoverageLossError(GermGlueError):

@@ -5,7 +5,7 @@ arithmetic.  Float mode re-checks the same chain identities numerically at
 sampled points: chains are selected by ``atlas.sample_chains`` (the exact
 rational sampler and exact membership tests), and the three map
 evaluations per chain then run through the batched numpy term-table
-kernel.  Residuals above the tolerance count as violations; for exactly
+kernel.  Residuals above TOLERANCE count as violations; for exactly
 closed transition families the residual is pure float rounding.  numpy
 is imported inside the float functions, so exact runs never load it.
 """
@@ -21,6 +21,8 @@ from .sampling import batch_eval, points_to_array
 
 if TYPE_CHECKING:
     import numpy as np
+
+TOLERANCE = 1e-9
 
 
 def batch_eval_map(f: PolyMap, points: np.ndarray) -> np.ndarray:
@@ -38,7 +40,6 @@ def float_transition_audit(
     cover: ShrunkCover,
     chains: int = 200,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> dict:
     """Numeric chain audit: phi_jk(phi_ij(x)) vs phi_ik(x) in float.
 
@@ -46,7 +47,7 @@ def float_transition_audit(
     exact transitivity audit, so both audits check the same chains for a
     seed; the residuals are then evaluated in batches through the numpy
     kernel.  Returns a report with the backend, the worst residual seen,
-    and the count of residuals above tolerance."""
+    and the count of residuals above TOLERANCE."""
     import numpy as np
 
     transitions = cover.input.transitions
@@ -62,11 +63,11 @@ def float_transition_audit(
         chained = batch_eval_map(transitions[(j, k)].map, mid)
         direct = batch_eval_map(transitions[(i, k)].map, pts)
         residuals = np.abs(chained - direct).max(axis=1)
-        violations += int((residuals > tolerance).sum())
+        violations += int((residuals > TOLERANCE).sum())
         max_residual = max(max_residual, float(residuals.max()))
     return {
         "backend": "numpy",
-        "tolerance": float(tolerance),
+        "tolerance": TOLERANCE,
         "chains_requested": chains,
         "chains_verified": len(accepted),
         "attempts": attempts,

@@ -59,11 +59,6 @@ def sample_numerators(rng: random.Random, t: TubeDomain) -> NumPoint:
     return _sample(rng, tube_discs(t))
 
 
-def sample_in_disc(rng: random.Random, center: Coeff, radius: Fraction) -> Coeff:
-    """Exact rational point with |result - center| <= 9/10 * radius."""
-    return point_from_numerators(_sample(rng, ((center, radius),)))[0]
-
-
 def sample_in_polydisc(rng: random.Random, p: Polydisc) -> Point:
     return point_from_numerators(_sample(rng, tuple(zip(p.centers, p.radii))))
 

@@ -55,7 +55,6 @@ from .matrices import (
 )
 from .regions import Polydisc, point_in_polydisc, point_in_tube
 from .atlas import (
-    N_MAX_DEFAULT,
     RADIUS_FLOOR_DEFAULT,
     GermAtlasInput,
     GluedAtlas,
@@ -516,7 +515,6 @@ def glue_tep(
     atlas_input: GermAtlasInput,
     sheaf_input: SheafInput,
     points: Sequence[tuple] = (),
-    n_max: int = N_MAX_DEFAULT,
     radius_floor: Fraction = RADIUS_FLOOR_DEFAULT,
     samples: int = 200,
     seed: int = 0,
@@ -550,7 +548,7 @@ def glue_tep(
             raise ShapeError(f"sheaf rank at chart {cid!r} differs from the frame rank")
 
     atlas_report, glued_atlas = run_glue_pipeline(
-        atlas_input, n_max, radius_floor, samples, seed
+        atlas_input, radius_floor=radius_floor, samples=samples, seed=seed
     )
     glued_sheaf = glue_sheaf(sheaf_input, glued_atlas, radius_floor)
 

@@ -451,7 +451,7 @@ def test_shallow_overlap_exhausts_witness_search():
 
 def test_n_max_exhaustion():
     with pytest.raises(ShrinkExhausted):
-        run_glue_pipeline(pinch_atlas(), n_max=1)
+        run_glue_pipeline(pinch_atlas(), radius_floor=Fraction(1))
 
 
 def test_coverage_loss_reported():

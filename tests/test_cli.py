@@ -74,33 +74,42 @@ def test_glue_broken_cocycle_exits_2_and_names_triple(tmp_path):
 
 def test_glue_exhausted_search_exits_3(tmp_path):
     code, envelope, _ = run_cli(
-        tmp_path, "glue", SAMPLES / "pinch-atlas.json", "--n-max", "1"
+        tmp_path, "glue", SAMPLES / "pinch-atlas.json", "--radius-floor", "1"
     )
-    assert code == 3
-    assert envelope["error"]["kind"] == "ShrinkExhausted"
-
-
-def test_n_max_caps_every_chart_n(tmp_path):
-    args = ["glue", SAMPLES / "scaling-atlas.json", "--samples", "10"]
-    code, envelope, _ = run_cli(tmp_path, *args, "--n-max", "40")
     assert code == 3
     assert envelope["error"] == {
         "kind": "ShrinkExhausted",
-        "message": "pair ('A', 'C') not certified at n_max = 40",
+        "message": "pair ('A', 'B') not certified; radius floor 1 reached",
     }
-    code, envelope, _ = run_cli(tmp_path, *args, "--n-max", "64")
+
+
+def test_radius_floor_bounds_every_chart_radius(tmp_path):
+    args = ["glue", SAMPLES / "scaling-atlas.json", "--samples", "10"]
+    code, envelope, _ = run_cli(tmp_path, *args, "--radius-floor", "1/40")
+    assert code == 3
+    assert envelope["error"] == {
+        "kind": "ShrinkExhausted",
+        "message": "pair ('A', 'C') not certified; radius floor 1/40 reached",
+    }
+    code, envelope, _ = run_cli(tmp_path, *args, "--radius-floor", "1/64")
     assert code == 0
     assert max(envelope["report"]["n_index"].values()) == 64
 
 
 def test_glue_radius_floor_names_the_blocking_triple(tmp_path):
-    code, envelope, _ = run_cli(tmp_path, "glue", SAMPLES / "identity-chain-atlas.json")
-    assert code == 3
-    assert envelope["error"] == {
-        "kind": "ShrinkExhausted",
-        "message": "triple ('C000', 'C002', 'C003'): image bound escapes O_jk; "
-                   "radius floor 1/1048576 reached",
-    }
+    # the default floor 2^-20, and a floor so deep that only the floor, not
+    # a cap on the number of rounds, can end the triple stage
+    deep = f"1/{2**250}"
+    for flags, floor in [([], "1/1048576"), (["--radius-floor", deep], deep)]:
+        code, envelope, _ = run_cli(
+            tmp_path, "glue", SAMPLES / "identity-chain-atlas.json", *flags
+        )
+        assert code == 3
+        assert envelope["error"] == {
+            "kind": "ShrinkExhausted",
+            "message": "triple ('C000', 'C002', 'C003'): image bound escapes O_jk; "
+                       f"radius floor {floor} reached",
+        }
 
 
 def test_glue_reports_are_byte_identical(tmp_path):
@@ -175,13 +184,14 @@ def test_glue_tep_product_family(tmp_path):
 
 
 # One well-formed value per flag, spelled as str() prints the parsed value.
+# No command reads --n-max or --tolerance: the radius floor is the one search
+# budget and the float audit's tolerance is a constant.
 FLAG_VALUES = {
     "--atlas": "atlas.json", "--order": "3", "--z-order": "2", "--mode": "float",
     "--tolerance": "0.5", "--n-max": "8", "--radius-floor": "1/64",
     "--samples": "5", "--seed": "1", "--out": "reports",
 }
-GLUE_FLAGS = {"--order", "--mode", "--tolerance", "--n-max", "--radius-floor",
-              "--samples", "--seed", "--out"}
+GLUE_FLAGS = {"--order", "--mode", "--radius-floor", "--samples", "--seed", "--out"}
 # the flags each command reads; every other flag is a usage error
 READS = {
     "validate": {"--order", "--out"},
@@ -208,20 +218,20 @@ def test_each_command_parses_only_the_flags_it_reads(command, flag):
         assert exc.value.code == 4
 
 
-def test_commands_have_37_settable_values():
+def test_commands_have_31_settable_values():
     settable = {
         command: set(vars(build_parser().parse_args([command, "in.json"]))) - {"command"}
         for command in READS
     }
     assert settable == {c: {"input"} | {_dest(f) for f in flags} for c, flags in READS.items()}
-    assert sum(map(len, settable.values())) == 37
+    assert sum(map(len, settable.values())) == 31
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["validate", "identity-atlas.json", "--mode", "float", "--samples", "5"],
-        ["tep-check", "flat-tep.json", "--n-max", "0"],
+        ["tep-check", "flat-tep.json", "--radius-floor", "1/2"],
         ["glue", "identity-atlas.json", "--samples", "abc"],
         ["glue", "identity-atlas.json", "--mode", "fast"],
         ["glue", "identity-atlas.json", "--bogus"],
@@ -358,7 +368,7 @@ def test_radius_floor_is_checked_before_the_input_is_read(tmp_path, command):
     assert "--radius-floor" in envelope["error"]["message"]
 
 
-@pytest.mark.parametrize("flag", ["--samples=-1", "--n-max=0", "--n-max=-1"])
+@pytest.mark.parametrize("flag", ["--samples=-1"])
 def test_out_of_range_budget_exits_4(tmp_path, flag):
     code, envelope, _ = run_cli(
         tmp_path, "glue", SAMPLES / "identity-atlas.json", flag

@@ -19,7 +19,6 @@ from germglue.regions import (
 from germglue.sampling import (
     batch_eval,
     points_to_array,
-    sample_in_disc,
     sample_in_polydisc,
     sample_in_tube,
     sample_numerators,
@@ -27,7 +26,7 @@ from germglue.sampling import (
 )
 from germglue.scalars import Coeff
 
-from .oracles import oracle_sample_in_disc, oracle_sample_in_tube
+from .oracles import oracle_sample_in_tube
 
 
 def frac(p, q=1):
@@ -68,7 +67,6 @@ def test_samplers_draw_the_reference_points(seed):
                       2, Fraction(3, 13))
     got, want = random.Random(seed), random.Random(seed)
     for _ in range(20):
-        assert sample_in_disc(got, center, radius) == oracle_sample_in_disc(want, center, radius)
         assert sample_in_tube(got, tube) == oracle_sample_in_tube(want, tube)
         # the numerator tuples the audits draw, inside by the integer test
         x = sample_numerators(got, tube)
