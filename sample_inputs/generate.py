@@ -85,7 +85,7 @@ def scaling_map(c: F, order: int) -> PolyMap:
 def scaling_atlas(order: int = 4, weights=(F(1), F(2), F(4))) -> GermAtlasInput:
     """Charts A, B, C with phi_ij the scaling map by weights[j] / weights[i].
 
-    With weights (1, 4, 16) at order 3 the triple stage halves a radius."""
+    With weights (1, 8, 64) at order 3 the triple stage halves a radius."""
     ids = ["A", "B", "C"]
     centers = [F(0), F(1, 10), F(1, 5)]
     weights = dict(zip(ids, weights))
@@ -219,7 +219,7 @@ def build_documents() -> dict:
         "pinch-atlas.json": atlas_input_to_json(pinch_atlas()),
         "scaling-atlas.json": atlas_input_to_json(scaling_atlas()),
         "scaling-halving-atlas.json": atlas_input_to_json(
-            scaling_atlas(order=3, weights=(F(1), F(4), F(16)))
+            scaling_atlas(order=3, weights=(F(1), F(8), F(64)))
         ),
         "identity-chain-atlas.json": atlas_input_to_json(identity_chain_atlas()),
         "broken-cocycle-atlas.json": atlas_input_to_json(broken_cocycle_atlas()),

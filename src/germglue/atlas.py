@@ -66,6 +66,8 @@ from .regions import (
     TubeDomain,
     disc_lens_outer_candidates,
     disc_margin,
+    fiber_bound,
+    fiber_profile,
     map_image_bound,
     max_dist2,
     numerators_in_tube,
@@ -76,7 +78,6 @@ from .regions import (
     polydisc_inflate,
     polydisc_intersection_inner,
     polydisc_intersection_outer,
-    range_bound_tube,
     refine_cover,
     tube_contains,
     tube_rel_compact,
@@ -165,17 +166,18 @@ class OverlapData:
     inside the true overlap domain O_ij; ``witness`` is the relatively
     compact witness P, the same polydisc inflated by 0.9 delta, at 0.9 of
     the fiber radius.  ``vacuous`` marks pairs whose U-level base overlap
-    is certifiably empty; both tubes are None for them.  ``escape`` holds
-    the base-escape jets of phi_ij (base component k minus t_k), which
-    every range bound of the pair reads."""
+    is certifiably empty; both tubes are None for them.  ``coarse`` holds
+    the fiber profile of each base-escape jet of phi_ij (base component k
+    minus t_k) over U_i ∩ V_j ∩ N_ij.base, which every pair bound reads, or
+    None when that coarse base is certified empty."""
 
-    __slots__ = ("i", "j", "vacuous", "escape", "o_inner", "witness")
+    __slots__ = ("i", "j", "vacuous", "coarse", "o_inner", "witness")
 
-    def __init__(self, i, j, vacuous, escape, o_inner, witness):
+    def __init__(self, i, j, vacuous, coarse, o_inner, witness):
         self.i = i
         self.j = j
         self.vacuous = vacuous
-        self.escape = escape
+        self.coarse = coarse
         self.o_inner = o_inner
         self.witness = witness
 
@@ -449,8 +451,8 @@ def compute_overlaps(
     O_ij: inside the V overlap, inside the declared tube N_ij, and mapped by
     phi_ij into the V overlap (base-escape range bounds at most delta).
     Also fixes the relatively compact witness P (fraction 0.9 of the margin
-    layer and fiber), and keeps each pair's base-escape jets, vacuous pairs
-    included, for the pair bounds."""
+    layer and fiber), and keeps each pair's coarse escape profiles, vacuous
+    pairs included.  A fiber radius costs one evaluation of each profile."""
     overlaps: Dict[Pair, OverlapData] = {}
     for (i, j), tr in inp.transitions.items():
         u_i, v_i = triples[i].U, triples[i].V
@@ -462,10 +464,14 @@ def compute_overlaps(
             jet_sub(tr.map.components[k], jet_var(inp.total_vars, inp.order, k))
             for k in range(inp.base_dim)
         ]
+        base = polydisc_intersection_outer(u_i, v_j)
+        if base is not None:
+            base = polydisc_intersection_outer(base, tr.domain.base)
+        coarse = None if base is None else [fiber_profile(e, base) for e in escape]
         built, reason = _witness_base(u_i, u_j, v_i, v_j)
         if built is None:
             if reason == "empty":
-                overlaps[(i, j)] = OverlapData(i, j, True, escape, None, None)
+                overlaps[(i, j)] = OverlapData(i, j, True, coarse, None, None)
                 continue
             raise ShrinkExhausted(
                 f"pair {(i, j)!r}: {reason}"
@@ -477,20 +483,17 @@ def compute_overlaps(
             if delta < radius_floor:
                 raise ShrinkExhausted(
                     f"pair {(i, j)!r}: witness base does not fit inside the "
-                    "declared transition tube"
+                    f"declared transition tube; radius floor {radius_floor} reached"
                 )
         inflated = polydisc_inflate(core, delta)
+        profiles = [fiber_profile(e, inflated) for e in escape]
         rho = tr.domain.fiber_radius
-        while True:
-            probe = TubeDomain(i, inflated, inp.fiber_dim, rho)
-            etas = [range_bound_tube(e, probe) for e in escape]
-            if max(etas, default=Fraction(0)) <= delta:
-                break
+        while any(fiber_bound(p, rho) > delta for p in profiles):
             rho = rho / 2
             if rho < radius_floor:
                 raise ShrinkExhausted(
-                    f"pair {(i, j)!r}: no certified fiber radius keeps the "
-                    "base image inside the V overlap (empty certified inner tube)"
+                    f"pair {(i, j)!r}: no certified fiber radius keeps the base "
+                    f"image inside the V overlap; radius floor {radius_floor} reached"
                 )
         o_inner = TubeDomain(i, inflated, inp.fiber_dim, rho)
         witness = TubeDomain(
@@ -499,7 +502,7 @@ def compute_overlaps(
             inp.fiber_dim,
             rho * Fraction(9, 10),
         )
-        overlaps[(i, j)] = OverlapData(i, j, False, escape, o_inner, witness)
+        overlaps[(i, j)] = OverlapData(i, j, False, coarse, o_inner, witness)
     return overlaps
 
 
@@ -522,43 +525,30 @@ def _pair_outer_bound(
 
     Stages: a coarse bound from Q_i ⊆ U_i x ball and O_ij ⊆ N_ij, then a
     base refinement pulling the phi-preimage constraint back through a
-    base-escape range bound.  Each refined coordinate picks, among the sound
-    outer-disc candidates, the one sitting deepest inside the pair's witness
-    disc (all candidates are outer bounds, so any choice is sound)."""
-    tr = inp.transitions[(i, j)]
-    u_i, u_j = triples[i].U, triples[j].U
-    coarse_base = polydisc_intersection_outer(u_i, triples[j].V)
-    if coarse_base is None:
-        return None
-    coarse_base = polydisc_intersection_outer(coarse_base, tr.domain.base)
-    if coarse_base is None:
-        return None
-    fiber = min(fiber_radius, tr.domain.fiber_radius)
-    coarse = TubeDomain(i, coarse_base, inp.fiber_dim, fiber)
+    base-escape range bound, read from the pair's coarse profiles.  Each
+    refined coordinate picks, among the sound outer-disc candidates, the one
+    sitting deepest inside the pair's witness disc (all candidates are outer
+    bounds, so any choice is sound)."""
     data = overlaps[(i, j)]
-    etas = [range_bound_tube(e, coarse) for e in data.escape]
-    witness_base = None if data.vacuous else data.witness.base
+    if data.coarse is None:
+        return None
+    u_i, u_j = triples[i].U, triples[j].U
+    fiber = min(fiber_radius, inp.transitions[(i, j)].domain.fiber_radius)
+    etas = [fiber_bound(p, fiber) for p in data.coarse]
+    witness = None if data.vacuous else data.witness.base
     centers, radii = [], []
     for k in range(inp.base_dim):
         candidates = disc_lens_outer_candidates(
-            u_i.centers[k], u_i.radii[k],
-            u_j.centers[k], u_j.radii[k] + etas[k],
-        )
+            u_i.centers[k], u_i.radii[k], u_j.centers[k], u_j.radii[k] + etas[k])
         if candidates is None:
             return None
-        chosen = None
-        if witness_base is not None:
-            best = None
-            for c, r in candidates:
-                m = disc_margin(c, r, witness_base.centers[k], witness_base.radii[k])
-                if m is not None and (best is None or m > best[2]):
-                    best = (c, r, m)
-            if best is not None:
-                chosen = (best[0], best[1])
-        if chosen is None:
-            chosen = min(candidates, key=lambda cr: cr[1])
-        centers.append(chosen[0])
-        radii.append(chosen[1])
+        fits = [] if witness is None else [
+            (m, cr) for cr in candidates
+            if (m := disc_margin(*cr, witness.centers[k], witness.radii[k])) is not None]
+        c, r = max(fits, key=lambda fit: fit[0])[1] if fits else \
+            min(candidates, key=lambda cr: cr[1])
+        centers.append(c)
+        radii.append(r)
     return TubeDomain(i, Polydisc(centers, radii), inp.fiber_dim, fiber)
 
 
@@ -667,10 +657,15 @@ def _cocycle_holds(inp: GermAtlasInput, i, j, k, powers: PowerTable) -> bool:
     return left == right
 
 
+_PAIR_IMAGE = object()  # memo key tag of phi_ij's image over Q_ij's bound
+
+
 def _triple_outcome(cover: ShrunkCover, i, j, k):
     """Condition (d) for (i, j, k) at the current radii: its certificate
     (vacuous, or with the margin of the image bound in O_jk, None when that
-    bound only touches it) or the reason (d) is not certified."""
+    bound only touches it) or the reason (d) is not certified.  As Q_ij ∩ Q_ik
+    lies in Q_ij, phi_ij's image over Q_ij's bound, shared by every k, is
+    tried first, and the image over the gauge only when that one escapes."""
     inp = cover.input
     t_ij = _bound_for(cover, i, j)
     t_ik = _bound_for(cover, i, k)
@@ -681,12 +676,14 @@ def _triple_outcome(cover: ShrunkCover, i, j, k):
     target = cover.overlaps.get((j, k))
     if target is None or target.vacuous:
         return "no certified overlap domain O_jk for the image"
-    gauge = TubeDomain(i, base, inp.fiber_dim, min(t_ij.fiber_radius, t_ik.fiber_radius))
-    image = map_image_bound(
-        inp.transitions[(i, j)].map, gauge, inp.base_dim, target_chart=j
-    )
+    phi = inp.transitions[(i, j)].map
+    image = _at_radius(cover, (i, j, _PAIR_IMAGE),
+                       lambda: map_image_bound(phi, t_ij, inp.base_dim, target_chart=j))
     if not tube_contains(image, target.o_inner):
-        return "image bound escapes O_jk"
+        gauge = TubeDomain(i, base, inp.fiber_dim, min(t_ij.fiber_radius, t_ik.fiber_radius))
+        image = map_image_bound(phi, gauge, inp.base_dim, target_chart=j)
+        if not tube_contains(image, target.o_inner):
+            return "image bound escapes O_jk"
     return TripleCertificate(
         (i, j, k), False, tube_rel_compact(image, target.o_inner), True,
         "derived from (d), (e) and the definitions of Q_ij, Q_jk",
@@ -1158,7 +1155,7 @@ def glue_chartwise_maps(
             eps = eps / 2
             if eps < radius_floor:
                 raise ShrinkExhausted(
-                    f"no certified radius for chart map {cid!r} above the floor"
+                    f"chart map {cid!r} not certified; radius floor {radius_floor} reached"
                 )
         epsilons[cid] = eps
         domains[cid] = TubeDomain(cid, atlas1.cover.triples[cid].U, inp1.fiber_dim, eps)

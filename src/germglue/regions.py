@@ -19,7 +19,9 @@ Range bounds run on integers: a jet is recentred on its Gaussian-integer
 numerators over one denominator, each term's modulus is rounded up by the
 rule of :func:`germglue.scalars.sqrt_ub` (through ``sqrt_ub_ratio``), and
 the terms are summed over one common denominator into one Fraction.  The
-result is the rational the term-by-term Fraction sum gives.  Membership
+result is the rational the term-by-term Fraction sum gives.  A fiber
+profile keeps these sums per fiber degree, so the bound over one base
+disc at each fiber radius is a Horner evaluation on integers.  Membership
 runs on integers too: a point is taken as Gaussian-integer numerators over
 one denominator (:func:`germglue.jets.point_numerators`), and each
 coordinate's |x - c|^2 against r^2 is one cross-multiplied comparison.
@@ -536,49 +538,75 @@ def range_bound(f: Jet, d: Polydisc) -> Fraction:
     term; it is computed on the integer numerators of the recentring."""
     if f.num_vars != d.dim:
         raise ShapeError("jet/polydisc dimension mismatch")
-    return _numerators_bound(*_recentered(f, d.centers), d.radii)
+    (num,), den = _moduli_by_degree(*_recentered(f, d.centers), d.radii)
+    return Fraction(num, den)
 
 
-def _numerators_bound(d: int, re: Numerators, im: Numerators,
-                      radii: Sequence[Fraction], skip: Optional[tuple] = None) -> Fraction:
-    """sum over e != skip of |(re[e] + i*im[e]) / d| * radii**e, each
-    modulus rounded up as :func:`sqrt_ub` rounds it, summed on integers.
+def _moduli_by_degree(d: int, re: Numerators, im: Numerators, radii: Sequence[Fraction],
+                      skip: Optional[tuple] = None) -> tuple[list[int], int]:
+    """``(nums, den)``: nums[m] / den is the sum over e != skip of degree m
+    in the variables past the first n = len(radii) of
+    |(re[e] + i*im[e]) / d| * radii**e[:n], each modulus rounded up as
+    :func:`sqrt_ub` rounds it, summed on integers.
 
     A real or imaginary term contributes |n| / d, which is what sqrt_ub
     gives for n^2 / d^2, so it needs no square root.  A mixed term rounds
     (re^2 + im^2) / d^2 through ``sqrt_ub_ratio``, which puts every mixed
     term over one denominator.  With radii r_i = rn_i / rd_i and K_i the top
     power of variable i, radii**e is the integer weight
-    prod rn_i^k_i rd_i^(K_i - k_i) over prod rd_i^K_i, and one Fraction is
-    built at the end."""
+    prod rn_i^k_i rd_i^(K_i - k_i) over prod rd_i^K_i."""
     keys = {**re, **im}
     keys.pop(skip, None)
-    tops = [max((e[i] for e in keys), default=0) for i in range(len(radii))]
+    n = len(radii)
+    degree = {e: sum(e[n:]) for e in keys}
+    tops = [max((e[i] for e in keys), default=0) for i in range(n)]
     weights = [[r.numerator ** k * r.denominator ** (top - k) for k in range(top + 1)]
                for r, top in zip(radii, tops)]
     d2 = d * d
     den = None
-    real = mixed = 0
-    for e in keys:
+    real = [0] * (max(degree.values(), default=0) + 1)
+    mixed = real[:]
+    for e, m in degree.items():
         w = 1
         for row, k in zip(weights, e):
             w *= row[k]
         a, b = re.get(e, 0), im.get(e, 0)
         if not b:
-            real += abs(a) * w
+            real[m] += abs(a) * w
         elif not a:
-            real += abs(b) * w
+            real[m] += abs(b) * w
         else:
             s, den = sqrt_ub_ratio(a * a + b * b, d2)
-            mixed += s * w
+            mixed[m] += s * w
     scale = math.prod(r.denominator ** top for r, top in zip(radii, tops))
     if den is None:
-        return Fraction(real, d * scale)
-    return Fraction(real * (den // d) + mixed, den * scale)
+        return real, d * scale
+    return [r * (den // d) + x for r, x in zip(real, mixed)], den * scale
 
 
 def range_bound_tube(f: Jet, t: TubeDomain) -> Fraction:
     return range_bound(f, tube_as_polydisc(t))
+
+
+def fiber_profile(f: Jet, base: Polydisc) -> tuple[list[int], int]:
+    """The range bounds of f over base x {max_j |z_j| <= rho}, for every
+    rho at once: f recentred at (base centres, 0), and the bound of its
+    fiber-degree-m terms at rho = 1 as ``nums[m] / den``."""
+    center = base.centers + (ZERO,) * (f.num_vars - base.dim)
+    return _moduli_by_degree(*_recentered(f, center), base.radii)
+
+
+def fiber_bound(profile: tuple[list[int], int], rho: Fraction) -> Fraction:
+    """sum over m of nums[m] / den * rho^m, by Horner on integers: equal to
+    :func:`range_bound_tube` over the profile's base at fiber radius rho,
+    since every term's rounded modulus is an exact rational."""
+    nums, den = profile
+    p, q = rho.numerator, rho.denominator
+    acc, scale = nums[-1], 1
+    for num in nums[-2::-1]:
+        scale *= q
+        acc = acc * p + num * scale
+    return Fraction(acc, den * scale)
 
 
 def map_image_bound(
@@ -609,7 +637,8 @@ def map_image_bound(
         den, re, im = _recentered(comp, box.centers)
         centers.append(Coeff(Fraction(re.get(origin, 0), den),
                              Fraction(im.get(origin, 0), den)))
-        radii.append(_numerators_bound(den, re, im, box.radii, skip=origin))
+        (num,), bound_den = _moduli_by_degree(den, re, im, box.radii, skip=origin)
+        radii.append(Fraction(num, bound_den))
     fiber = Fraction(0)
     for comp in f.components[target_base_dim:]:
         fiber = max(fiber, range_bound(comp, box))

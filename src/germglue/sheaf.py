@@ -394,7 +394,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     fitted = set()
     epsilons: Dict[object, Fraction] = {}
     for cid in sorted(inp.ranks, key=repr):
-        eps = cover.radii[cid]
+        eps, limit = cover.radii[cid], "its atlas radius"
         for key, dom, overlap, name in declared:
             if cid not in key:
                 continue
@@ -404,10 +404,11 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
                         f"{overlap} overlap {key!r} not certified inside {name} domain"
                     )
                 fitted.add(key)
-            eps = min(eps, dom.fiber_radius)
+            if dom.fiber_radius < eps:
+                eps, limit = dom.fiber_radius, f"the fiber radius of {name} domain {key!r}"
         if eps < radius_floor:
             raise ShrinkExhausted(
-                f"no certified radius above the floor for chart {cid!r}"
+                f"chart {cid!r} capped at {eps} by {limit}; radius floor {radius_floor} reached"
             )
         epsilons[cid] = eps
 

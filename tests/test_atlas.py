@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,6 +455,69 @@ def test_n_max_exhaustion():
         run_glue_pipeline(pinch_atlas(), radius_floor=Fraction(1))
 
 
+def _cover_triples(inp: GermAtlasInput) -> dict:
+    from germglue.regions import refine_cover
+
+    ids = sorted(inp.charts)
+    return dict(zip(ids, refine_cover([inp.charts[c] for c in ids])))
+
+
+def test_overlap_margin_search_names_the_radius_floor():
+    inp = identity_atlas()
+    tight = TubeDomain("A", Polydisc([Coeff(F(1, 20))], [F(1, 100)]), 1, F(1))
+    inp.transitions[("A", "B")] = GermTransition("A", "B", tight, identity_map(2, 3))
+    with pytest.raises(ShrinkExhausted, match=(
+            r"^pair \('A', 'B'\): witness base does not fit inside the declared "
+            r"transition tube; radius floor 1/64 reached$")):
+        compute_overlaps(inp, _cover_triples(inp), radius_floor=F(1, 64))
+
+
+def test_overlap_fiber_search_names_the_radius_floor():
+    # phi_AB moves the base by (32^2 - 1) z^2: no fiber radius of 1/4 or
+    # more keeps the image inside the V overlap
+    inp = scaling_atlas(order=3, weights=(F(1), F(32), F(1024)))
+    with pytest.raises(ShrinkExhausted, match=(
+            r"^pair \('A', 'B'\): no certified fiber radius keeps the base image "
+            r"inside the V overlap; radius floor 1/4 reached$")):
+        compute_overlaps(inp, _cover_triples(inp), radius_floor=F(1, 4))
+
+
+def test_pair_bounds_recentre_nothing(monkeypatch):
+    """Both shrink stages read each pair's bound from its coarse profiles:
+    no halving recentres a jet or intersects polydiscs for a pair bound."""
+    import germglue.atlas
+    import germglue.regions
+
+    inp = scaling_atlas(order=3, weights=(F(1), F(8), F(64)))
+    triples = _cover_triples(inp)
+    overlaps = compute_overlaps(inp, triples)
+    inside, bounded, seen = [], [], []
+    for module, name in [(germglue.regions, "_recentered"),
+                         (germglue.regions, "range_bound"),
+                         (germglue.regions, "polydisc_intersection_outer"),
+                         (germglue.atlas, "polydisc_intersection_outer")]:
+        def watched(*args, _real=getattr(module, name), _name=name):
+            if inside:
+                seen.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, watched)
+    real = germglue.atlas._pair_outer_bound
+
+    def bound(inp, triples, overlaps, i, j, fiber_radius):
+        bounded.append(fiber_radius)
+        inside.append((i, j))
+        try:
+            return real(inp, triples, overlaps, i, j, fiber_radius)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(germglue.atlas, "_pair_outer_bound", bound)
+    cover = shrink_tubes(inp, triples, overlaps)
+    enforce_triple_domains(cover)
+    assert cover.halvings == 1 and len(set(bounded)) > 1
+    assert seen == []
+
+
 def test_coverage_loss_reported():
     inp = identity_atlas()
     inp = GermAtlasInput(
@@ -514,6 +578,19 @@ def test_chart_map_must_fix_zero_section():
         glue_chartwise_maps(atlas, atlas, {"A": ident, "B": drifting, "C": ident})
 
 
+def test_chart_map_search_names_the_radius_floor():
+    _, atlas = run_glue_pipeline(identity_atlas(), samples=10)
+    # (t, z) -> (t + 10^6 z^2, z) fixes the zero section and agrees with the
+    # identity transitions, but moves the base too far at every radius
+    push = PolyMap(2, [
+        jet_from_terms(2, 3, [((1, 0), Coeff(1)), ((0, 2), Coeff(10**6))]),
+        identity_map(2, 3).components[1],
+    ])
+    with pytest.raises(ShrinkExhausted, match=(
+            r"^chart map 'A' not certified; radius floor 1/64 reached$")):
+        glue_chartwise_maps(atlas, atlas, {c: push for c in "ABC"}, radius_floor=F(1, 64))
+
+
 # ---------------------------------------------------------------------------
 # assembly guards
 # ---------------------------------------------------------------------------
@@ -521,10 +598,7 @@ def test_chart_map_must_fix_zero_section():
 
 def shrunk_cover(inp: GermAtlasInput):
     """The cover as the pipeline hands it to the triple stage."""
-    from germglue.regions import refine_cover
-
-    triple_list = refine_cover([inp.charts[c] for c in sorted(inp.charts)])
-    triples = dict(zip(sorted(inp.charts), triple_list))
+    triples = _cover_triples(inp)
     overlaps = compute_overlaps(inp, triples)
     return shrink_tubes(inp, triples, overlaps)
 
@@ -554,7 +628,7 @@ def test_build_reads_symmetry_from_inverse_pair_triples():
 def test_triple_stage_composes_each_triple_once(monkeypatch):
     import germglue.atlas
 
-    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(4), F(16))))
+    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(8), F(64))))
     calls = []
     real = germglue.atlas.map_compose
 
@@ -645,25 +719,72 @@ def test_sampled_audits_match_the_fraction_reference(name):
     assert audited > 0 or all(cert.vacuous for cert in cover.pairs.values())
 
 
+@pytest.mark.parametrize("name", SAMPLE_ATLASES)
+def test_pair_image_certifies_only_points_it_bounds(name):
+    """Wherever phi_ij's image over the bound t_ij for Q_ij certifies a
+    triple, the points of Q_ij ∩ Q_ik sampled in the triple's gauge lie in
+    t_ij, and their images in that image bound and in O_jk."""
+    from germglue.atlas import _PAIR_IMAGE, _bound_for, _q_pair_image
+    from germglue.regions import numerators_in_tube, polydisc_intersection_outer, tube_contains
+    from germglue.sampling import sample_numerators
+
+    cover = _sample_atlas_cover(name)
+    rng = random.Random(0)
+    maps: dict = {}
+    certified = checked = 0
+    for key, (radius, image) in cover.memo.items():
+        i, j = key[:2]
+        if key[-1] is not _PAIR_IMAGE or radius != cover.radii[i]:
+            continue
+        t_ij = _bound_for(cover, i, j)
+        for k in sorted(cover.input.charts):
+            target = cover.overlaps.get((j, k))
+            t_ik = _bound_for(cover, i, k)
+            if k == j or t_ik is None or target is None or target.vacuous \
+                    or not tube_contains(image, target.o_inner):
+                continue
+            base = polydisc_intersection_outer(t_ij.base, t_ik.base)
+            if base is None:
+                continue
+            certified += 1
+            fiber = min(t_ij.fiber_radius, t_ik.fiber_radius)
+            gauge = TubeDomain(i, base, cover.input.fiber_dim, fiber)
+            for _ in range(20):
+                y = sample_numerators(rng, gauge)
+                moved = _q_pair_image(cover, i, j, y, maps)
+                if moved is None or (k != i and _q_pair_image(cover, i, k, y, maps) is None):
+                    continue
+                checked += 1
+                assert numerators_in_tube(y, t_ij, strict=False)
+                assert numerators_in_tube(moved, image, strict=False)
+                assert numerators_in_tube(moved, target.o_inner, strict=False)
+    assert checked > 0 or certified == 0
+
+
 def test_triple_stage_decides_each_triple_once_per_radius(monkeypatch):
     import sys
 
     import germglue.atlas
 
-    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(4), F(16))))
-    decided = []
+    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(8), F(64))))
+    pair_images, gauge_images = [], []
     real = germglue.atlas.map_image_bound
 
-    def counted(f, gauge, base_dim, target_chart):
-        caller = sys._getframe(1).f_locals  # the triple stage names its (i, j, k)
-        triple = (caller["i"], caller["j"], caller["k"])
-        decided.append((triple, cover.radii[triple[0]]))
-        return real(f, gauge, base_dim, target_chart=target_chart)
+    def counted(f, tube, base_dim, target_chart):
+        caller = sys._getframe(1).f_locals
+        if "k" in caller:  # the gauge of one triple: its stage names (i, j, k)
+            key = (caller["i"], caller["j"], caller["k"])
+            gauge_images.append((key, cover.radii[key[0]]))
+        else:  # phi_ij over the bound for Q_ij, shared by every k
+            key = (tube.chart, target_chart)
+            pair_images.append((key, cover.radii[key[0]]))
+        return real(f, tube, base_dim, target_chart=target_chart)
 
     monkeypatch.setattr(germglue.atlas, "map_image_bound", counted)
     enforce_triple_domains(cover)
     assert cover.halvings == 1
-    assert decided and len(set(decided)) == len(decided)
+    assert pair_images and len(set(pair_images)) == len(pair_images)
+    assert gauge_images and len(set(gauge_images)) == len(gauge_images)
 
 
 @pytest.mark.parametrize("name", ["identity-atlas.json", "scaling-atlas.json"])
@@ -688,7 +809,7 @@ def test_shrink_bounds_each_pair_once_per_radius(monkeypatch, name):
 def test_reused_certificates_match_a_fresh_recomputation():
     from germglue.atlas import ShrunkCover, _refresh_pair_certificates
 
-    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(4), F(16))))
+    cover = shrunk_cover(scaling_atlas(order=3, weights=(F(1), F(8), F(64))))
     certs = enforce_triple_domains(cover)
     assert cover.halvings == 1
     fresh = ShrunkCover(

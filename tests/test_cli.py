@@ -155,6 +155,23 @@ def test_glue_sheaf_requires_atlas_flag(tmp_path):
     assert envelope["error"]["kind"] == "SchemaError"
 
 
+def test_glue_sheaf_radius_floor_names_the_capping_domain(tmp_path):
+    doc = json.loads((SAMPLES / "rank2-sheaf.json").read_text())
+    doc["domains"][0]["domain"]["fiber_radius"] = "1/1000"
+    sheaf = tmp_path / "thin-sheaf.json"
+    sheaf.write_text(json.dumps(doc))
+    code, envelope, _ = run_cli(
+        tmp_path, "glue-sheaf", sheaf, "--atlas", SAMPLES / "pinch-atlas.json",
+        "--radius-floor", "1/64",
+    )
+    assert code == 3
+    assert envelope["error"] == {
+        "kind": "ShrinkExhausted",
+        "message": "chart 'A' capped at 1/1000 by the fiber radius of A domain "
+                   "('A', 'B'); radius floor 1/64 reached",
+    }
+
+
 def test_tep_check_flat_frame(tmp_path):
     code, envelope, _ = run_cli(tmp_path, "tep-check", SAMPLES / "flat-tep.json")
     assert code == 0
@@ -401,9 +418,9 @@ SAMPLE_REPORTS = [
     # halves a radius in the triple stage; float mode's seeded audits read
     # the order of the pair and triple certificates
     (["glue", "scaling-halving-atlas.json"], 0,
-     "3c24ff4b3de20781b4e061ea590917ee42c1ab19cfb925eba1c909c07e40efa9"),
+     "2b9aa446375847eeb05fced4aa10edb2c4ba543b5b701505255d71417da9b0f6"),
     (["glue", "scaling-halving-atlas.json", "--mode", "float"], 0,
-     "83fe8e4589e9e09c4b4cc4ae080c610ce906daa294777c934ac4a26eb6170387"),
+     "41b44e31cd978dc6ff985166217eac052d214629618de4d968c5dcd7e2567753"),
     (["glue", "identity-chain-atlas.json"], 3,
      "ca33494ae59ae57f0c6309a7d52730649102545cfe715495329cede57258ad7d"),
     (["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"], 0,

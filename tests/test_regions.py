@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germglue.errors import CoverageLossError, ShapeError
 from germglue.jets import (
@@ -30,6 +30,8 @@ from germglue.regions import (
     disc_lens_outer,
     disc_lens_outer_candidates,
     disc_margin,
+    fiber_bound,
+    fiber_profile,
     map_image_bound,
     max_dist2,
     numerators_in_tube,
@@ -510,6 +512,44 @@ def test_range_bound_of_cancelling_and_zero_jets():
     assert range_bound(f, d) == oracle_range_bound(f, d.centers, d.radii) == Fraction(27, 343)
     zero = jet_from_terms(1, 3, [])
     assert range_bound(zero, d) == oracle_range_bound(zero, d.centers, d.radii) == 0
+
+
+@st.composite
+def profile_cases(draw):
+    """(f, base, fiber_dim): a jet over one Gaussian base disc and 1 or 2
+    fiber variables.  Sometimes f is the shift of a sparse g by -(base
+    centre, 0), so the recentring cancels every term g does not have."""
+    fiber_dim = draw(st.integers(1, 2))
+    order = draw(st.integers(0, 4))
+    nv = 1 + fiber_dim
+    exps = [e for e in itertools.product(range(order + 1), repeat=nv) if sum(e) <= order]
+    terms = draw(st.lists(st.tuples(st.sampled_from(exps), coeffs), max_size=6))
+    base = Polydisc([draw(st.builds(Coeff, rationals, rationals))], [draw(radii_st)])
+    f = jet_from_terms(nv, order, terms)
+    if draw(st.booleans()):
+        c = base.centers[0]
+        f = recenter(f, (Coeff(-c.re, -c.im),) + (ZERO,) * fiber_dim)
+    return f, base, fiber_dim
+
+
+def _cancelling_cube() -> tuple:
+    """(t - c)^3 z over the disc around c: one term survives the recentring."""
+    c = Coeff(Fraction(2, 3), Fraction(-1, 5))
+    t = jet_add(jet_var(2, 4, 0), jet_const(2, 4, Coeff(-c.re, -c.im)))
+    return jet_mul(jet_pow(t, 3), jet_var(2, 4, 1)), Polydisc([c], [Fraction(3, 7)]), 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(profile_cases())
+@example((jet_from_terms(3, 3, []), Polydisc([Coeff(Fraction(1, 3))], [Fraction(1, 2)]), 2))
+@example(_cancelling_cube())
+def test_fiber_profile_bounds_equal_the_tube_bounds(case):
+    f, base, fiber_dim = case
+    profile = fiber_profile(f, base)
+    for rho in (Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 2**20)):
+        tube = TubeDomain("a", base, fiber_dim, rho)
+        assert fiber_bound(profile, rho) == range_bound_tube(f, tube) == oracle_range_bound(
+            f, tube_as_polydisc(tube).centers, tube_as_polydisc(tube).radii)
 
 
 @settings(max_examples=60, deadline=None)
