@@ -54,11 +54,9 @@ from .jets import (
     jet_truncate,
     jet_var,
     map_compose,
-    map_eval,
     map_is_constant_free,
     map_numerators,
     map_sub,
-    point_from_numerators,
 )
 from .regions import (
     CoverTriple,
@@ -1008,7 +1006,7 @@ def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list,
     z = phi_jk(y), over the live triples (nonvacuous (i, j) and (j, k) with
     a transition (i, k)).  Stops after ``chains`` accepted chains or
     ``chains * 200`` attempts; returns the accepted ``(i, j, k, x, z)``
-    chains and the attempt count."""
+    chains, x and z as numerator tuples, and the attempt count."""
     inp = cover.input
     rng = random.Random(seed)
     live = [
@@ -1031,7 +1029,7 @@ def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list,
         y = _q_pair_image(cover, i, j, x, maps)
         z = None if y is None else _q_pair_image(cover, j, k, y, maps)
         if z is not None:
-            accepted.append((i, j, k, point_from_numerators(x), point_from_numerators(z)))
+            accepted.append((i, j, k, x, z))
     return accepted, attempts
 
 
@@ -1045,12 +1043,13 @@ def audit_transitivity(
 
     Sound for inputs whose transitions satisfy the cocycle exactly as
     polynomial maps (the jets then evaluate as the maps themselves)."""
-    transitions = cover.input.transitions
     selected, attempts = sample_chains(cover, chains, seed)
+    maps: dict = {}
     violations = 0
     for i, j, k, x, z in selected:
-        direct = map_eval(transitions[(i, k)].map, x)
-        if any(not (a - b).is_zero() for a, b in zip(z, direct)):
+        if (i, k) not in maps:
+            maps[(i, k)] = map_numerators(cover.input.transitions[(i, k)].map)
+        if max_dist2(z, eval_numerators(maps[(i, k)], x)):
             violations += 1
     return {
         "chains_requested": chains,

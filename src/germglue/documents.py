@@ -668,17 +668,28 @@ def tep_glue_input_to_json(
     return doc
 
 
+def _nested(where: str, decode, *args):
+    """``decode(*args)`` for the nested document at ``where`` of a
+    tep-glue-input file; a SchemaError it raises is prefixed with that path."""
+    try:
+        return decode(*args)
+    except SchemaError as exc:
+        raise SchemaError(f"tep-glue-input document rejected: {where}: {exc}") from exc
+
+
 def tep_glue_input_from_json(
     doc: dict,
     order: Optional[int] = None,
     z_order: Optional[int] = None,
 ):
     """Returns (charts, atlas_input, sheaf_input, points).  One check covers
-    the nested documents too, so a rejection names its path in this one."""
+    the nested documents too, so a rejection names its path in this one,
+    and a decoding error names the nested document it comes from."""
     validate_document(doc, "tep-glue-input")
-    atlas = _atlas_input(doc["atlas"], order)
-    sheaf = _sheaf_input(doc["sheaf"])
-    charts = {cid: _tep_data(item, None, z_order) for cid, item in doc["charts"].items()}
+    atlas = _nested("$.atlas", _atlas_input, doc["atlas"], order)
+    sheaf = _nested("$.sheaf", _sheaf_input, doc["sheaf"])
+    charts = {cid: _nested(f"$.charts.{cid}", _tep_data, item, None, z_order)
+              for cid, item in doc["charts"].items()}
     points = [
         (item["chart"], point_from_json(item["point"]))
         for item in doc.get("points", [])

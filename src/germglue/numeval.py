@@ -4,36 +4,27 @@ The pipeline certifies cocycle closure coefficient by coefficient in exact
 arithmetic.  Float mode re-checks the same chain identities numerically at
 sampled points: chains are selected by ``atlas.sample_chains`` (the exact
 rational sampler and exact membership tests), and the three map
-evaluations per chain then run through the batched numpy term-table
-kernel.  Residuals above TOLERANCE count as violations; for exactly
-closed transition families the residual is pure float rounding.  numpy
-is imported inside the float functions, so exact runs never load it.
+evaluations per chain then run in Python complex floats through
+``sampling.batch_eval``.  Residuals above TOLERANCE count as violations;
+for exactly closed transition families the residual is pure float
+rounding.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .atlas import ShrunkCover, sample_chains
 from .jets import PolyMap
-from .regions import Point
-from .sampling import batch_eval, points_to_array
-
-if TYPE_CHECKING:
-    import numpy as np
+from .sampling import batch_eval
 
 TOLERANCE = 1e-9
 
 
-def batch_eval_map(f: PolyMap, points: np.ndarray) -> np.ndarray:
-    """Evaluate every component of f over a (P, source_vars) float array."""
-    import numpy as np
-
-    pts = np.ascontiguousarray(points, dtype=np.complex128)
-    if pts.ndim != 2 or pts.shape[1] != f.source_vars:
-        raise ValueError("points must have shape (P, source_vars)")
-    cols = [batch_eval(comp, pts) for comp in f.components]
-    return np.stack(cols, axis=1)
+def batch_eval_map(f: PolyMap, points: list) -> list:
+    """Evaluate every component of f at a list of complex points, each a
+    tuple of ``source_vars`` values, into one tuple per point."""
+    return list(zip(*[batch_eval(comp, points) for comp in f.components]))
 
 
 def float_transition_audit(
@@ -45,28 +36,29 @@ def float_transition_audit(
 
     Chains come from ``atlas.sample_chains``, the same selector as the
     exact transitivity audit, so both audits check the same chains for a
-    seed; the residuals are then evaluated in batches through the numpy
-    kernel.  Returns a report with the backend, the worst residual seen,
-    and the count of residuals above TOLERANCE."""
-    import numpy as np
-
+    seed; each x is rounded to complex floats from its numerators, and the
+    residuals are evaluated in batches per triple.  Returns a report with
+    the backend, the worst residual seen, and the count of residuals above
+    TOLERANCE."""
     transitions = cover.input.transitions
     accepted, attempts = sample_chains(cover, chains, seed)
-    selected: Dict[Tuple, List[Point]] = {}
-    for i, j, k, x, _ in accepted:
+    selected: Dict[Tuple, List[tuple]] = {}
+    for i, j, k, (q, re, im), _ in accepted:
+        x = tuple([complex(a / q, b / q) for a, b in zip(re, im)])
         selected.setdefault((i, j, k), []).append(x)
     violations = 0
     max_residual = 0.0
     for (i, j, k) in sorted(selected, key=repr):
-        pts = points_to_array(selected[(i, j, k)])
+        pts = selected[(i, j, k)]
         mid = batch_eval_map(transitions[(i, j)].map, pts)
         chained = batch_eval_map(transitions[(j, k)].map, mid)
         direct = batch_eval_map(transitions[(i, k)].map, pts)
-        residuals = np.abs(chained - direct).max(axis=1)
-        violations += int((residuals > TOLERANCE).sum())
-        max_residual = max(max_residual, float(residuals.max()))
+        for a, b in zip(chained, direct):
+            residual = max([abs(u - v) for u, v in zip(a, b)])
+            violations += residual > TOLERANCE
+            max_residual = max(max_residual, residual)
     return {
-        "backend": "numpy",
+        "backend": "python",
         "tolerance": TOLERANCE,
         "chains_requested": chains,
         "chains_verified": len(accepted),

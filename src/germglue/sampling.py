@@ -5,10 +5,9 @@ with rejection, drawn on integers) and keep each as Gaussian-integer
 numerators over one denominator, the form the integer membership test and
 evaluator take, so membership tests and residual evaluations stay exact.
 
-Separately, :func:`batch_eval` turns a jet into a flat term table (exponent
-matrix + complex coefficients) and evaluates it over many points at once
-with numpy; the float-mode audit in :mod:`germglue.numeval` runs on it.
-numpy is imported by those float functions, so exact runs never load it.
+Separately, :func:`batch_eval` evaluates a jet in Python complex floats
+over a list of points; the float-mode audit in :mod:`germglue.numeval` runs
+on it.
 """
 
 from __future__ import annotations
@@ -16,14 +15,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .jets import Jet, NumPoint, point_from_numerators
 from .regions import Point, Polydisc, TubeDomain, tube_discs
 from .scalars import Coeff
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -69,50 +65,28 @@ def sample_in_tube(rng: random.Random, t: TubeDomain) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# float term tables and batched evaluation
+# batched float evaluation
 # ---------------------------------------------------------------------------
 
 
-def term_table(f: Jet) -> tuple[np.ndarray, np.ndarray]:
-    """(T, num_vars) int64 exponent matrix and length-T complex coefficients."""
-    import numpy as np
+def batch_eval(f: Jet, points: list) -> list:
+    """Evaluate f at a list of points, each a tuple of ``num_vars`` complex
+    values, into a list of complex values.
 
-    terms = f.terms
-    if not terms:
-        return (
-            np.zeros((0, f.num_vars), dtype=np.int64),
-            np.zeros(0, dtype=np.complex128),
-        )
-    exps = np.array(sorted(terms), dtype=np.int64)
-    coeffs = np.array(
-        [complex(terms[tuple(e)].re, terms[tuple(e)].im) for e in exps.tolist()],
-        dtype=np.complex128,
-    )
-    return exps, coeffs
-
-
-def batch_eval(f: Jet, points: np.ndarray) -> np.ndarray:
-    """Evaluate f at an array of complex points, shape (P, num_vars)."""
-    import numpy as np
-
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    if points.ndim != 2 or points.shape[1] != f.num_vars:
-        raise ValueError("points must have shape (P, num_vars)")
-    exps, coeffs = term_table(f)
-    out = np.zeros(points.shape[0], dtype=np.complex128)
-    for t in range(exps.shape[0]):
-        term = np.full(points.shape[0], coeffs[t])
-        for v in range(exps.shape[1]):
-            k = exps[t, v]
-            if k:
-                term = term * points[:, v] ** k
-        out += term
+    Each coefficient is read from the numerators as a correctly rounded
+    quotient.  Terms are summed in sorted exponent order, each as its
+    coefficient times x_v ** k for every nonzero k in variable order (an
+    int power, so binary powering)."""
+    den, re, im = f.den, f.re, f.im
+    table = [(complex(re.get(e, 0) / den, im.get(e, 0) / den),
+              [(v, k) for v, k in enumerate(e) if k])
+             for e in sorted({**re, **im})]
+    out = []
+    for x in points:
+        acc = 0j
+        for term, powers in table:
+            for v, k in powers:
+                term = term * x[v] ** k
+            acc += term
+        out.append(acc)
     return out
-
-
-def points_to_array(points: Sequence[Point]) -> np.ndarray:
-    import numpy as np
-
-    return np.array(
-        [[complex(c.re, c.im) for c in pt] for pt in points], dtype=np.complex128
-    )

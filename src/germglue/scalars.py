@@ -4,7 +4,8 @@ square-root bounds.
 A :class:`Coeff` is a complex number ``re + im*i`` whose parts are exact
 :class:`fractions.Fraction` values.  It is the package's one scalar type:
 every equality test is exact, and float work (the float-mode audit) runs on
-numpy arrays in :mod:`germglue.sampling` and :mod:`germglue.numeval`.
+Python complex numbers in :mod:`germglue.sampling` and
+:mod:`germglue.numeval`.
 
 Linear algebra over Coeff has one routine, the Gauss–Jordan elimination
 :func:`coeff_eliminate`; :func:`coeff_inverse` is its case ``[mat | 1]``,

@@ -260,6 +260,28 @@ def test_a_rejection_inside_a_tep_glue_file_names_its_path_in_the_file(edit, mes
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["atlas"].update(order=3.0),
+         "tep-glue-input document rejected: $.atlas: order must be an integer, got 3.0"),
+        (lambda doc: doc["atlas"]["charts"]["A"]["centers"].__setitem__(0, "1\n"),
+         "tep-glue-input document rejected: $.atlas: bad fraction '1\\n'"),
+        (lambda doc: doc["sheaf"]["ranks"].update(A=2.0),
+         "tep-glue-input document rejected: $.sheaf: ranks['A'] must be an integer, got 2.0"),
+        (lambda doc: doc["charts"]["B"].update(m=2.0),
+         "tep-glue-input document rejected: $.charts.B: m must be an integer, got 2.0"),
+    ],
+    ids=["atlas-order", "atlas-center", "sheaf-rank", "chart-m"],
+)
+def test_a_decoding_error_inside_a_tep_glue_file_names_its_document(edit, message):
+    doc = json.loads((SAMPLES / "tep-glue.json").read_text())
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        tep_glue_input_from_json(doc)
+    assert str(info.value) == message
+
+
 def test_unknown_document_kind_rejected():
     with pytest.raises(SchemaError, match="unknown document kind"):
         validate_document({}, "nope")

@@ -4,9 +4,8 @@
 kernel that reads it silently rebuilds the Coeff form that the stored
 numerators replace.  An AST check names every function under
 ``src/germglue/`` that reads an attribute called ``terms`` and compares the
-names with a short allow-list: graded term lists for messages and reports,
-and the float term table, which goes with float mode.  JSON output writes
-each part from the numerators.
+names with a short allow-list: graded term lists for messages and reports.
+JSON output and the float evaluator read the numerators.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "germglue"
 
 ALLOWED = {
     "jets.grlex_terms",
-    "sampling.term_table",
 }
 
 
