@@ -157,57 +157,60 @@ class GermAtlasInput:
 
 
 class OverlapData:
-    """Certified tube data for one ordered pair (i, j).
+    """Certified tube data for one ordered pair (i, j), stored under that key.
 
     ``o_inner`` (a polydisc containing the base lens U_i ∩ U_j, inflated by
     a margin delta, with a certified fiber radius) is a tube certified
     inside the true overlap domain O_ij; ``witness`` is the relatively
     compact witness P, the same polydisc inflated by 0.9 delta, at 0.9 of
-    the fiber radius.  ``vacuous`` marks pairs whose U-level base overlap
-    is certifiably empty; both tubes are None for them.  ``coarse`` holds
-    the fiber profile of each base-escape jet of phi_ij (base component k
-    minus t_k) over U_i ∩ V_j ∩ N_ij.base, which every pair bound reads, or
-    None when that coarse base is certified empty."""
+    the fiber radius.  Both tubes are None when the U-level base overlap is
+    certifiably empty, which ``vacuous`` reads.  ``coarse`` holds the fiber
+    profile of each base-escape jet of phi_ij (base component k minus t_k)
+    over U_i ∩ V_j ∩ N_ij.base, which every pair bound reads, or None when
+    that coarse base is certified empty."""
 
-    __slots__ = ("i", "j", "vacuous", "coarse", "o_inner", "witness")
+    __slots__ = ("coarse", "o_inner", "witness")
 
-    def __init__(self, i, j, vacuous, coarse, o_inner, witness):
-        self.i = i
-        self.j = j
-        self.vacuous = vacuous
+    def __init__(self, coarse, o_inner, witness):
         self.coarse = coarse
         self.o_inner = o_inner
         self.witness = witness
 
+    @property
+    def vacuous(self) -> bool:
+        return self.o_inner is None
+
 
 class PairCertificate:
-    """Condition (c) data for one ordered pair: the certified outer tube
-    bound for Q_ij (None when certified empty) and the relative-compactness
-    margin against the O_ij inner tube."""
+    """Condition (c) data for one ordered pair, stored under its key: the
+    certified outer tube bound for Q_ij and the relative-compactness margin
+    against the O_ij inner tube.  Both are None when Q_ij is certified
+    empty, which ``vacuous`` reads."""
 
-    __slots__ = ("i", "j", "bound", "margin", "vacuous")
+    __slots__ = ("bound", "margin")
 
-    def __init__(self, i, j, bound, margin, vacuous):
-        self.i = i
-        self.j = j
+    def __init__(self, bound, margin):
         self.bound = bound
         self.margin = margin
-        self.vacuous = vacuous
+
+    @property
+    def vacuous(self) -> bool:
+        return self.bound is None
 
 
 class ShrunkCover:
-    """The shrunk cover: per-chart fiber radii r_i = 1/n(i), the tubes Q_i
-    over U_i, the pair certificates at those radii, and the count of
-    triple-stage halvings."""
+    """The shrunk cover: per-chart fiber radii r_i, the tubes Q_i over U_i,
+    the pair certificates at those radii, and the count of triple-stage
+    halvings.  Radii start at 1 and only halve, so each r_i is 1/n(i) with
+    n(i) a power of two: n(i) is ``radii[i].denominator``."""
 
-    __slots__ = ("input", "triples", "overlaps", "n_index", "radii", "tubes",
+    __slots__ = ("input", "triples", "overlaps", "radii", "tubes",
                  "pairs", "halvings", "memo")
 
-    def __init__(self, input, triples, overlaps, n_index, radii, tubes, pairs):
+    def __init__(self, input, triples, overlaps, radii, tubes, pairs):
         self.input = input
         self.triples = triples          # chart id -> CoverTriple
         self.overlaps = overlaps        # (i, j) -> OverlapData
-        self.n_index = n_index          # chart id -> n(i)
         self.radii = radii              # chart id -> Fraction r_i
         self.tubes = tubes              # chart id -> TubeDomain Q_i
         self.pairs = pairs              # (i, j) -> PairCertificate
@@ -216,14 +219,15 @@ class ShrunkCover:
 
 
 class TripleCertificate:
-    __slots__ = ("triple", "vacuous", "domain_margin", "residual_zero", "remark")
+    """Condition (d) data for one triple, stored under its key: whether the
+    triple domain is certified empty, and otherwise the margin of the image
+    bound inside O_jk (None when that bound only touches it)."""
 
-    def __init__(self, triple, vacuous, domain_margin, residual_zero, remark):
-        self.triple = triple
+    __slots__ = ("vacuous", "domain_margin")
+
+    def __init__(self, vacuous, domain_margin):
         self.vacuous = vacuous
         self.domain_margin = domain_margin
-        self.residual_zero = residual_zero
-        self.remark = remark
 
 
 class GluedAtlas:
@@ -231,18 +235,16 @@ class GluedAtlas:
         "cover",
         "triple_certs",
         "closedness",
-        "zero_sections",
         "nerve_pairs",
         "nerve_triples",
         "certificates",
     )
 
-    def __init__(self, cover, triple_certs, closedness, zero_sections,
+    def __init__(self, cover, triple_certs, closedness,
                  nerve_pairs, nerve_triples, certificates):
         self.cover = cover
         self.triple_certs = triple_certs
         self.closedness = closedness
-        self.zero_sections = zero_sections
         self.nerve_pairs = nerve_pairs
         self.nerve_triples = nerve_triples
         self.certificates = certificates
@@ -469,7 +471,7 @@ def compute_overlaps(
         built, reason = _witness_base(u_i, u_j, v_i, v_j)
         if built is None:
             if reason == "empty":
-                overlaps[(i, j)] = OverlapData(i, j, True, coarse, None, None)
+                overlaps[(i, j)] = OverlapData(coarse, None, None)
                 continue
             raise ShrinkExhausted(
                 f"pair {(i, j)!r}: {reason}"
@@ -500,7 +502,7 @@ def compute_overlaps(
             inp.fiber_dim,
             rho * Fraction(9, 10),
         )
-        overlaps[(i, j)] = OverlapData(i, j, False, coarse, o_inner, witness)
+        overlaps[(i, j)] = OverlapData(coarse, o_inner, witness)
     return overlaps
 
 
@@ -556,19 +558,18 @@ def shrink_tubes(
     overlaps: Dict[Pair, OverlapData],
     radius_floor: Fraction = RADIUS_FLOOR_DEFAULT,
 ) -> ShrunkCover:
-    """Find fiber radii r_i = 1/n(i) so that every pair satisfies (c).
+    """Find fiber radii r_i so that every pair satisfies (c).
 
-    Every chart starts at n = 1.  While some pair's certificate fails at the
-    current radii, n doubles at that pair's first chart, whose radius is the
-    only one its bound reads; a pair still blocking once the halved radius
+    Every chart starts at radius 1.  While some pair's certificate fails at
+    the current radii, the radius of that pair's first chart, the only one
+    its bound reads, halves; a pair still blocking once the halved radius
     would fall below radius_floor raises ShrinkExhausted."""
-    n_index = {cid: 1 for cid in inp.charts}
     radii = {cid: Fraction(1) for cid in inp.charts}
     tubes = {
         cid: TubeDomain(cid, triples[cid].U, inp.fiber_dim, radii[cid])
         for cid in inp.charts
     }
-    cover = ShrunkCover(inp, triples, overlaps, n_index, radii, tubes, {})
+    cover = ShrunkCover(inp, triples, overlaps, radii, tubes, {})
     while True:
         blocking = _refresh_pair_certificates(cover)
         if blocking is None:
@@ -578,12 +579,11 @@ def shrink_tubes(
             raise ShrinkExhausted(
                 f"pair {blocking!r} not certified; radius floor {radius_floor} reached"
             )
-        _set_chart_n(cover, i, cover.n_index[i] * 2)
+        _halve_chart(cover, i)
 
 
-def _set_chart_n(cover: ShrunkCover, cid, n: int) -> None:
-    cover.n_index[cid] = n
-    cover.radii[cid] = Fraction(1, n)
+def _halve_chart(cover: ShrunkCover, cid) -> None:
+    cover.radii[cid] = cover.radii[cid] / 2
     cover.tubes[cid] = TubeDomain(
         cid, cover.triples[cid].U, cover.input.fiber_dim, cover.radii[cid]
     )
@@ -607,13 +607,13 @@ def _pair_outcome(cover: ShrunkCover, i, j) -> Optional[PairCertificate]:
         cover.input, cover.triples, cover.overlaps, i, j, cover.radii[i]
     )
     if bound is None:
-        return PairCertificate(i, j, None, None, True)
+        return PairCertificate(None, None)
     if data.vacuous:
         return None
     margin = tube_rel_compact(bound, data.o_inner)
     if margin is None or margin <= 0 or not tube_contains(bound, data.witness):
         return None
-    return PairCertificate(i, j, bound, margin, False)
+    return PairCertificate(bound, margin)
 
 
 def _refresh_pair_certificates(cover: ShrunkCover) -> Optional[Pair]:
@@ -670,7 +670,7 @@ def _triple_outcome(cover: ShrunkCover, i, j, k):
     base = None if t_ij is None or t_ik is None \
         else polydisc_intersection_outer(t_ij.base, t_ik.base)
     if base is None:
-        return TripleCertificate((i, j, k), True, None, True, "vacuous")
+        return TripleCertificate(True, None)
     target = cover.overlaps.get((j, k))
     if target is None or target.vacuous:
         return "no certified overlap domain O_jk for the image"
@@ -682,10 +682,7 @@ def _triple_outcome(cover: ShrunkCover, i, j, k):
         image = map_image_bound(phi, gauge, inp.base_dim, target_chart=j)
         if not tube_contains(image, target.o_inner):
             return "image bound escapes O_jk"
-    return TripleCertificate(
-        (i, j, k), False, tube_rel_compact(image, target.o_inner), True,
-        "derived from (d), (e) and the definitions of Q_ij, Q_jk",
-    )
+    return TripleCertificate(False, tube_rel_compact(image, target.o_inner))
 
 
 def enforce_triple_domains(
@@ -743,7 +740,7 @@ def enforce_triple_domains(
                     f"triple {(i, j, k)!r}: {why}; radius floor {radius_floor} reached"
                 )
             cover.halvings += 1
-            _set_chart_n(cover, shrink_target, cover.n_index[shrink_target] * 2)
+            _halve_chart(cover, shrink_target)
             lost = _refresh_pair_certificates(cover)
             if lost is None:
                 break
@@ -829,13 +826,6 @@ def check_closed_relation(
 # ---------------------------------------------------------------------------
 
 
-def zero_section_map(base_dim: int, fiber_dim: int, order: int) -> PolyMap:
-    """The embedding t -> (t, 0) of the base into a chart tube."""
-    comps = [jet_var(base_dim, order, k) for k in range(base_dim)]
-    comps += [Jet(base_dim, order, {}) for _ in range(fiber_dim)]
-    return PolyMap(base_dim, comps)
-
-
 def _nerve(discs: Dict[object, Polydisc], size: int) -> list:
     """The sorted ``size``-subsets of the cover with a nonempty overlap."""
     return [s for s in combinations(sorted(discs, key=repr), size)
@@ -855,8 +845,8 @@ def build_glued_atlas(
     """Assemble the glued atlas from the certified cover.
 
     Refuses to glue when any certificate is missing.  The zero-section
-    restriction is the U-cover itself, so its nerve is recomputed and
-    compared with the input cover's nerve."""
+    restriction is the U-cover itself, so the nerve is that of the U discs.
+    Symmetry reads the set of certified inverse-pair triples (i, j, i)."""
     if not closedness.get("closed"):
         raise CertificateIncompleteError("closedness certificate missing")
     for (i, j), cert in cover.pairs.items():
@@ -867,18 +857,12 @@ def build_glued_atlas(
         if key not in cover.pairs and key in cover.overlaps:
             raise CertificateIncompleteError(f"pair {key!r} certificate missing")
 
-    zero_sections = {
-        cid: zero_section_map(inp.base_dim, inp.fiber_dim, inp.order)
-        for cid in inp.charts
-    }
     u_cover = {cid: cover.triples[cid].U for cid in inp.charts}
     nerve_pairs, nerve_triples = cover_nerve(u_cover)
 
-    # the (i, j, i) certificates compared phi_ji o phi_ij with the identity
-    # on every nonempty Q_ij; on an empty one symmetry is vacuous
-    symmetric = all(
-        cert.residual_zero for (i, _, k), cert in triple_certs.items() if k == i
-    )
+    # (i, j, i) is certified only once phi_ji o phi_ij composes to the
+    # identity on a nonempty Q_ij (a nonzero residual raises) or Q_ij is empty
+    symmetric = all((i, j, i) in triple_certs for (i, j) in inp.transitions)
     certificates = {
         "cocycle_order": inp.order,
         "hausdorff": {
@@ -895,8 +879,7 @@ def build_glued_atlas(
         "halvings": cover.halvings,
     }
     return GluedAtlas(
-        cover, triple_certs, closedness, zero_sections,
-        nerve_pairs, nerve_triples, certificates,
+        cover, triple_certs, closedness, nerve_pairs, nerve_triples, certificates,
     )
 
 
@@ -944,7 +927,7 @@ def audit_cover_certificates(
 
     chart_ids = sorted(inp.charts, key=repr)
     live_pairs = [pk for pk, c in cover.pairs.items() if not c.vacuous]
-    live_triples = [tc.triple for tc in triple_certs.values() if not tc.vacuous]
+    live_triples = [key for key, tc in triple_certs.items() if not tc.vacuous]
     composites, maps = {}, {}
     for (i, j, k) in live_triples:
         composites[(i, j, k)] = map_numerators(map_compose(
@@ -1065,13 +1048,12 @@ def audit_transitivity(
 
 
 class GluedMap:
-    __slots__ = ("epsilons", "domains", "maps", "note")
+    __slots__ = ("epsilons", "domains", "maps")
 
-    def __init__(self, epsilons, domains, maps, note):
+    def __init__(self, epsilons, domains, maps):
         self.epsilons = epsilons
         self.domains = domains
         self.maps = maps
-        self.note = note
 
 
 def glue_chartwise_maps(
@@ -1137,7 +1119,7 @@ def glue_chartwise_maps(
         while True:
             ok = True
             for (i, j), cert in atlas1.cover.pairs.items():
-                if i != cid or cert.vacuous or cert.bound is None:
+                if i != cid or cert.vacuous:
                     continue
                 probe = TubeDomain(
                     cid, cert.bound.base, inp1.fiber_dim,
@@ -1159,9 +1141,4 @@ def glue_chartwise_maps(
         epsilons[cid] = eps
         domains[cid] = TubeDomain(cid, atlas1.cover.triples[cid].U, inp1.fiber_dim, eps)
 
-    note = (
-        f"glued map determined at order {order}: any family agreeing with the "
-        "chart maps as order-K germs along the zero section restricts to the "
-        "same map on these tubes"
-    )
-    return GluedMap(epsilons, domains, dict(maps), note)
+    return GluedMap(epsilons, domains, dict(maps))

@@ -105,7 +105,7 @@ def _cmd_glue(args):
             "triples": sorted(atlas.nerve_triples),
         },
         "radii": dict(sorted(atlas.cover.radii.items())),
-        "n_index": dict(sorted(atlas.cover.n_index.items())),
+        "n_index": {cid: r.denominator for cid, r in sorted(atlas.cover.radii.items())},
     }
     return _result(args, True, payload, atlas.cover)
 

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from .atlas import RADIUS_FLOOR_DEFAULT
 from .errors import (
     AgreementError,
-    NotInvertibleError,
     ShapeError,
     ShrinkExhausted,
     ValidationFailure,
@@ -37,6 +36,7 @@ from .jets import (
     Jet,
     grlex_terms,
     jet_const,
+    jet_constant_term,
     jet_eval,
     jet_is_zero,
     jet_project,
@@ -46,9 +46,9 @@ from .jets import (
 )
 from .matrices import (
     JetMatrix,
+    coeff_det,
     matrix_det,
     matrix_identity,
-    matrix_inverse,
     matrix_mul,
     matrix_sub,
 )
@@ -57,7 +57,6 @@ from .regions import (
     TubeDomain,
     disc_contains,
     disc_lens_outer_candidates,
-    polydisc_common_point,
     range_bound_tube,
 )
 from .scalars import ONE, ZERO, coeff_abs_lb
@@ -133,12 +132,11 @@ class SheafInput:
 
 
 class GluedSheaf:
-    __slots__ = ("atlas", "mode", "ranks", "epsilons", "chart_tubes",
+    __slots__ = ("mode", "ranks", "epsilons", "chart_tubes",
                  "pair_tubes", "matrices", "zero_section", "det_bounds", "order")
 
-    def __init__(self, atlas, mode, ranks, epsilons, chart_tubes, pair_tubes,
+    def __init__(self, mode, ranks, epsilons, chart_tubes, pair_tubes,
                  matrices, zero_section, det_bounds, order):
-        self.atlas = atlas
         self.mode = mode
         self.ranks = ranks
         self.epsilons = epsilons
@@ -151,14 +149,13 @@ class GluedSheaf:
 
 
 class GluedMorphism:
-    __slots__ = ("epsilons", "domains", "matrices", "isomorphism", "note")
+    __slots__ = ("epsilons", "domains", "matrices", "isomorphism")
 
-    def __init__(self, epsilons, domains, matrices, isomorphism, note):
+    def __init__(self, epsilons, domains, matrices, isomorphism):
         self.epsilons = epsilons
         self.domains = domains
         self.matrices = matrices
         self.isomorphism = isomorphism
-        self.note = note
 
 
 def _det_unit_certificate(det: Jet, tube: TubeDomain):
@@ -356,11 +353,9 @@ def _zero_section_matrix(g: JetMatrix, base_dim: int) -> JetMatrix:
 
 def _lens_fits(us: Sequence[Polydisc], target: Polydisc) -> bool:
     """Some sound outer disc of each coordinate's lens of the 2 or 3 discs,
-    nested through them in turn, fits in the target disc (vacuously true
-    when the overlap is empty).  A nonempty overlap keeps every nested lens
-    nonempty: each candidate disc contains the lens before it."""
-    if polydisc_common_point(us) is None:
-        return True
+    nested through them in turn, fits in the target disc.  The discs must
+    overlap, which keeps every nested lens nonempty: each candidate disc
+    contains the lens before it."""
     for k, (tc, tr) in enumerate(zip(target.centers, target.radii)):
         candidates = [(us[0].centers[k], us[0].radii[k])]
         for u in us[1:]:
@@ -379,7 +374,8 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     fiber radii of triples at i; base inclusions of the (outer-bounded)
     pairwise and triple overlaps into the declared domains are certified
     directly and do not depend on eps, so each domain is decided once, from
-    the first chart that reads it."""
+    the first chart that reads it.  A domain whose charts are not in the
+    atlas's U-nerve has an empty overlap and holds vacuously."""
     dets: Dict[Pair, Jet] = {}
     validate_sheaf_cocycle(inp, dets)
     cover = atlas.cover
@@ -387,23 +383,27 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     for cid in inp.ranks:
         if cid not in charts:
             raise ShapeError(f"sheaf references unknown chart {cid!r}")
+    for key in [*inp.domains, *inp.triple_domains]:
+        if any(c not in charts for c in key):
+            raise ShapeError(f"sheaf domain {key!r} references an unknown chart")
 
     # (charts, domain, overlap kind, domain name); the pairs before the triples
     declared = [(key, dom, "pair", "A") for key, dom in inp.domains.items() if key[0] != key[1]]
     declared += [(key, dom, "triple", "B") for key, dom in inp.triple_domains.items()]
-    fitted = set()
+    # the overlaps still to decide: the nonempty ones, keyed as the domains are
+    pending = set(atlas.nerve_pairs).union(atlas.nerve_triples)
     epsilons: Dict[object, Fraction] = {}
     for cid in sorted(inp.ranks, key=repr):
         eps, limit = cover.radii[cid], "its atlas radius"
         for key, dom, overlap, name in declared:
             if cid not in key:
                 continue
-            if key not in fitted:
+            if key in pending:
                 if not _lens_fits([cover.triples[c].U for c in key], dom.base):
                     raise ShrinkExhausted(
                         f"{overlap} overlap {key!r} not certified inside {name} domain"
                     )
-                fitted.add(key)
+                pending.remove(key)
             if dom.fiber_radius < eps:
                 eps, limit = dom.fiber_radius, f"the fiber radius of {name} domain {key!r}"
         if eps < radius_floor:
@@ -438,7 +438,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
             det_bounds[(i, j)] = lb
 
     return GluedSheaf(
-        atlas, inp.mode, dict(inp.ranks), epsilons, chart_tubes, pair_tubes,
+        inp.mode, dict(inp.ranks), epsilons, chart_tubes, pair_tubes,
         dict(inp.matrices), zero_section, det_bounds,
         order if order is not None else cover.input.order,
     )
@@ -454,7 +454,9 @@ def glue_sheaf_morphism(
 
     Requires g2_ij * Phi_i = Phi_j * g1_ij at order K on every pair; a
     nonzero residual raises an agreement error naming the pair and entry.
-    All chart matrices invertible over jets yields an isomorphism flag."""
+    All chart matrices invertible over jets yields an isomorphism flag: a
+    matrix over the local jet ring is invertible exactly when it is square
+    with an invertible matrix of constant terms."""
     if set(s1.ranks) != set(s2.ranks):
         raise ShapeError("sheaves must share the chart index set")
     for cid in sorted(s1.ranks, key=repr):
@@ -476,15 +478,11 @@ def glue_sheaf_morphism(
                 f"entry {tuple(hit[:2])}, exponent {hit[2]}, value {hit[3]!r}"
             )
 
-    isomorphism = True
-    for cid, phi in maps.items():
-        if phi.rows != phi.cols:
-            isomorphism = False
-            continue
-        try:
-            matrix_inverse(phi)
-        except NotInvertibleError:
-            isomorphism = False
+    isomorphism = all(
+        phi.rows == phi.cols and not coeff_det(
+            [[jet_constant_term(x) for x in row] for row in phi.entries]).is_zero()
+        for phi in maps.values()
+    )
 
     epsilons = {cid: min(s1.epsilons[cid], s2.epsilons[cid]) for cid in s1.ranks}
     domains = {
@@ -494,8 +492,4 @@ def glue_sheaf_morphism(
         )
         for cid in s1.ranks
     }
-    note = (
-        "glued morphism determined at the transition order: chart matrices "
-        "agreeing on all overlaps restrict to a single global homomorphism"
-    )
-    return GluedMorphism(epsilons, domains, dict(maps), isomorphism, note)
+    return GluedMorphism(epsilons, domains, dict(maps), isomorphism)

@@ -60,7 +60,7 @@ from .atlas import (
     GluedAtlas,
     run_glue_pipeline,
 )
-from .sheaf import GluedSheaf, SheafInput, glue_sheaf
+from .sheaf import SheafInput, glue_sheaf
 
 # Frame identities checked by the validators, with the transpose-slot
 # convention fixed once for the whole package.  The z-direction
@@ -434,15 +434,14 @@ def tep_report(d: TEPData, y: Optional[Sequence[Coeff]] = None, seed: int = 0) -
 
 
 class GluedTEP:
-    """Glued frame data: the certified atlas, the glued module, the
-    chart-wise data (gluing never modifies it) and the composite
-    certificate."""
+    """Glued frame data: the certified atlas, the chart-wise data (gluing
+    never modifies it) and the composite certificate, which carries what
+    the glued module decides (its mode, radii and determinant bounds)."""
 
-    __slots__ = ("atlas", "sheaf", "charts", "certificate")
+    __slots__ = ("atlas", "charts", "certificate")
 
-    def __init__(self, atlas: GluedAtlas, sheaf: GluedSheaf, charts, certificate):
+    def __init__(self, atlas: GluedAtlas, charts, certificate):
         self.atlas = atlas
-        self.sheaf = sheaf
         self.charts = charts
         self.certificate = certificate
 
@@ -604,4 +603,4 @@ def glue_tep(
         "chart_reports": chart_reports,
         "point_checks": point_checks,
     }
-    return GluedTEP(glued_atlas, glued_sheaf, dict(charts), certificate)
+    return GluedTEP(glued_atlas, dict(charts), certificate)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from germglue.atlas import (
     GermAtlasInput,
     GermTransition,
-    TripleCertificate,
     audit_cover_certificates,
     audit_transitivity,
     build_glued_atlas,
@@ -25,7 +24,6 @@ from germglue.atlas import (
     sample_chains,
     shrink_tubes,
     validate_germ_data,
-    zero_section_map,
 )
 from germglue.errors import (
     AgreementError,
@@ -356,8 +354,6 @@ def test_identity_pipeline_full_fiber_and_nerve():
     assert atlas.certificates["hausdorff"]["margin"] > 0
     assert atlas.nerve_pairs == [("A", "B"), ("A", "C"), ("B", "C")]
     assert atlas.nerve_triples == [("A", "B", "C")]
-    zs = atlas.zero_sections["A"]
-    assert zs == zero_section_map(1, 1, 3)
 
 
 def test_identity_triple_certificates_nonvacuous():
@@ -366,7 +362,6 @@ def test_identity_triple_certificates_nonvacuous():
     nonvac = [c for c in atlas.triple_certs.values() if not c.vacuous]
     assert nonvac
     for cert in nonvac:
-        assert cert.residual_zero
         assert cert.domain_margin > 0
 
 
@@ -620,7 +615,7 @@ def test_build_reads_symmetry_from_inverse_pair_triples():
     closed = check_closed_relation(cover, samples=20)
     key = ("A", "B", "A")
     assert not certs[key].vacuous
-    certs[key] = TripleCertificate(key, False, certs[key].domain_margin, False, "forced")
+    del certs[key]
     atlas = build_glued_atlas(cover, certs, closed)
     assert atlas.certificates["equivalence_relation"]["symmetric"] is False
     assert atlas.certificates["hausdorff"]["holds"] is False
@@ -816,7 +811,7 @@ def test_reused_certificates_match_a_fresh_recomputation():
     certs = enforce_triple_domains(cover)
     assert cover.halvings == 1
     fresh = ShrunkCover(
-        cover.input, cover.triples, cover.overlaps, dict(cover.n_index),
+        cover.input, cover.triples, cover.overlaps,
         dict(cover.radii), dict(cover.tubes), {},
     )
     assert _refresh_pair_certificates(fresh) is None
@@ -827,8 +822,7 @@ def test_reused_certificates_match_a_fresh_recomputation():
         return [(key, c.bound, c.margin, c.vacuous) for key, c in pairs.items()]
 
     def triple_view(triple_certs):
-        return [(key, c.vacuous, c.domain_margin, c.residual_zero, c.remark)
-                for key, c in triple_certs.items()]
+        return [(key, c.vacuous, c.domain_margin) for key, c in triple_certs.items()]
 
     assert pair_view(cover.pairs) == pair_view(fresh.pairs)
     assert triple_view(certs) == triple_view(fresh_certs)

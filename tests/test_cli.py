@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,22 @@ def test_sample_reports_are_byte_stable(tmp_path):
         report = (out / f"{argv[0]}-report.json").read_bytes()
         seen.append((argv, code, hashlib.sha256(report).hexdigest()))
     assert seen == SAMPLE_REPORTS
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, code, _ in SAMPLE_REPORTS if argv[0] == "glue" and code == 0],
+    ids=" ".join,
+)
+def test_glue_report_n_index_is_the_inverse_radius(tmp_path, argv):
+    # radii start at 1 and only halve, so n(i) = 1/r_i is a power of two
+    args = [SAMPLES / a if a.endswith(".json") else a for a in argv]
+    code, envelope, _ = run_cli(tmp_path, *args)
+    assert code == 0
+    report = envelope["report"]
+    assert report["n_index"].keys() == report["radii"].keys()
+    for cid, n in report["n_index"].items():
+        assert n * Fraction(report["radii"][cid]) == 1
+        assert n > 0 and n & (n - 1) == 0
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germglue.atlas import run_glue_pipeline
-from germglue.errors import AgreementError, ShrinkExhausted, ValidationFailure
-from germglue.jets import jet_add, jet_from_terms, jet_neg
+from germglue.atlas import GermAtlasInput, GermTransition, run_glue_pipeline
+from germglue.errors import AgreementError, ShapeError, ShrinkExhausted, ValidationFailure
+from germglue.jets import identity_map, jet_add, jet_from_terms, jet_neg
 from germglue.matrices import (
     JetMatrix,
     jet_reciprocal,
@@ -18,7 +18,7 @@ from germglue.matrices import (
     matrix_inverse,
     matrix_mul,
 )
-from germglue.regions import Polydisc, TubeDomain
+from germglue.regions import Polydisc, TubeDomain, polydisc_common_point
 from germglue.scalars import Coeff
 from germglue.sheaf import (
     GluedSheaf,
@@ -29,7 +29,7 @@ from germglue.sheaf import (
 )
 
 from .oracles import oracle_matmul, oracle_sheaf_cocycle
-from .test_atlas import identity_atlas, pinch_atlas
+from .test_atlas import disc_chart, full_tube, identity_atlas, pinch_atlas
 
 F = Fraction
 
@@ -62,6 +62,17 @@ def pinch_glued():
 @pytest.fixture(scope="module")
 def identity_glued():
     _, atlas = run_glue_pipeline(identity_atlas(), samples=10)
+    return atlas
+
+
+@pytest.fixture(scope="module")
+def sparse_glued():
+    """Identity charts at 0, 1/2 and 3: only A and B overlap."""
+    charts = {cid: disc_chart(c) for cid, c in zip("ABC", (F(0), F(1, 2), F(3)))}
+    ident = identity_map(2, 3)
+    transitions = [GermTransition(i, j, full_tube(i, charts[i]), ident)
+                   for i in charts for j in charts if i != j]
+    _, atlas = run_glue_pipeline(GermAtlasInput(1, 1, 3, charts, transitions), samples=10)
     return atlas
 
 
@@ -353,6 +364,41 @@ def test_glue_decides_each_declared_domain_once(identity_glued, monkeypatch):
     assert len(calls) == len(declared) == 4
 
 
+def test_glue_accepts_domains_off_the_nerve_without_a_fit(sparse_glued, monkeypatch):
+    import germglue.sheaf
+
+    inp = gauge_sheaf("ABC")
+    cover = sparse_glued.cover
+    off = [key for key in [*inp.domains, *inp.triple_domains]
+           if key not in sparse_glued.nerve_pairs + sparse_glued.nerve_triples]
+    assert off == [("A", "C"), ("B", "C"), ("A", "B", "C")]
+    for key in off:
+        assert polydisc_common_point([cover.triples[c].U for c in key]) is None
+    calls = []
+    real = germglue.sheaf._lens_fits
+
+    def counted(us, target):
+        calls.append(us)
+        return real(us, target)
+
+    monkeypatch.setattr(germglue.sheaf, "_lens_fits", counted)
+    sheaf = glue_sheaf(inp, sparse_glued)
+    assert calls == [[cover.triples["A"].U, cover.triples["B"].U]]
+    assert sheaf.epsilons == {cid: min(cover.radii[cid], F(1, 4)) for cid in "ABC"}
+
+
+@pytest.mark.parametrize("key", [("A", "Z"), ("Y", "Z"), ("A", "B", "Z")])
+def test_glue_rejects_a_domain_on_an_unknown_chart(identity_glued, key):
+    inp = gauge_sheaf("ABC")
+    dom = TubeDomain(key[0], Polydisc([Coeff(F(1, 10))], [F(1)]), 1, F(1, 4))
+    if len(key) == 2:
+        inp.domains[key] = dom
+    else:
+        inp.triple_domains[key] = dom
+    with pytest.raises(ShapeError, match=r"references an unknown chart$"):
+        glue_sheaf(inp, identity_glued)
+
+
 def test_glue_single_chart_free_module(identity_glued):
     inp = SheafInput(ranks={"A": 3}, domains={}, matrices={})
     sheaf = glue_sheaf(inp, identity_glued)
@@ -447,6 +493,13 @@ def test_global_scalar_morphism(pinch_glued):
     ])
     morph = glue_sheaf_morphism(sheaf, sheaf, {"A": two, "B": two})
     assert morph.isomorphism
+
+
+def test_zero_morphism_is_not_an_isomorphism(pinch_glued):
+    sheaf = glue_sheaf(rank2_input(), pinch_glued)
+    zero = JetMatrix([[jet(2, 6, []), jet(2, 6, [])], [jet(2, 6, []), jet(2, 6, [])]])
+    morph = glue_sheaf_morphism(sheaf, sheaf, {"A": zero, "B": zero})
+    assert morph.isomorphism is False
 
 
 def test_overlap_disagreement_rejected(pinch_glued):
