@@ -846,7 +846,10 @@ def build_glued_atlas(
 
     Refuses to glue when any certificate is missing.  The zero-section
     restriction is the U-cover itself, so the nerve is that of the U discs.
-    Symmetry reads the set of certified inverse-pair triples (i, j, i)."""
+    Hausdorffness is the closed relation plus the equivalence-relation
+    certificate: reflexivity is Q_ii = Q_i under the identity transition,
+    transitivity is (d) and (e) on the certified triples, and symmetry
+    reads the set of certified inverse-pair triples (i, j, i)."""
     if not closedness.get("closed"):
         raise CertificateIncompleteError("closedness certificate missing")
     for (i, j), cert in cover.pairs.items():
@@ -868,14 +871,8 @@ def build_glued_atlas(
         "hausdorff": {
             "holds": closedness["closed"] and symmetric,
             "margin": closedness.get("margin"),
-            "basis": "closed relation (relative compactness of overlap graphs) "
-                     "plus the equivalence-relation certificate",
         },
-        "equivalence_relation": {
-            "reflexive": "Q_ii = Q_i with the identity transition (normalized)",
-            "symmetric": symmetric,
-            "transitive_basis": "(d) and (e) on all certified triples",
-        },
+        "equivalence_relation": {"symmetric": symmetric},
         "halvings": cover.halvings,
     }
     return GluedAtlas(

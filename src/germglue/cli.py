@@ -28,7 +28,6 @@ from .documents import (
     dump_report,
     fraction_from_json,
     load_document,
-    matrix_to_json,
     sheaf_input_from_json,
     tep_data_from_json,
     tep_glue_input_from_json,
@@ -81,13 +80,7 @@ def _result(args, ok: bool, payload: dict, cover):
 
 def _cmd_validate(args):
     inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
-    report = validate_germ_data(inp)
-    payload = {
-        "validation": report,
-        "charts": sorted(inp.charts),
-        "order": inp.order,
-    }
-    return True, payload, EXIT_OK
+    return True, {"validation": validate_germ_data(inp)}, EXIT_OK
 
 
 def _cmd_glue(args):
@@ -105,7 +98,6 @@ def _cmd_glue(args):
             "triples": sorted(atlas.nerve_triples),
         },
         "radii": dict(sorted(atlas.cover.radii.items())),
-        "n_index": {cid: r.denominator for cid, r in sorted(atlas.cover.radii.items())},
     }
     return _result(args, True, payload, atlas.cover)
 
@@ -123,14 +115,10 @@ def _cmd_glue_sheaf(args):
     payload = {
         "mode": glued.mode,
         "order": glued.order,
-        "ranks": dict(sorted(glued.ranks.items())),
         "epsilons": dict(sorted(glued.epsilons.items())),
         "det_bounds": {repr(k): v for k, v in sorted(glued.det_bounds.items())},
         "chart_tubes": {
             cid: tube_to_json(t) for cid, t in sorted(glued.chart_tubes.items())
-        },
-        "zero_section": {
-            repr(k): matrix_to_json(m) for k, m in sorted(glued.zero_section.items())
         },
         "atlas_certificates": atlas.certificates,
     }
@@ -272,7 +260,7 @@ def _summary(envelope: dict, path: str) -> list:
         cert = report["certificate"]
         inter = cert["intertwining"]
         lines.append(
-            f"charts: {len(cert['charts'])}, intertwining pairs: "
+            f"charts: {len(cert['chart_reports'])}, intertwining pairs: "
             f"{inter['pairs_checked']}, residuals: {len(inter['residuals'])}"
         )
     if "float_audit" in report:

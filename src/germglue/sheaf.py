@@ -6,8 +6,9 @@ with triple tubes B_ijk inside the pairwise intersections.  Validation
 checks the matrix cocycle g_jk * g_ij = g_ik at order K, inverse pairs,
 identity diagonals, and a determinant-unit certificate for each g_ij over
 its tube.  Gluing finds per-chart radii eps_i whose tubes fit inside the
-chart tube and the declared A/B domains, restricts the transitions, and
-records the zero-section (fiber = 0) restriction of each matrix.
+chart tube and the declared A/B domains and restricts the transitions; the
+glued sheaf computes the zero-section (fiber = 0) restriction of each
+matrix when it is read.
 
 Presentation mode: modules are given by presentation matrices xi_i; the
 pair data supplies psi_ij together with a certificate chi_ij, and only the
@@ -133,19 +134,27 @@ class SheafInput:
 
 class GluedSheaf:
     __slots__ = ("mode", "ranks", "epsilons", "chart_tubes",
-                 "pair_tubes", "matrices", "zero_section", "det_bounds", "order")
+                 "pair_tubes", "matrices", "det_bounds", "order")
 
     def __init__(self, mode, ranks, epsilons, chart_tubes, pair_tubes,
-                 matrices, zero_section, det_bounds, order):
+                 matrices, det_bounds, order):
         self.mode = mode
         self.ranks = ranks
         self.epsilons = epsilons
         self.chart_tubes = chart_tubes
         self.pair_tubes = pair_tubes
         self.matrices = matrices
-        self.zero_section = zero_section
         self.det_bounds = det_bounds
         self.order = order
+
+    @property
+    def zero_section(self) -> Dict[Pair, JetMatrix]:
+        """Each off-diagonal transition restricted to the zero section
+        (fiber = 0), a matrix over the chart base coordinates."""
+        return {
+            (i, j): _zero_section_matrix(g, self.chart_tubes[i].base.dim)
+            for (i, j), g in self.matrices.items() if i != j
+        }
 
 
 class GluedMorphism:
@@ -322,7 +331,7 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
             hit = _matrix_first_nonzero(matrix_sub(restricted, base_m))
             violations.append({
                 "kind": "base_transition", "pair": [i, j],
-                "entry": hit[:2] if hit else None,
+                "entry": hit[:2],
                 "detail": "zero-section restriction differs from declared base data",
             })
 
@@ -375,7 +384,17 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     pairwise and triple overlaps into the declared domains are certified
     directly and do not depend on eps, so each domain is decided once, from
     the first chart that reads it.  A domain whose charts are not in the
-    atlas's U-nerve has an empty overlap and holds vacuously."""
+    atlas's U-nerve has an empty overlap and holds vacuously.  A declared
+    base transition must live in the atlas's base variables: one over more
+    variables would restrict nothing."""
+    base_dim = atlas.cover.input.base_dim
+    for key in sorted(inp.base_transitions, key=repr):
+        num_vars = inp.base_transitions[key].num_vars
+        if num_vars != base_dim:
+            raise ShapeError(
+                f"base transition {key!r} has {num_vars} variables, "
+                f"the atlas base has {base_dim}"
+            )
     dets: Dict[Pair, Jet] = {}
     validate_sheaf_cocycle(inp, dets)
     cover = atlas.cover
@@ -417,10 +436,8 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
         for cid in inp.ranks
     }
     pair_tubes: Dict[Pair, TubeDomain] = {}
-    zero_section: Dict[Pair, JetMatrix] = {}
     det_bounds: Dict[Pair, Fraction] = {}
     order = None
-    base_dim = cover.input.base_dim
     for (i, j), g in inp.matrices.items():
         if i == j:
             continue
@@ -428,7 +445,6 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
         dom = inp.domain(i, j)
         fiber = min(epsilons[i], epsilons[j], dom.fiber_radius)
         pair_tubes[(i, j)] = TubeDomain(i, dom.base, dom.fiber_dim, fiber)
-        zero_section[(i, j)] = _zero_section_matrix(g, base_dim)
         if inp.mode == "locally_free":
             lb = _det_unit_certificate(dets[(i, j)], pair_tubes[(i, j)])
             if lb is None:
@@ -439,7 +455,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
 
     return GluedSheaf(
         inp.mode, dict(inp.ranks), epsilons, chart_tubes, pair_tubes,
-        dict(inp.matrices), zero_section, det_bounds,
+        dict(inp.matrices), det_bounds,
         order if order is not None else cover.input.order,
     )
 

@@ -62,18 +62,6 @@ from .atlas import (
 )
 from .sheaf import SheafInput, glue_sheaf
 
-# Frame identities checked by the validators, with the transpose-slot
-# convention fixed once for the whole package.  The z-direction
-# compatibility takes the transpose of B at +z; the involution z -> -z acts
-# only on the A-direction matrices and on the pairing itself.
-FLATNESS_TT_IDENTITY = "z*(dA_b/dt_a - dA_a/dt_b) + A_a*A_b - A_b*A_a = 0"
-FLATNESS_TZ_IDENTITY = "z*dB/dt_a - z^2*dA_a/dz + z*A_a + A_a*B - B*A_a = 0"
-PAIRING_CONVENTION = (
-    "symmetry: P(t,z) = P(t,-z)^T; "
-    "t-direction: z*dP/dt_a = -A_a(t,-z)^T*P + P*A_a(t,z); "
-    "z-direction: z^2*dP/dz = -B(t,z)^T*P + P*B(t,z)"
-)
-
 # Symbolic determinant expansion is affordable up to this rank; larger
 # miniversality questions fall back to seeded randomized evaluation.
 SYMBOLIC_RANK_CAP = 5
@@ -229,10 +217,13 @@ def _eval_point(d: TEPData, y: Optional[Sequence[Coeff]]) -> tuple[Coeff, ...]:
 def validate_tep_flatness(d: TEPData) -> dict:
     """Commutator residuals of the pole-cleared connection.
 
-    The (t_a, t_b) commutator times z^2 gives the first identity; the
-    (t_a, z) commutator times z^3 gives the second.  Residual terms are
-    reported on the box deg_t <= t_order - 1 (one t-derivative is taken) and
-    deg_z <= z_order, the region the declared truncation determines.
+    The (t_a, t_b) commutator times z^2 gives the first identity,
+        z*(dA_b/dt_a - dA_a/dt_b) + A_a*A_b - A_b*A_a = 0;
+    the (t_a, z) commutator times z^3 gives the second,
+        z*dB/dt_a - z^2*dA_a/dz + z*A_a + A_a*B - B*A_a = 0.
+    Residual terms are reported on the box deg_t <= t_order - 1 (one
+    t-derivative is taken) and deg_z <= z_order, the region the declared
+    truncation determines.
     """
     m, z, w = d.base_dim, d.z_index, d.work_order
     t_cap, z_cap = d.t_order - 1, d.z_order
@@ -251,7 +242,6 @@ def validate_tep_flatness(d: TEPData) -> dict:
         residuals += _tagged(res, m, t_cap, z_cap, {"directions": [a, "z"]})
     return {
         "flat": not residuals,
-        "identities": {"tt": FLATNESS_TT_IDENTITY, "tz": FLATNESS_TZ_IDENTITY},
         "box": {"t": t_cap, "z": z_cap},
         "residuals": residuals,
     }
@@ -261,9 +251,14 @@ def validate_tep_pairing(d: TEPData) -> dict:
     """Symmetry, flatness-compatibility and non-degeneracy of the pairing.
 
     Symmetry is P(t,z) = P(t,-z)^T coefficientwise.  Compatibility is the
-    frame identity stated in ``PAIRING_CONVENTION``; non-degeneracy asks for
-    an invertible constant term, the germ-level meaning of P(t,0) being
-    invertible.
+    pair of frame identities
+        z*dP/dt_a = -A_a(t,-z)^T*P + P*A_a(t,z),
+        z^2*dP/dz = -B(t,z)^T*P + P*B(t,z),
+    with the transpose-slot convention fixed once for the whole package:
+    the z-direction identity takes the transpose of B at +z, and the
+    involution z -> -z acts only on the A-direction matrices and on the
+    pairing itself.  Non-degeneracy asks for an invertible constant term,
+    the germ-level meaning of P(t,0) being invertible.
     """
     m, z, w = d.base_dim, d.z_index, d.work_order
     p = d.p_mat
@@ -287,7 +282,6 @@ def validate_tep_pairing(d: TEPData) -> dict:
     nondegenerate = not det0.is_zero()
     return {
         "valid": not symmetry and not compatibility and nondegenerate,
-        "convention": PAIRING_CONVENTION,
         "symmetry": symmetry,
         "compatibility": compatibility,
         "nondegenerate": nondegenerate,
@@ -366,10 +360,7 @@ def check_miniversal(
     misses a nonzero determinant with probability below rank / 2e6).
     """
     if d.base_dim != d.rank:
-        return False, {
-            "method": "dimension",
-            "reason": "base dimension differs from rank",
-        }
+        return False, {"method": "dimension"}
     pt = _eval_point(d, y)
     mats = [matrix_eval(a, pt) for a in d.a_mats]
     n = d.rank
@@ -526,9 +517,10 @@ def glue_tep(
     the sections, and re-validates the axioms and hypotheses on each chart
     at its tube center plus any user-supplied (chart, point) pairs.  The
     certificate's ``valid`` covers the axioms and the intertwining; the
-    ``zero_section_pullback`` entry isolates intertwining failures that
-    survive restriction to the zero section, where the glued data must
-    reproduce the input.
+    ``zero_section_pullback`` entry holds when no intertwining residual
+    survives restriction to the zero section, where the glued data must
+    reproduce the input; the residuals themselves are under
+    ``intertwining``.
     """
     ids = sorted(atlas_input.charts, key=repr)
     if set(charts) != set(atlas_input.charts):
@@ -565,7 +557,7 @@ def glue_tep(
         pairs_checked += 1
 
     fiber_span = range(atlas_input.base_dim, atlas_input.total_vars)
-    on_section = [r for r in residuals if all(r["exponent"][k] == 0 for k in fiber_span)]
+    on_section = any(all(r["exponent"][k] == 0 for k in fiber_span) for r in residuals)
 
     chart_reports = {}
     for cid in ids:
@@ -590,7 +582,6 @@ def glue_tep(
     valid = not residuals and all(r["valid"] for r in chart_reports.values())
     certificate = {
         "valid": valid,
-        "charts": ids,
         "atlas": atlas_report,
         "atlas_certificates": glued_atlas.certificates,
         "sheaf": {
@@ -599,7 +590,7 @@ def glue_tep(
             "det_bounds": glued_sheaf.det_bounds,
         },
         "intertwining": {"pairs_checked": pairs_checked, "residuals": residuals},
-        "zero_section_pullback": {"holds": not on_section, "violations": on_section},
+        "zero_section_pullback": {"holds": not on_section},
         "chart_reports": chart_reports,
         "point_checks": point_checks,
     }

@@ -31,7 +31,6 @@ def test_validate_identity_atlas(tmp_path):
     code, envelope, _ = run_cli(tmp_path, "validate", SAMPLES / "identity-atlas.json")
     assert code == 0
     assert envelope["ok"]
-    assert envelope["report"]["charts"] == ["A", "B", "C"]
     assert envelope["report"]["validation"]["valid"]
 
 
@@ -94,7 +93,7 @@ def test_radius_floor_bounds_every_chart_radius(tmp_path):
     }
     code, envelope, _ = run_cli(tmp_path, *args, "--radius-floor", "1/64")
     assert code == 0
-    assert max(envelope["report"]["n_index"].values()) == 64
+    assert min(map(Fraction, envelope["report"]["radii"].values())) == Fraction(1, 64)
 
 
 def test_glue_radius_floor_names_the_blocking_triple(tmp_path):
@@ -147,7 +146,6 @@ def test_glue_sheaf_over_pinch_atlas(tmp_path):
     assert report["mode"] == "locally_free"
     assert set(report["epsilons"]) == {"A", "B"}
     assert report["det_bounds"]
-    assert report["zero_section"]
 
 
 def test_glue_sheaf_requires_atlas_flag(tmp_path):
@@ -170,6 +168,24 @@ def test_glue_sheaf_radius_floor_names_the_capping_domain(tmp_path):
         "kind": "ShrinkExhausted",
         "message": "chart 'A' capped at 1/1000 by the fiber radius of A domain "
                    "('A', 'B'); radius floor 1/64 reached",
+    }
+
+
+def test_glue_sheaf_rejects_a_base_transition_over_the_total_space(tmp_path):
+    # g_AB itself as the declared (A, B) base transition: over the total
+    # space its entry t*z survives, so it must not pass as base data
+    doc = json.loads((SAMPLES / "rank2-sheaf.json").read_text())
+    doc["base_transitions"][0]["matrix"] = next(
+        m["matrix"] for m in doc["matrices"] if (m["from"], m["to"]) == ("A", "B"))
+    sheaf = tmp_path / "total-space-base.json"
+    sheaf.write_text(json.dumps(doc))
+    code, envelope, _ = run_cli(
+        tmp_path, "glue-sheaf", sheaf, "--atlas", SAMPLES / "pinch-atlas.json",
+    )
+    assert code == 4
+    assert envelope["error"] == {
+        "kind": "ShapeError",
+        "message": "base transition ('A', 'B') has 2 variables, the atlas base has 1",
     }
 
 
@@ -396,42 +412,41 @@ def test_out_of_range_budget_exits_4(tmp_path, flag):
     assert "closedness" not in envelope["report"]
 
 
-# Exit code and report sha256 of each exact-mode command on the committed
-# sample inputs (default flags), recorded before the integer jet kernels
-# replaced the per-term Coeff loops: exact arithmetic must not move a byte.
+# Exit code and report sha256 of each command on the committed sample
+# inputs (default flags unless given): exact arithmetic must not move a byte.
 SAMPLE_REPORTS = [
     (["validate", "identity-atlas.json"], 0,
-     "c776f923ead93901c2dc6409dc8e3184d51ac5fbf08e859bdb7ed5313c7c7c18"),
+     "53dd47c7b86a27083a65b1a8e7f00505341c7226c77318ad7d0191f3c557da7e"),
     (["validate", "scaling-atlas.json"], 0,
-     "5c2d302b0c96b1194488e9334c530341d49ec3fce15f06c1689e6bde1b9836a0"),
+     "023deaa6f02a1ec79b436ca684015f003aea0c4fac3f932d4a7dd682fa534346"),
     (["validate", "pinch-atlas.json"], 0,
-     "95181a6313b83cb9d6ab2ccb8342bca78296bed837acef0289a88e2c908d78fb"),
+     "ee975b5d4e34e015844aae1fbdc0900851cc5740768bd3f1d74bc1495c2b2c6f"),
     (["validate", "broken-cocycle-atlas.json"], 2,
      "17c30820d675a72dbf38e9667600be4e55cda5a43b955b38eccb4ebbce69fda9"),
     (["glue", "identity-atlas.json"], 0,
-     "43056c93ce78946ff1c4d09571606d9665f581b6e77b82d7b8f64ae8c7881bc0"),
+     "b6509c2b5025a49b714ffd34e9f179d70d02c81acd492671abb35049c59bd35c"),
     (["glue", "scaling-atlas.json"], 0,
-     "03382a2014ae14d2cfb236607b31a00ecd4d6e9989bab781a3d7b18a707e81c2"),
+     "e0218476411975f743adec37e3b608cb4f7eae8f8f697b49077be3ce5d3a504b"),
     (["glue", "pinch-atlas.json"], 0,
-     "e58a38718c5489e8d26e2ccf939d06ea72790073e149558eaf7a6191d94b700d"),
+     "cf961dd1f40bfd62eac73524dc4a74c4fdad05165d7ba76f599df1a9bd6a38cb"),
     (["glue", "broken-cocycle-atlas.json"], 2,
      "6484d11a646e70c0f0a302d10a856591bdefddbb7b955bf229fbf23a38d0dbf8"),
     # halves a radius in the triple stage; float mode's seeded audits read
     # the order of the pair and triple certificates
     (["glue", "scaling-halving-atlas.json"], 0,
-     "2b9aa446375847eeb05fced4aa10edb2c4ba543b5b701505255d71417da9b0f6"),
+     "f7852c639a2ed3a973eb90a8afa6eea17827549375761a1620475c154511bb2b"),
     (["glue", "scaling-halving-atlas.json", "--mode", "float"], 0,
-     "02a04f91e5dc73548d89af3e93ade492c9f2bfbde3eefd7e2d5d7df89b8b1237"),
+     "112f38f96e345313e1956a55466cafd940fadc20e04b5537f01704945d04d1ca"),
     (["glue", "identity-chain-atlas.json"], 3,
      "ca33494ae59ae57f0c6309a7d52730649102545cfe715495329cede57258ad7d"),
     (["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"], 0,
-     "dd704822258caa39041b2a45098a2d214cb13bb147481a340be150f7e46a0bcf"),
+     "3a51906d7c7657e7fe251d91337aacfbdca255045cd5473087f115022736973a"),
     (["tep-check", "flat-tep.json"], 0,
-     "8e2da0229142477968df7d5eea4582b910b0d3e0bc4f2502bb18c30b595a85e8"),
+     "09ff737a1601b76750604168ed23f05201be3ea083588280381f2f96ec415a4e"),
     (["tep-check", "antisym-tep.json"], 2,
-     "de75454e04b4960355556f7c935130b96f2ff887d518c0116950619d9ffdbc83"),
+     "7e8b4e1eadc82ad28db30064dad24ba7e9fff18a4296524852057f7ce51196fe"),
     (["glue-tep", "tep-glue.json"], 0,
-     "a7d1268cad9e331226d8367a640f451bf0c8a23e1b305b2d337bb040961457f2"),
+     "26ba94101b39b4e58533db268b5605122acc4dbe2d1748032e16ca36c61d3955"),
     # a triple overlap that no chord point of two discs reaches
     (["validate", "hidden-triple-atlas.json"], 2,
      "6bb5c3a34c668dde3b3432727ff112758b8834b66d78b9ee262a381085c05783"),
@@ -451,20 +466,39 @@ def test_sample_reports_are_byte_stable(tmp_path):
     assert seen == SAMPLE_REPORTS
 
 
+def _string_leaves(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _string_leaves(child)
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, code, _ in SAMPLE_REPORTS if code == 0], ids=" ".join,
+)
+def test_exit_0_reports_hold_no_prose(tmp_path, argv):
+    # every field of a certificate is a value the run computed; the prose
+    # that defines the fields is in the README, once
+    args = [SAMPLES / a if a.endswith(".json") else a for a in argv]
+    code, envelope, _ = run_cli(tmp_path, *args)
+    assert code == 0
+    assert [s for s in _string_leaves(envelope) if any(c.isspace() for c in s)] == []
+
+
 @pytest.mark.parametrize(
     "argv", [argv for argv, code, _ in SAMPLE_REPORTS if argv[0] == "glue" and code == 0],
     ids=" ".join,
 )
 def test_glue_report_n_index_is_the_inverse_radius(tmp_path, argv):
-    # radii start at 1 and only halve, so n(i) = 1/r_i is a power of two
+    # radii start at 1 and only halve, so each radius is 1/n with the n
+    # index n = 2^h
     args = [SAMPLES / a if a.endswith(".json") else a for a in argv]
     code, envelope, _ = run_cli(tmp_path, *args)
     assert code == 0
-    report = envelope["report"]
-    assert report["n_index"].keys() == report["radii"].keys()
-    for cid, n in report["n_index"].items():
-        assert n * Fraction(report["radii"][cid]) == 1
-        assert n > 0 and n & (n - 1) == 0
+    for r in map(Fraction, envelope["report"]["radii"].values()):
+        n = r.denominator
+        assert r.numerator == 1 and n & (n - 1) == 0
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from germglue.scalars import Coeff
 from germglue.sheaf import (
     GluedSheaf,
     SheafInput,
+    _zero_section_matrix,
     glue_sheaf,
     glue_sheaf_morphism,
     validate_sheaf_cocycle,
@@ -300,8 +301,10 @@ def test_glue_rank2_over_pinch_atlas(pinch_glued):
     r = pinch_glued.cover.radii
     assert sheaf.epsilons["A"] == min(r["A"], F(1, 2))
     assert sheaf.epsilons["B"] == min(r["B"], F(1, 2))
-    zs = sheaf.zero_section[("A", "B")]
-    assert zs == matrix_identity(2, 1, 6)
+    assert sheaf.zero_section[("A", "B")] == matrix_identity(2, 1, 6)
+    assert sheaf.zero_section.keys() == {("A", "B"), ("B", "A")}
+    for key, zs in sheaf.zero_section.items():
+        assert zs == _zero_section_matrix(sheaf.matrices[key], 1)
     assert sheaf.det_bounds[("A", "B")] > 0
 
 
