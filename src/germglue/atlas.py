@@ -68,20 +68,20 @@ from .regions import (
     fiber_profile,
     map_image_bound,
     max_dist2,
-    numerators_in_tube,
-    point_in_polydisc,
-    point_in_tube,
+    numerators_in_table,
     polydisc_common_point,
     polydisc_contains,
     polydisc_inflate,
     polydisc_intersection_inner,
     polydisc_intersection_outer,
     refine_cover,
+    region_table,
+    table_of,
     tube_contains,
     tube_rel_compact,
 )
-from .sampling import sample_in_polydisc, sample_in_tube, sample_numerators
-from .scalars import ZERO, sqrt_lb
+from .sampling import sample_numerators
+from .scalars import sqrt_lb
 
 RADIUS_FLOOR_DEFAULT = Fraction(1, 2**20)
 
@@ -754,18 +754,23 @@ def enforce_triple_domains(
 # ---------------------------------------------------------------------------
 
 
-def _q_pair_image(cover: ShrunkCover, i, j, x, maps: dict):
+def _in(tables: dict, x, region, strict: bool = True) -> bool:
+    return numerators_in_table(x, table_of(tables, region), strict)
+
+
+def _q_pair_image(cover: ShrunkCover, i, j, x, tables: dict):
     """phi_ij(x) when x is certified in Q_ij = Q_i ∩ O_ij ∩ phi_ij^{-1}(Q_j),
     else None: exact for the Q parts, via the certified inner tube for the O
-    part.  Points are numerator tuples; ``maps`` converts each phi_ij once."""
+    part.  Points are numerator tuples; ``tables`` keeps, for one call, the
+    :func:`table_of` tables and each phi_ij's evaluation form."""
     data = cover.overlaps.get((i, j))
-    if data is None or data.vacuous or not numerators_in_tube(x, cover.tubes[i]) \
-            or not numerators_in_tube(x, data.o_inner):
+    if data is None or data.vacuous or not _in(tables, x, cover.tubes[i]) \
+            or not _in(tables, x, data.o_inner):
         return None
-    if (i, j) not in maps:
-        maps[(i, j)] = map_numerators(cover.input.transitions[(i, j)].map)
-    image = eval_numerators(maps[(i, j)], x)
-    return image if numerators_in_tube(image, cover.tubes[j]) else None
+    if (i, j) not in tables:
+        tables[(i, j)] = map_numerators(cover.input.transitions[(i, j)].map)
+    image = eval_numerators(tables[(i, j)], x)
+    return image if _in(tables, image, cover.tubes[j]) else None
 
 
 def check_closed_relation(
@@ -790,13 +795,13 @@ def check_closed_relation(
     rng = random.Random(seed)
     pairs = [pk for pk, cert in cover.pairs.items() if not cert.vacuous]
     audited = separated = skipped = 0
-    maps: dict = {}
+    tables: dict = {}
     min_separation: Optional[Fraction] = None
     for _ in range(samples if pairs else 0):
         i, j = pairs[rng.randrange(len(pairs))]
-        x = sample_numerators(rng, cover.tubes[i])
-        y = sample_numerators(rng, cover.tubes[j])
-        partner = _q_pair_image(cover, i, j, x, maps)
+        x = sample_numerators(rng, table_of(tables, cover.tubes[i]))
+        y = sample_numerators(rng, table_of(tables, cover.tubes[j]))
+        partner = _q_pair_image(cover, i, j, x, tables)
         if partner is None:
             skipped += 1
             continue
@@ -925,54 +930,50 @@ def audit_cover_certificates(
     chart_ids = sorted(inp.charts, key=repr)
     live_pairs = [pk for pk, c in cover.pairs.items() if not c.vacuous]
     live_triples = [key for key, tc in triple_certs.items() if not tc.vacuous]
-    composites, maps = {}, {}
+    composites, probes, tables = {}, {}, {}
     for (i, j, k) in live_triples:
         composites[(i, j, k)] = map_numerators(map_compose(
             inp.transitions[(i, j)].map, inp.transitions[(j, k)].map
         ))
+        t_ij, t_ik = _bound_for(cover, i, j), _bound_for(cover, i, k)
+        base = polydisc_intersection_inner(t_ij.base, t_ik.base)
+        probes[(i, j, k)] = None if base is None else region_table(TubeDomain(
+            i, base, inp.fiber_dim, min(t_ij.fiber_radius, t_ik.fiber_radius)))
 
     for _ in range(samples):
         cid = chart_ids[rng.randrange(len(chart_ids))]
-        tube = cover.tubes[cid]
-        x = sample_in_tube(rng, tube)
+        tube, triple = cover.tubes[cid], cover.triples[cid]
+        q, xr, xi = sample_numerators(rng, table_of(tables, tube))
+        x_base = (q, xr[: inp.base_dim], xi[: inp.base_dim])
         counts["a"] += 1
-        if not point_in_polydisc(x[: inp.base_dim], cover.triples[cid].V, strict=True):
+        if not _in(tables, x_base, triple.V):
             violations["a"] += 1
         counts["b"] += 1
-        base = sample_in_polydisc(rng, cover.triples[cid].U)
-        zero_point = base + (ZERO,) * inp.fiber_dim
-        if not point_in_tube(zero_point, tube, strict=False) \
-                or not point_in_polydisc(x[: inp.base_dim], cover.triples[cid].U, strict=True):
+        # (u, 0) lies in the closure of Q_i exactly when u lies in its base's
+        u = sample_numerators(rng, table_of(tables, triple.U))
+        if not _in(tables, u, tube.base, strict=False) or not _in(tables, x_base, triple.U):
             violations["b"] += 1
 
         if live_pairs:
             i, j = live_pairs[rng.randrange(len(live_pairs))]
-            cert = cover.pairs[(i, j)]
-            y = sample_numerators(rng, cert.bound)
-            if _q_pair_image(cover, i, j, y, maps) is not None:
+            y = sample_numerators(rng, table_of(tables, cover.pairs[(i, j)].bound))
+            if _q_pair_image(cover, i, j, y, tables) is not None:
                 counts["c"] += 1
                 data = cover.overlaps[(i, j)]
-                if not (numerators_in_tube(y, data.witness, strict=False)
-                        and numerators_in_tube(y, data.o_inner)):
+                if not (_in(tables, y, data.witness, strict=False)
+                        and _in(tables, y, data.o_inner)):
                     violations["c"] += 1
 
         if live_triples:
             i, j, k = live_triples[rng.randrange(len(live_triples))]
-            t_ij = _bound_for(cover, i, j)
-            t_ik = _bound_for(cover, i, k)
-            base_polydisc = polydisc_intersection_inner(t_ij.base, t_ik.base)
-            if base_polydisc is not None:
-                probe = TubeDomain(
-                    i, base_polydisc, inp.fiber_dim,
-                    min(t_ij.fiber_radius, t_ik.fiber_radius),
-                )
+            probe = probes[(i, j, k)]
+            if probe is not None:
                 y = sample_numerators(rng, probe)
-                image = _q_pair_image(cover, i, j, y, maps)
-                direct = y if k == i else _q_pair_image(cover, i, k, y, maps)
+                image = _q_pair_image(cover, i, j, y, tables)
+                direct = y if k == i else _q_pair_image(cover, i, k, y, tables)
                 if image is not None and direct is not None:
                     counts["d"] += 1
-                    target = cover.overlaps[(j, k)]
-                    if not numerators_in_tube(image, target.o_inner, strict=False):
+                    if not _in(tables, image, cover.overlaps[(j, k)].o_inner, strict=False):
                         violations["d"] += 1
                     counts["e"] += 1
                     if max_dist2(eval_numerators(composites[(i, j, k)], y), direct):
@@ -1000,14 +1001,14 @@ def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list,
     ]
     accepted: list = []
     attempts = 0
-    maps: dict = {}
+    tables: dict = {}
     max_attempts = chains * 200 if live else 0
     while len(accepted) < chains and attempts < max_attempts:
         attempts += 1
         i, j, k = live[rng.randrange(len(live))]
-        x = sample_numerators(rng, cover.pairs[(i, j)].bound)
-        y = _q_pair_image(cover, i, j, x, maps)
-        z = None if y is None else _q_pair_image(cover, j, k, y, maps)
+        x = sample_numerators(rng, table_of(tables, cover.pairs[(i, j)].bound))
+        y = _q_pair_image(cover, i, j, x, tables)
+        z = None if y is None else _q_pair_image(cover, j, k, y, tables)
         if z is not None:
             accepted.append((i, j, k, x, z))
     return accepted, attempts

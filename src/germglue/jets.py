@@ -44,7 +44,8 @@ module.
 Evaluation has one routine too: :func:`eval_numerators` takes a map
 converted once by :func:`map_numerators` and a point given as
 Gaussian-integer numerators over one denominator, and builds each monomial
-of the point once for all components.  :func:`map_eval` and
+of the point once for all components from flat terms (power of q, nonzero
+variable powers, numerators per component).  :func:`map_eval` and
 :func:`jet_eval` are its cases for a point of Coeff.
 
 All operations are pure: they never mutate their operands, so values can be
@@ -495,15 +496,17 @@ def point_from_numerators(x: NumPoint) -> tuple[Coeff, ...]:
 def map_numerators(f: PolyMap) -> tuple:
     """``f`` as :func:`eval_numerators` reads it: ``(d, k, n, terms)``, with
     d the lcm of the denominators, k the order, n the component count and
-    one ``(e, [(c, re, im), ...])`` in ``terms`` per exponent e, listing the
-    components c whose coefficient (re + i*im) / d of x^e is nonzero."""
-    d = math.lcm(*[comp.den for comp in f.components])
+    one ``(k - |e|, powers, coeffs)`` in ``terms`` per exponent e: the
+    nonzero (variable, power) pairs of e, and one ``(c, re, im)`` per
+    component c whose coefficient (re + i*im) / d of x^e is nonzero."""
+    d, k = math.lcm(*[comp.den for comp in f.components]), f.order
     terms: dict = {}
     for c, comp in enumerate(f.components):
         s, re, im = d // comp.den, comp.re, comp.im
         for e in {**re, **im}:
             terms.setdefault(e, []).append((c, re.get(e, 0) * s, im.get(e, 0) * s))
-    return d, f.order, f.target_vars, list(terms.items())
+    return d, k, f.target_vars, [(k - sum(e), [(v, j) for v, j in enumerate(e) if j], coeffs)
+                                 for e, coeffs in terms.items()]
 
 
 def eval_numerators(fn, x: NumPoint) -> NumPoint:
@@ -524,26 +527,24 @@ def eval_numerators(fn, x: NumPoint) -> NumPoint:
     sr, si = [0] * n, [0] * n
     if not any(pi):
         pows = [[p**j for j in range(k + 1)] for p in pr]
-        for e, coeffs in terms:
-            m = qk[k - sum(e)]
-            for pw, j in zip(pows, e):
-                if j:
-                    m *= pw[j]
+        for dk, powers, coeffs in terms:
+            m = qk[dk]
+            for v, j in powers:
+                m *= pows[v][j]
             for c, a, b in coeffs:
                 sr[c] += a * m
                 if b:
                     si[c] += b * m
         return d * qk[k], tuple(sr), tuple(si)
     pows = [gaussian_powers(a, b, k) for a, b in zip(pr, pi)]
-    for e, coeffs in terms:
-        mr, mi = qk[k - sum(e)], 0
-        for pw, j in zip(pows, e):
-            if j:
-                ur, ui = pw[j]
-                mr, mi = mr * ur - mi * ui, mr * ui + mi * ur
+    for dk, powers, coeffs in terms:
+        mr, mi = qk[dk], 0
+        for v, j in powers:
+            ur, ui = pows[v][j]
+            mr, mi = mr * ur - mi * ui, mr * ui + mi * ur
         for c, a, b in coeffs:
-            sr[c] += a * mr - b * mi
-            si[c] += a * mi + b * mr
+            sr[c] += a * mr - b * mi if b else a * mr
+            si[c] += a * mi + b * mr if b else a * mi
     return d * qk[k], tuple(sr), tuple(si)
 
 

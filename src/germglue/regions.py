@@ -23,11 +23,12 @@ result is the rational the term-by-term Fraction sum gives.  A fiber
 profile keeps these sums per fiber degree, so the bound over one base
 disc at each fiber radius is a Horner evaluation on integers.  Membership
 runs on integers too: a point is taken as Gaussian-integer numerators over
-one denominator (:func:`germglue.jets.point_numerators`), and each
-coordinate's |x - c|^2 against r^2 is one cross-multiplied comparison.
-So are the disc certificates: each is an integer sign test on unreduced
-|Δc|^2 pairs, margins round through ``sqrt_ub_ratio``, and a Fraction is
-built only for a returned value.
+one denominator (:func:`germglue.jets.point_numerators`), a region as its
+:func:`region_table` (every centre and radius over one denominator, built
+once per audit call), and each coordinate's |x - c|^2 against r^2 is one
+cross-multiplied comparison.  So are the disc certificates: each is an
+integer sign test on unreduced |Δc|^2 pairs, margins round through
+``sqrt_ub_ratio``, and a Fraction is built only for a returned value.
 """
 
 from __future__ import annotations
@@ -331,28 +332,6 @@ def polydisc_scale(p: Polydisc, factor: Fraction) -> Polydisc:
     return Polydisc(p.centers, [r * factor for r in p.radii])
 
 
-def _in_discs(x: NumPoint, discs: Sequence[tuple[Coeff, Fraction]], strict: bool) -> bool:
-    """``x`` lies in every disc (c_k, r_k), open when strict: for
-    x_k = (a + i*b) / q, c_k = m / n + i * m' / n' and r_k = s / t, the
-    integer test ((a n - m q)^2 n'^2 + (b n' - m' q)^2 n^2) t^2 < (s q n n')^2."""
-    q, xr, xi = x
-    if len(xr) != len(discs):
-        raise ShapeError("point dimension mismatch")
-    for a, b, (c, r) in zip(xr, xi, discs):
-        nr, ni = c.re.denominator, c.im.denominator
-        dr = (a * nr - c.re.numerator * q) * ni
-        di = (b * ni - c.im.numerator * q) * nr
-        lhs = (dr * dr + di * di) * r.denominator ** 2
-        rhs = (r.numerator * q * nr * ni) ** 2
-        if not (lhs < rhs if strict else lhs <= rhs):
-            return False
-    return True
-
-
-def point_in_polydisc(x: Sequence[Coeff], p: Polydisc, strict: bool = True) -> bool:
-    return _in_discs(point_numerators(x), tuple(zip(p.centers, p.radii)), strict)
-
-
 def _discs_common_point(discs: Sequence[tuple[Coeff, Fraction]]) -> Optional[Coeff]:
     """The minimiser x of the largest power |x - c_i|^2 - r_i^2 of a point
     with respect to the circles, when that power is negative; else None:
@@ -447,19 +426,62 @@ def tube_rel_compact(inner: TubeDomain, outer: TubeDomain) -> Optional[Fraction]
     return min(base_margin, fiber_margin)
 
 
-def tube_discs(t: TubeDomain) -> tuple[tuple[Coeff, Fraction], ...]:
-    """(centre, radius) per coordinate of the tube: the base discs, then
-    one disc around 0 per fiber variable."""
-    return (*zip(t.base.centers, t.base.radii), *((ZERO, t.fiber_radius),) * t.fiber_dim)
+GRID_DENOMINATOR = 64
+
+
+def region_table(region) -> tuple:
+    """A :class:`Polydisc` or :class:`TubeDomain` (fiber discs around 0) as
+    membership and the grid sampler read it: ``(q, rows)``, q the lcm of the
+    centre and G * radius denominators (G = GRID_DENOMINATOR), and per disc
+    a row (m, m', s, h): centre (m + i*m') / q, radius s / q, grid step h / q."""
+    p = region if isinstance(region, Polydisc) else tube_as_polydisc(region)
+    discs = tuple(zip(p.centers, p.radii))
+    g = GRID_DENOMINATOR
+    q = math.lcm(*[n for c, r in discs
+                   for n in (c.re.denominator, c.im.denominator, g * r.denominator)])
+    return q, tuple([(c.re.numerator * (q // c.re.denominator),
+                      c.im.numerator * (q // c.im.denominator),
+                      r.numerator * (q // r.denominator),
+                      r.numerator * (q // (g * r.denominator))) for c, r in discs])
+
+
+def table_of(tables: dict, region) -> tuple:
+    """:func:`region_table`, built once per ``tables``, the caller's dict for
+    one call: keyed by id, its entry keeps ``region`` so that no id recurs."""
+    entry = tables.get(id(region))
+    if entry is None:
+        entry = tables[id(region)] = (region, region_table(region))
+    return entry[1]
+
+
+def numerators_in_table(x: NumPoint, table: tuple, strict: bool = True) -> bool:
+    """``x`` lies in every disc of a :func:`region_table`, open when strict:
+    for x_k = (a + i*b) / p and the row (m, m', s, h) over q, the integer
+    test (a q - m p)^2 + (b q - m' p)^2 < (s p)^2."""
+    p, xr, xi = x
+    q, rows = table
+    if len(xr) != len(rows):
+        raise ShapeError("point dimension mismatch")
+    for a, b, (m, mi, s, _) in zip(xr, xi, rows):
+        dr = a * q - m * p
+        di = b * q - mi * p
+        lhs, rp = dr * dr + di * di, s * p
+        if not (lhs < rp * rp if strict else lhs <= rp * rp):
+            return False
+    return True
 
 
 def numerators_in_tube(x: NumPoint, t: TubeDomain, strict: bool = True) -> bool:
     """Membership of a :func:`germglue.jets.point_numerators` point."""
-    return _in_discs(x, tube_discs(t), strict)
+    return numerators_in_table(x, region_table(t), strict)
 
 
 def point_in_tube(x: Sequence[Coeff], t: TubeDomain, strict: bool = True) -> bool:
-    return numerators_in_tube(point_numerators(x), t, strict)
+    return numerators_in_table(point_numerators(x), region_table(t), strict)
+
+
+def point_in_polydisc(x: Sequence[Coeff], p: Polydisc, strict: bool = True) -> bool:
+    return numerators_in_table(point_numerators(x), region_table(p), strict)
 
 
 def max_dist2(x: NumPoint, y: NumPoint) -> Fraction:

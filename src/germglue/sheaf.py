@@ -218,7 +218,9 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
 
     ``dets``, when given, receives det g_ij for every pair whose
     determinant is certified on A_ij, so that :func:`glue_sheaf` bounds the
-    same jet on the restricted tube without recomputing it.
+    same jet on the restricted tube without recomputing it.  A declared base
+    transition must be over A_ij's base variables, else ShapeError: over the
+    total space it would restrict nothing.
 
     Returns the report when valid, raises ValidationFailure carrying it
     otherwise."""
@@ -325,8 +327,11 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
     for (i, j), base_m in sorted(inp.base_transitions.items(), key=repr):
         if not usable(i, j):
             continue
-        g = inp.matrices[(i, j)]
-        restricted = _zero_section_matrix(g, base_m.num_vars)
+        base_dim = inp.domain(i, j).base.dim
+        if base_m.num_vars != base_dim:
+            raise ShapeError(f"base transition {(i, j)!r} has {base_m.num_vars} variables, "
+                             f"the base of A_ij has {base_dim}")
+        restricted = _zero_section_matrix(inp.matrices[(i, j)], base_dim)
         if restricted != base_m:
             hit = _matrix_first_nonzero(matrix_sub(restricted, base_m))
             violations.append({
@@ -384,17 +389,7 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     pairwise and triple overlaps into the declared domains are certified
     directly and do not depend on eps, so each domain is decided once, from
     the first chart that reads it.  A domain whose charts are not in the
-    atlas's U-nerve has an empty overlap and holds vacuously.  A declared
-    base transition must live in the atlas's base variables: one over more
-    variables would restrict nothing."""
-    base_dim = atlas.cover.input.base_dim
-    for key in sorted(inp.base_transitions, key=repr):
-        num_vars = inp.base_transitions[key].num_vars
-        if num_vars != base_dim:
-            raise ShapeError(
-                f"base transition {key!r} has {num_vars} variables, "
-                f"the atlas base has {base_dim}"
-            )
+    atlas's U-nerve has an empty overlap and holds vacuously."""
     dets: Dict[Pair, Jet] = {}
     validate_sheaf_cocycle(inp, dets)
     cover = atlas.cover

@@ -541,6 +541,10 @@ def oracle_sample_in_tube(rng, t: TubeDomain) -> tuple:
     return tuple(oracle_sample_in_disc(rng, c, r) for c, r in _tube_discs(t))
 
 
+def oracle_sample_in_polydisc(rng, p) -> tuple:
+    return tuple(oracle_sample_in_disc(rng, c, r) for c, r in zip(p.centers, p.radii))
+
+
 def oracle_point_in_discs(x, discs, strict: bool) -> bool:
     """Membership through the Coeff difference: |x_n - c_n|^2 against r_n^2,
     below it when strict, at most it otherwise."""

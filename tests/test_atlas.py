@@ -681,6 +681,37 @@ def test_chain_sampler_evaluates_at_most_twice_per_attempt(monkeypatch):
     assert 0 < len(calls) <= 2 * attempts
 
 
+@pytest.mark.parametrize("audit", ["closedness", "chains", "cover"])
+def test_audits_build_each_table_and_form_once_per_call(monkeypatch, audit):
+    """Each region's integer table and each map's evaluation form is built
+    at most once per audit call, however many samples the call draws."""
+    import germglue.atlas
+    import germglue.regions
+
+    cover = shrunk_cover(scaling_atlas())
+    certs = enforce_triple_domains(cover)
+    built = []
+    for module, name in ((germglue.atlas, "region_table"), (germglue.regions, "region_table"),
+                         (germglue.atlas, "map_numerators")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x, real=real: built.append(x) or real(x))
+    runs = {
+        "closedness": lambda n: check_closed_relation(cover, samples=n, seed=2),
+        "chains": lambda n: sample_chains(cover, n, seed=2),
+        "cover": lambda n: audit_cover_certificates(cover, certs, samples=n, seed=2),
+    }
+    # what an audit can read: Q_i, U_i and V_i per chart; the bound, O_ij
+    # and its witness per live pair; a probe and a composite per triple; and
+    # each transition
+    live = [c for c in cover.pairs.values() if not c.vacuous]
+    most = 3 * len(cover.tubes) + 3 * len(live) + 2 * len(certs) + len(cover.input.transitions)
+    for samples in (20, 400):
+        built.clear()
+        runs[audit](samples)
+        assert built
+        assert len({id(x) for x in built}) == len(built) <= most
+
+
 def _sample_atlas_cover(name: str):
     """The cover of a sample atlas as the triple stage leaves it, also when
     that stage stops on a broken cocycle or at the radius floor."""
@@ -723,7 +754,8 @@ def test_pair_image_certifies_only_points_it_bounds(name):
     triple, the points of Q_ij ∩ Q_ik sampled in the triple's gauge lie in
     t_ij, and their images in that image bound and in O_jk."""
     from germglue.atlas import _PAIR_IMAGE, _bound_for, _q_pair_image
-    from germglue.regions import numerators_in_tube, polydisc_intersection_outer, tube_contains
+    from germglue.regions import (
+        numerators_in_tube, polydisc_intersection_outer, region_table, tube_contains)
     from germglue.sampling import sample_numerators
 
     cover = _sample_atlas_cover(name)
@@ -748,7 +780,7 @@ def test_pair_image_certifies_only_points_it_bounds(name):
             fiber = min(t_ij.fiber_radius, t_ik.fiber_radius)
             gauge = TubeDomain(i, base, cover.input.fiber_dim, fiber)
             for _ in range(20):
-                y = sample_numerators(rng, gauge)
+                y = sample_numerators(rng, region_table(gauge))
                 moved = _q_pair_image(cover, i, j, y, maps)
                 if moved is None or (k != i and _q_pair_image(cover, i, k, y, maps) is None):
                     continue

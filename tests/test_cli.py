@@ -185,7 +185,7 @@ def test_glue_sheaf_rejects_a_base_transition_over_the_total_space(tmp_path):
     assert code == 4
     assert envelope["error"] == {
         "kind": "ShapeError",
-        "message": "base transition ('A', 'B') has 2 variables, the atlas base has 1",
+        "message": "base transition ('A', 'B') has 2 variables, the base of A_ij has 1",
     }
 
 

@@ -15,16 +15,12 @@ from germglue.regions import (
     numerators_in_tube,
     point_in_polydisc,
     point_in_tube,
+    region_table,
 )
-from germglue.sampling import (
-    batch_eval,
-    sample_in_polydisc,
-    sample_in_tube,
-    sample_numerators,
-)
+from germglue.sampling import batch_eval, sample_numerators
 from germglue.scalars import Coeff
 
-from .oracles import oracle_sample_in_tube
+from .oracles import oracle_sample_in_polydisc, oracle_sample_in_tube
 from .test_numeval import random_jet
 
 
@@ -36,7 +32,7 @@ def test_samples_are_exact_and_inside():
     rng = random.Random(7)
     p = Polydisc([frac(1, 2), frac(-1)], [Fraction(1, 3), Fraction(2)])
     for _ in range(200):
-        pt = sample_in_polydisc(rng, p)
+        pt = point_from_numerators(sample_numerators(rng, region_table(p)))
         assert all(isinstance(c.re, Fraction) for c in pt)
         assert point_in_polydisc(pt, p, strict=True)
 
@@ -45,32 +41,35 @@ def test_tube_samples_inside():
     rng = random.Random(11)
     t = TubeDomain("c", Polydisc([frac(0)], [Fraction(1)]), 2, Fraction(1, 4))
     for _ in range(100):
-        pt = sample_in_tube(rng, t)
+        pt = point_from_numerators(sample_numerators(rng, region_table(t)))
         assert point_in_tube(pt, t, strict=True)
 
 
 def test_sampling_deterministic_under_seed():
     p = Polydisc([frac(0)], [Fraction(1)])
-    a = [sample_in_polydisc(random.Random(3), p) for _ in range(1)]
-    b = [sample_in_polydisc(random.Random(3), p) for _ in range(1)]
+    a = [sample_numerators(random.Random(3), region_table(p)) for _ in range(1)]
+    b = [sample_numerators(random.Random(3), region_table(p)) for _ in range(1)]
     assert a == b
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_samplers_draw_the_reference_points(seed):
-    """The integer-grid samplers return the points of the Fraction
-    formulation and leave the generator in the same state."""
+    """The integer-grid sampler returns the points of the Fraction
+    formulation and leaves the generator in the same state."""
     center = Coeff(Fraction(2, 3), Fraction(-5, 7))
     radius = Fraction(7, 9)
     tube = TubeDomain("c", Polydisc([center, frac(-1, 3)], [radius, Fraction(5, 11)]),
                       2, Fraction(3, 13))
     got, want = random.Random(seed), random.Random(seed)
-    for _ in range(20):
-        assert sample_in_tube(got, tube) == oracle_sample_in_tube(want, tube)
+    for region in (tube, tube.base) * 20:
         # the numerator tuples the audits draw, inside by the integer test
-        x = sample_numerators(got, tube)
-        assert point_from_numerators(x) == oracle_sample_in_tube(want, tube)
-        assert numerators_in_tube(x, tube, strict=True)
+        x = sample_numerators(got, region_table(region))
+        if region is tube:
+            assert point_from_numerators(x) == oracle_sample_in_tube(want, tube)
+            assert numerators_in_tube(x, tube, strict=True)
+        else:
+            assert point_from_numerators(x) == oracle_sample_in_polydisc(want, region)
+            assert point_in_polydisc(point_from_numerators(x), region, strict=True)
     assert got.getstate() == want.getstate()
 
 
@@ -91,7 +90,7 @@ def test_batch_eval_matches_exact_eval():
     f = _example_jet()
     rng = random.Random(5)
     p = Polydisc([frac(0), frac(0)], [Fraction(1), Fraction(1)])
-    pts = [sample_in_polydisc(rng, p) for _ in range(64)]
+    pts = [point_from_numerators(sample_numerators(rng, region_table(p))) for _ in range(64)]
     got = batch_eval(f, [tuple(complex(c.re, c.im) for c in pt) for pt in pts])
     assert len(got) == len(pts)
     for value, pt in zip(got, pts):

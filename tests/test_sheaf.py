@@ -290,6 +290,16 @@ def test_base_transition_mismatch_reported():
     assert any(v["kind"] == "base_transition" for v in exc.value.report["violations"])
 
 
+def test_validator_rejects_a_base_transition_over_the_total_space():
+    # g_AB itself as its own base transition: over the total space its entry
+    # t*z survives, so the validator must not take it as base data
+    inp = rank2_input()
+    inp.base_transitions[("A", "B")] = inp.matrices[("A", "B")]
+    with pytest.raises(ShapeError, match=r"^base transition \('A', 'B'\) has 2 variables, "
+                                         r"the base of A_ij has 1$"):
+        validate_sheaf_cocycle(inp)
+
+
 # ---------------------------------------------------------------------------
 # gluing
 # ---------------------------------------------------------------------------
