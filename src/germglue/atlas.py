@@ -988,6 +988,12 @@ def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list,
     a transition (i, k)).  Stops after ``chains`` accepted chains or
     ``chains * 200`` attempts; returns the accepted ``(i, j, k, x, z)``
     chains, x and z as numerator tuples, and the attempt count."""
+    return _sample_chains(cover, chains, seed, {})
+
+
+def _sample_chains(cover: ShrunkCover, chains: int, seed: int, tables: dict):
+    """:func:`sample_chains` into the caller's per-call ``tables``, which
+    keep each phi_ij's evaluation form under (i, j) for the caller to reuse."""
     inp = cover.input
     rng = random.Random(seed)
     live = [
@@ -1001,7 +1007,6 @@ def sample_chains(cover: ShrunkCover, chains: int, seed: int = 0) -> tuple[list,
     ]
     accepted: list = []
     attempts = 0
-    tables: dict = {}
     max_attempts = chains * 200 if live else 0
     while len(accepted) < chains and attempts < max_attempts:
         attempts += 1
@@ -1024,13 +1029,13 @@ def audit_transitivity(
 
     Sound for inputs whose transitions satisfy the cocycle exactly as
     polynomial maps (the jets then evaluate as the maps themselves)."""
-    selected, attempts = sample_chains(cover, chains, seed)
-    maps: dict = {}
+    tables: dict = {}
+    selected, attempts = _sample_chains(cover, chains, seed, tables)
     violations = 0
     for i, j, k, x, z in selected:
-        if (i, k) not in maps:
-            maps[(i, k)] = map_numerators(cover.input.transitions[(i, k)].map)
-        if max_dist2(z, eval_numerators(maps[(i, k)], x)):
+        if (i, k) not in tables:
+            tables[(i, k)] = map_numerators(cover.input.transitions[(i, k)].map)
+        if max_dist2(z, eval_numerators(tables[(i, k)], x)):
             violations += 1
     return {
         "chains_requested": chains,

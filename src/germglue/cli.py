@@ -31,7 +31,6 @@ from .documents import (
     sheaf_input_from_json,
     tep_data_from_json,
     tep_glue_input_from_json,
-    tube_to_json,
 )
 from .errors import (
     CertificateIncompleteError,
@@ -113,13 +112,8 @@ def _cmd_glue_sheaf(args):
     )
     glued = glue_sheaf(sheaf_inp, atlas, radius_floor=floor)
     payload = {
-        "mode": glued.mode,
-        "order": glued.order,
         "epsilons": dict(sorted(glued.epsilons.items())),
         "det_bounds": {repr(k): v for k, v in sorted(glued.det_bounds.items())},
-        "chart_tubes": {
-            cid: tube_to_json(t) for cid, t in sorted(glued.chart_tubes.items())
-        },
         "atlas_certificates": atlas.certificates,
     }
     return _result(args, True, payload, atlas.cover)

@@ -532,15 +532,6 @@ def sheaf_input_to_json(s: SheafInput) -> dict:
             {"from": i, "to": j, "matrix": matrix_to_json(m)}
             for (i, j), m in sorted(s.base_transitions.items())
         ]
-    if s.presentations:
-        doc["presentations"] = {
-            cid: matrix_to_json(m) for cid, m in sorted(s.presentations.items())
-        }
-    if s.chi:
-        doc["chi"] = [
-            {"from": i, "to": j, "matrix": matrix_to_json(m)}
-            for (i, j), m in sorted(s.chi.items())
-        ]
     return doc
 
 
@@ -568,17 +559,12 @@ def _sheaf_input(doc: dict) -> SheafInput:
         tuple(item["charts"]): tube_from_json(item["domain"])
         for item in doc.get("triple_domains", [])
     } or None
-    presentations = {
-        cid: matrix_from_json(m) for cid, m in doc.get("presentations", {}).items()
-    } or None
     return SheafInput(
         ranks={cid: _integer(r, f"ranks[{cid!r}]") for cid, r in doc["ranks"].items()},
         domains=domains,
         matrices=_pair_matrices(doc["matrices"]),
         triple_domains=triple_domains,
         base_transitions=_pair_matrices(doc.get("base_transitions", [])) or None,
-        presentations=presentations,
-        chi=_pair_matrices(doc.get("chi", [])) or None,
     )
 
 

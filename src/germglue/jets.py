@@ -8,7 +8,7 @@ section: two germs are treated as equal when their jets agree, and every
 certificate produced downstream records the order at which identities were
 checked.
 
-The numerators are the only stored representation and stay canonical:
+A jet stores only its numerators, and they stay canonical:
 ``den > 0``, the gcd of ``den`` and every numerator is 1, no entry is zero,
 and ``im`` is empty for a real jet (the content-and-primitive-part layout of
 FLINT's ``fmpq_poly``; Hart, "FLINT: Fast Library for Number Theory", ICMS

@@ -676,24 +676,15 @@ def map_image_bound(
 # cover shrinking
 # ---------------------------------------------------------------------------
 
-RHO_U_DEFAULT = Fraction(3, 5)
-RHO_V_DEFAULT = Fraction(4, 5)
+RHO_U = Fraction(3, 5)
+RHO_V = Fraction(4, 5)
 
 
-def refine_cover(
-    ws: Sequence[Polydisc],
-    base_points: Sequence[Point] = (),
-    rho_u: Fraction = RHO_U_DEFAULT,
-    rho_v: Fraction = RHO_V_DEFAULT,
-) -> list[CoverTriple]:
-    """Concentric shrinking of each W at radius fractions rho_u < rho_v < 1,
+def refine_cover(ws: Sequence[Polydisc], base_points: Sequence[Point] = ()) -> list[CoverTriple]:
+    """Concentric shrinking of each W at radius fractions RHO_U < RHO_V < 1,
     certifying that the shrunk U's still cover the declared base sample
     points (closed-disc membership)."""
-    if not (0 < rho_u < rho_v < 1):
-        raise ShapeError("need 0 < rho_u < rho_v < 1")
-    triples = [
-        CoverTriple(polydisc_scale(w, rho_u), polydisc_scale(w, rho_v), w) for w in ws
-    ]
+    triples = [CoverTriple(polydisc_scale(w, RHO_U), polydisc_scale(w, RHO_V), w) for w in ws]
     missed = [
         tuple(str(c) for c in pt)
         for pt in base_points

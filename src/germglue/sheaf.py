@@ -1,19 +1,14 @@
 """Gluing chart-wise sheaf data over a glued atlas.
 
-Locally free mode: per ordered pair a transition matrix g_ij (l_j x l_i,
-entries jets in the chart coordinates) on a declared symmetric tube A_ij,
-with triple tubes B_ijk inside the pairwise intersections.  Validation
-checks the matrix cocycle g_jk * g_ij = g_ik at order K, inverse pairs,
-identity diagonals, and a determinant-unit certificate for each g_ij over
-its tube.  Gluing finds per-chart radii eps_i whose tubes fit inside the
-chart tube and the declared A/B domains and restricts the transitions; the
-glued sheaf computes the zero-section (fiber = 0) restriction of each
-matrix when it is read.
-
-Presentation mode: modules are given by presentation matrices xi_i; the
-pair data supplies psi_ij together with a certificate chi_ij, and only the
-identity psi_ij * xi_i = xi_j * chi_ij is verified (lifts are supplied by
-the caller, never constructed here).
+The sheaves are locally free: per ordered pair a transition matrix g_ij
+(l_j x l_i, entries jets in the chart coordinates) on a declared symmetric
+tube A_ij, with triple tubes B_ijk inside the pairwise intersections.
+Validation checks the matrix cocycle g_jk * g_ij = g_ik at order K,
+inverse pairs, identity diagonals, and a determinant-unit certificate for
+each g_ij over its tube.  Gluing finds per-chart radii eps_i whose tubes
+fit inside the chart tube and the declared A/B domains and restricts the
+transitions; the glued sheaf computes the zero-section (fiber = 0)
+restriction of each matrix when it is read.
 
 Chart-wise module homomorphisms glue when g2_ij * Phi_i = Phi_j * g1_ij at
 order K on every pair; invertible chart matrices upgrade the result to an
@@ -80,11 +75,9 @@ def _matrix_first_nonzero(m: JetMatrix):
 
 class SheafInput:
     """Chart-wise sheaf data: ranks, pair matrices on symmetric tubes,
-    triple tubes, optional declared base-level (zero-section) transitions,
-    optional presentation data (xi per chart, chi per pair)."""
+    triple tubes, optional declared base-level (zero-section) transitions."""
 
-    __slots__ = ("mode", "ranks", "domains", "matrices", "triple_domains",
-                 "base_transitions", "presentations", "chi")
+    __slots__ = ("ranks", "domains", "matrices", "triple_domains", "base_transitions")
 
     def __init__(
         self,
@@ -93,15 +86,10 @@ class SheafInput:
         matrices: Dict[Pair, JetMatrix],
         triple_domains: Optional[Dict[tuple, TubeDomain]] = None,
         base_transitions: Optional[Dict[Pair, JetMatrix]] = None,
-        presentations: Optional[Dict[object, JetMatrix]] = None,
-        chi: Optional[Dict[Pair, JetMatrix]] = None,
     ):
-        self.mode = "presentation" if presentations else "locally_free"
         self.ranks = dict(ranks)
         self.matrices = dict(matrices)
         self.base_transitions = dict(base_transitions or {})
-        self.presentations = dict(presentations or {})
-        self.chi = dict(chi or {})
         canon: Dict[Pair, TubeDomain] = {}
         for (i, j), dom in domains.items():
             key = _unordered(i, j)
@@ -133,19 +121,15 @@ class SheafInput:
 
 
 class GluedSheaf:
-    __slots__ = ("mode", "ranks", "epsilons", "chart_tubes",
-                 "pair_tubes", "matrices", "det_bounds", "order")
+    __slots__ = ("ranks", "epsilons", "chart_tubes", "pair_tubes", "matrices", "det_bounds")
 
-    def __init__(self, mode, ranks, epsilons, chart_tubes, pair_tubes,
-                 matrices, det_bounds, order):
-        self.mode = mode
+    def __init__(self, ranks, epsilons, chart_tubes, pair_tubes, matrices, det_bounds):
         self.ranks = ranks
         self.epsilons = epsilons
         self.chart_tubes = chart_tubes
         self.pair_tubes = pair_tubes
         self.matrices = matrices
         self.det_bounds = det_bounds
-        self.order = order
 
     @property
     def zero_section(self) -> Dict[Pair, JetMatrix]:
@@ -202,8 +186,7 @@ def _orderings(skey: tuple):
 
 
 def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict:
-    """Shape, symmetry, inverse-pair, cocycle, and determinant checks; in
-    presentation mode the lift certificate psi_ij * xi_i = xi_j * chi_ij.
+    """Shape, symmetry, inverse-pair, cocycle, and determinant checks.
 
     Invertible matrices over the truncated jet ring form a group, and a
     square matrix over a commutative ring with a one-sided inverse is
@@ -213,8 +196,10 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
     its first ordering (i < j < k by ``repr``) implies the other five; if
     that ordering fails, or an inverse pair of the triple failed, every
     ordering is checked, so the violation list is the one an
-    all-orderings check gives.  ``triples_checked`` counts the triple
-    domains, each certified directly or by implication.
+    all-orderings check gives.  A triple domain with a pair that has no
+    usable matrix in either direction is a cocycle violation, since no
+    ordering of it can be multiplied out; ``triples_checked`` counts the
+    domains with an ordering multiplied out or implied.
 
     ``dets``, when given, receives det g_ij for every pair whose
     determinant is certified on A_ij, so that :func:`glue_sheaf` bounds the
@@ -251,79 +236,71 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
     def usable(i, j):
         return (i, j) in inp.matrices and (i, j) not in shape_bad and i != j
 
-    if inp.mode == "locally_free":
-        seen = set()
-        inverse_ok = set()
-        for (i, j) in sorted(inp.matrices, key=repr):
-            if not usable(i, j):
+    seen = set()
+    inverse_ok = set()
+    for (i, j) in sorted(inp.matrices, key=repr):
+        if not usable(i, j):
+            continue
+        if not usable(j, i):
+            violations.append({"kind": "inverse_pair", "pair": [i, j],
+                               "detail": "missing reverse matrix"})
+            continue
+        if (j, i) in seen:
+            continue
+        seen.add((i, j))
+        g, h = inp.matrices[(i, j)], inp.matrices[(j, i)]
+        li, lj = inp.ranks[i], inp.ranks[j]
+        hg = _residual_violation(
+            matrix_mul(h, g), matrix_identity(li, g.num_vars, g.order),
+            {"kind": "inverse_pair", "pair": [i, j]},
+        )
+        if hg is None and li == lj:
+            inverse_ok.add(frozenset((i, j)))
+            continue
+        gh = _residual_violation(
+            matrix_mul(g, h), matrix_identity(lj, g.num_vars, g.order),
+            {"kind": "inverse_pair", "pair": [j, i]},
+        )
+        violations.extend(v for v in (hg, gh) if v is not None)
+    triples_checked = 0
+    for skey in sorted(inp.triple_domains, key=repr):
+        missing = next((p for p in combinations(skey, 2)
+                        if not (usable(*p) or usable(*p[::-1]))), None)
+        if missing is not None:
+            violations.append({"kind": "cocycle", "triple": list(skey), "pair": list(missing),
+                               "detail": "missing transition over a declared triple domain"})
+            continue
+        invertible = all(frozenset(p) in inverse_ok for p in combinations(skey, 2))
+        multiplied = False
+        for n, (x, y, z) in enumerate(_orderings(skey)):
+            if not (usable(x, y) and usable(y, z) and usable(x, z)):
                 continue
-            if not usable(j, i):
-                violations.append({"kind": "inverse_pair", "pair": [i, j],
-                                   "detail": "missing reverse matrix"})
-                continue
-            if (j, i) in seen:
-                continue
-            seen.add((i, j))
-            g, h = inp.matrices[(i, j)], inp.matrices[(j, i)]
-            li, lj = inp.ranks[i], inp.ranks[j]
-            hg = _residual_violation(
-                matrix_mul(h, g), matrix_identity(li, g.num_vars, g.order),
-                {"kind": "inverse_pair", "pair": [i, j]},
-            )
-            if hg is None and li == lj:
-                inverse_ok.add(frozenset((i, j)))
-                continue
-            gh = _residual_violation(
-                matrix_mul(g, h), matrix_identity(lj, g.num_vars, g.order),
-                {"kind": "inverse_pair", "pair": [j, i]},
-            )
-            violations.extend(v for v in (hg, gh) if v is not None)
-        for skey in sorted(inp.triple_domains, key=repr):
-            invertible = all(frozenset(p) in inverse_ok for p in combinations(skey, 2))
-            for n, (x, y, z) in enumerate(_orderings(skey)):
-                if not (usable(x, y) and usable(y, z) and usable(x, z)):
-                    continue
-                hit = _residual_violation(
-                    matrix_mul(inp.matrices[(y, z)], inp.matrices[(x, y)]),
-                    inp.matrices[(x, z)],
-                    {"kind": "cocycle", "triple": [x, y, z]},
-                )
-                if hit is not None:
-                    violations.append(hit)
-                elif n == 0 and invertible:
-                    break
-        for (i, j), g in sorted(inp.matrices.items(), key=repr):
-            if not usable(i, j):
-                continue
-            dom = inp.domain(i, j)
-            if dom is None:
-                continue
-            det = matrix_det(g)
-            lb = _det_unit_certificate(det, dom)
-            if lb is None:
-                violations.append({"kind": "determinant", "pair": [i, j],
-                                   "detail": "no certified nonzero determinant on A_ij"})
-            else:
-                det_bounds[(i, j)] = lb
-                if dets is not None:
-                    dets[(i, j)] = det
-    else:
-        for (i, j) in sorted(inp.matrices, key=repr):
-            if not usable(i, j):
-                continue
-            xi_i, xi_j = inp.presentations.get(i), inp.presentations.get(j)
-            chi = inp.chi.get((i, j))
-            if xi_i is None or xi_j is None or chi is None:
-                violations.append({"kind": "presentation", "pair": [i, j],
-                                   "detail": "missing xi or chi data"})
-                continue
+            multiplied = True
             hit = _residual_violation(
-                matrix_mul(inp.matrices[(i, j)], xi_i), matrix_mul(xi_j, chi),
-                {"kind": "presentation", "pair": [i, j]},
+                matrix_mul(inp.matrices[(y, z)], inp.matrices[(x, y)]),
+                inp.matrices[(x, z)],
+                {"kind": "cocycle", "triple": [x, y, z]},
             )
             if hit is not None:
                 violations.append(hit)
-
+            elif n == 0 and invertible:
+                break
+        triples_checked += multiplied
+    for (i, j), g in sorted(inp.matrices.items(), key=repr):
+        if not usable(i, j):
+            continue
+        dom = inp.domain(i, j)
+        if dom is None:
+            continue
+        det = matrix_det(g)
+        lb = _det_unit_certificate(det, dom)
+        if lb is None:
+            violations.append({"kind": "determinant", "pair": [i, j],
+                               "detail": "no certified nonzero determinant on A_ij"})
+        else:
+            det_bounds[(i, j)] = lb
+            if dets is not None:
+                dets[(i, j)] = det
     for (i, j), base_m in sorted(inp.base_transitions.items(), key=repr):
         if not usable(i, j):
             continue
@@ -342,9 +319,8 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
 
     report = {
         "valid": not violations,
-        "mode": inp.mode,
         "pairs_checked": sum(1 for (i, j) in inp.matrices if i != j),
-        "triples_checked": len(inp.triple_domains),
+        "triples_checked": triples_checked,
         "det_lower_bounds": det_bounds,
         "violations": violations,
     }
@@ -389,9 +365,9 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     pairwise and triple overlaps into the declared domains are certified
     directly and do not depend on eps, so each domain is decided once, from
     the first chart that reads it.  A domain whose charts are not in the
-    atlas's U-nerve has an empty overlap and holds vacuously."""
-    dets: Dict[Pair, Jet] = {}
-    validate_sheaf_cocycle(inp, dets)
+    atlas's U-nerve has an empty overlap and holds vacuously.  A chart
+    outside the atlas is a ShapeError, raised before the data are
+    validated."""
     cover = atlas.cover
     charts = cover.input.charts
     for cid in inp.ranks:
@@ -400,6 +376,8 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     for key in [*inp.domains, *inp.triple_domains]:
         if any(c not in charts for c in key):
             raise ShapeError(f"sheaf domain {key!r} references an unknown chart")
+    dets: Dict[Pair, Jet] = {}
+    validate_sheaf_cocycle(inp, dets)
 
     # (charts, domain, overlap kind, domain name); the pairs before the triples
     declared = [(key, dom, "pair", "A") for key, dom in inp.domains.items() if key[0] != key[1]]
@@ -432,26 +410,21 @@ def glue_sheaf(inp: SheafInput, atlas, radius_floor=RADIUS_FLOOR_DEFAULT) -> Glu
     }
     pair_tubes: Dict[Pair, TubeDomain] = {}
     det_bounds: Dict[Pair, Fraction] = {}
-    order = None
-    for (i, j), g in inp.matrices.items():
+    for (i, j) in inp.matrices:
         if i == j:
             continue
-        order = g.order if order is None else order
         dom = inp.domain(i, j)
         fiber = min(epsilons[i], epsilons[j], dom.fiber_radius)
         pair_tubes[(i, j)] = TubeDomain(i, dom.base, dom.fiber_dim, fiber)
-        if inp.mode == "locally_free":
-            lb = _det_unit_certificate(dets[(i, j)], pair_tubes[(i, j)])
-            if lb is None:
-                raise ShrinkExhausted(
-                    f"determinant certificate lost on restricted tube {(i, j)!r}"
-                )
-            det_bounds[(i, j)] = lb
+        lb = _det_unit_certificate(dets[(i, j)], pair_tubes[(i, j)])
+        if lb is None:
+            raise ShrinkExhausted(
+                f"determinant certificate lost on restricted tube {(i, j)!r}"
+            )
+        det_bounds[(i, j)] = lb
 
     return GluedSheaf(
-        inp.mode, dict(inp.ranks), epsilons, chart_tubes, pair_tubes,
-        dict(inp.matrices), det_bounds,
-        order if order is not None else cover.input.order,
+        dict(inp.ranks), epsilons, chart_tubes, pair_tubes, dict(inp.matrices), det_bounds,
     )
 
 

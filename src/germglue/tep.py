@@ -585,7 +585,6 @@ def glue_tep(
         "atlas": atlas_report,
         "atlas_certificates": glued_atlas.certificates,
         "sheaf": {
-            "mode": glued_sheaf.mode,
             "epsilons": glued_sheaf.epsilons,
             "det_bounds": glued_sheaf.det_bounds,
         },

@@ -681,7 +681,7 @@ def test_chain_sampler_evaluates_at_most_twice_per_attempt(monkeypatch):
     assert 0 < len(calls) <= 2 * attempts
 
 
-@pytest.mark.parametrize("audit", ["closedness", "chains", "cover"])
+@pytest.mark.parametrize("audit", ["closedness", "chains", "cover", "transitivity"])
 def test_audits_build_each_table_and_form_once_per_call(monkeypatch, audit):
     """Each region's integer table and each map's evaluation form is built
     at most once per audit call, however many samples the call draws."""
@@ -699,6 +699,7 @@ def test_audits_build_each_table_and_form_once_per_call(monkeypatch, audit):
         "closedness": lambda n: check_closed_relation(cover, samples=n, seed=2),
         "chains": lambda n: sample_chains(cover, n, seed=2),
         "cover": lambda n: audit_cover_certificates(cover, certs, samples=n, seed=2),
+        "transitivity": lambda n: audit_transitivity(cover, n, seed=2),
     }
     # what an audit can read: Q_i, U_i and V_i per chart; the bound, O_ij
     # and its witness per live pair; a probe and a composite per triple; and

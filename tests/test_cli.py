@@ -143,7 +143,7 @@ def test_glue_sheaf_over_pinch_atlas(tmp_path):
     )
     assert code == 0
     report = envelope["report"]
-    assert report["mode"] == "locally_free"
+    assert set(report) == {"epsilons", "det_bounds", "atlas_certificates"}
     assert set(report["epsilons"]) == {"A", "B"}
     assert report["det_bounds"]
 
@@ -186,6 +186,26 @@ def test_glue_sheaf_rejects_a_base_transition_over_the_total_space(tmp_path):
     assert envelope["error"] == {
         "kind": "ShapeError",
         "message": "base transition ('A', 'B') has 2 variables, the base of A_ij has 1",
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value", [("presentations", {}), ("chi", [])], ids=["presentations", "chi"],
+)
+def test_sheaf_document_with_presentation_data_exits_4(tmp_path, key, value):
+    # sheaf documents hold locally free data only
+    doc = json.loads((SAMPLES / "rank2-sheaf.json").read_text())
+    doc[key] = value
+    sheaf = tmp_path / "presented.json"
+    sheaf.write_text(json.dumps(doc))
+    code, envelope, _ = run_cli(
+        tmp_path, "glue-sheaf", sheaf, "--atlas", SAMPLES / "pinch-atlas.json",
+    )
+    assert code == 4
+    assert envelope["error"] == {
+        "kind": "SchemaError",
+        "message": "sheaf-input document rejected: "
+                   f"Additional properties are not allowed ('{key}' was unexpected)",
     }
 
 
@@ -440,13 +460,13 @@ SAMPLE_REPORTS = [
     (["glue", "identity-chain-atlas.json"], 3,
      "ca33494ae59ae57f0c6309a7d52730649102545cfe715495329cede57258ad7d"),
     (["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"], 0,
-     "3a51906d7c7657e7fe251d91337aacfbdca255045cd5473087f115022736973a"),
+     "036322765b487251c1cc9f6aa294be15895e639bcea6fc41875605e5f8566a81"),
     (["tep-check", "flat-tep.json"], 0,
      "09ff737a1601b76750604168ed23f05201be3ea083588280381f2f96ec415a4e"),
     (["tep-check", "antisym-tep.json"], 2,
      "7e8b4e1eadc82ad28db30064dad24ba7e9fff18a4296524852057f7ce51196fe"),
     (["glue-tep", "tep-glue.json"], 0,
-     "26ba94101b39b4e58533db268b5605122acc4dbe2d1748032e16ca36c61d3955"),
+     "e7d6f13ad880051a7aadb4094a4a620946664c36264eb569ba43a6f307d4ffe5"),
     # a triple overlap that no chord point of two discs reaches
     (["validate", "hidden-triple-atlas.json"], 2,
      "6bb5c3a34c668dde3b3432727ff112758b8834b66d78b9ee262a381085c05783"),

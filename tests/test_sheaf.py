@@ -221,6 +221,22 @@ def test_validation_matches_all_orderings_oracle(pair, keep_inverse, entry,
     assert not report["valid"]
 
 
+def test_triple_domain_missing_a_pair_is_a_cocycle_violation():
+    # with no g_AC, g_CA or A_AC, no ordering of (A, B, C) or (A, C, D) can
+    # be multiplied out: neither triple counts as checked
+    inp = gauge_sheaf()
+    del inp.matrices[("A", "C")], inp.matrices[("C", "A")], inp.domains[("A", "C")]
+    with pytest.raises(ValidationFailure) as exc:
+        validate_sheaf_cocycle(inp)
+    report = exc.value.report
+    assert report["violations"] == [
+        {"kind": "cocycle", "triple": list(t), "pair": ["A", "C"],
+         "detail": "missing transition over a declared triple domain"}
+        for t in (("A", "B", "C"), ("A", "C", "D"))
+    ]
+    assert report["triples_checked"] == 2
+
+
 def test_validation_multiplies_one_side_and_one_ordering(monkeypatch):
     import germglue.sheaf
 
@@ -446,43 +462,6 @@ def test_glue_names_the_first_domain_that_does_not_fit(
         inp.triple_domains[("A", "B", "C")] = TubeDomain("A", tiny, 1, F(1, 4))
     with pytest.raises(ShrinkExhausted, match=message):
         glue_sheaf(inp, identity_glued)
-
-
-# ---------------------------------------------------------------------------
-# presentation mode
-# ---------------------------------------------------------------------------
-
-
-def presentation_input(order: int = 4, bump: bool = False) -> SheafInput:
-    xi = JetMatrix([[jet(2, order, [((1, 0), 1)])], [jet(2, order, [((0, 1), 1)])]])
-    psi = matrix_identity(2, 2, order)
-    if bump:
-        psi = JetMatrix([
-            [jet(2, order, [((0, 0), 1)]), jet(2, order, [])],
-            [jet(2, order, []), jet(2, order, [((0, 0), 1), ((1, 0), 1)])],
-        ])
-    chi = matrix_identity(1, 2, order)
-    return SheafInput(
-        ranks={"A": 2, "B": 2},
-        domains={("A", "B"): wide_domain("A", F(1, 20), F(1, 2))},
-        matrices={("A", "B"): psi, ("B", "A"): matrix_identity(2, 2, order)},
-        presentations={"A": xi, "B": xi},
-        chi={("A", "B"): chi, ("B", "A"): chi},
-    )
-
-
-def test_presentation_certificate_accepted():
-    report = validate_sheaf_cocycle(presentation_input())
-    assert report["valid"]
-    assert report["mode"] == "presentation"
-
-
-def test_presentation_certificate_violation_located():
-    with pytest.raises(ValidationFailure) as exc:
-        validate_sheaf_cocycle(presentation_input(bump=True))
-    bad = [v for v in exc.value.report["violations"] if v["kind"] == "presentation"]
-    assert bad
-    assert tuple(bad[0]["entry"]) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
