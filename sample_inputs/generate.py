@@ -159,6 +159,13 @@ def hidden_triple_atlas(order: int = 3) -> GermAtlasInput:
     return GermAtlasInput(1, 1, order, charts, transitions)
 
 
+def unidentified_pair_atlas(order: int = 3) -> GermAtlasInput:
+    """Two overlapping unit line charts and no transition: no point of one
+    tube is identified with a point of the other, so there is nothing to
+    glue over their overlap."""
+    return GermAtlasInput(1, 1, order, {"A": disc_chart(F(0)), "B": disc_chart(F(1, 10))}, [])
+
+
 def wide_domain(chart: str, center: F, fiber: F = F(1)) -> TubeDomain:
     return TubeDomain(chart, Polydisc([Coeff(center)], [F(7, 10)]), 1, fiber)
 
@@ -224,6 +231,7 @@ def build_documents() -> dict:
         "identity-chain-atlas.json": atlas_input_to_json(identity_chain_atlas()),
         "broken-cocycle-atlas.json": atlas_input_to_json(broken_cocycle_atlas()),
         "hidden-triple-atlas.json": atlas_input_to_json(hidden_triple_atlas()),
+        "unidentified-pair-atlas.json": atlas_input_to_json(unidentified_pair_atlas()),
         "rank2-sheaf.json": sheaf_input_to_json(rank2_sheaf()),
         "flat-tep.json": tep_data_to_json(flat_frame()),
         "antisym-tep.json": tep_data_to_json(flat_frame(antisym=True)),

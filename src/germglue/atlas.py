@@ -284,28 +284,82 @@ def _residual_violations(composed: PolyMap, target: PolyMap, head: dict) -> list
     return out
 
 
-def validate_germ_data(inp: GermAtlasInput) -> dict:
-    """Check identity-on-zero-section, inverse pairs, and the order-K cocycle
-    on every triple with a certified nonempty base overlap.
+def cech_walk(pairs, orderings, violations: list, inverse, cocycle) -> tuple[set, list]:
+    """The Čech checks of atlas and sheaf validation: inverse pairs, the
+    cocycle on each ordering of each triple, and the missing-data rule.
+    Appends to ``violations``, which holds the caller's shape pass.
 
-    Each unordered triple is certified from one ordering when it can be.
-    Truncated K-jets of constant-free maps with invertible linear part form
-    a group under truncated composition, and phi_ji o phi_ij = id at order K
-    already makes the linear parts inverse to each other.  So once the three
-    inverse pairs of a triple hold, phi_jk o phi_ij = phi_ik for any one
-    ordering implies the other five.  Overlap is decided once per unordered
-    triple (:func:`cover_nerve`); the orderings of the overlapping triples
-    are visited in sorted order (by ``repr``), and once a composed ordering
-    holds and the triple's inverse pairs passed, the later ones are counted
-    without composing them.  Until then each ordering is composed, so the
-    violation list is the one an all-orderings check gives.
-    ``cocycle_triples_checked`` counts the ordered triples over a nonempty
-    overlap, certified directly or by implication.
+    A declared pair in ``pairs`` is usable when it is off the diagonal and
+    no ``shape`` violation names it.  ``inverse(i, j)`` and
+    ``cocycle(i, j, k)`` return the violations of one inverse pair and of
+    one ordering of a triple; ``orderings`` lists the ordered triples to
+    decide, in report order.
+
+    Both validators check a group: truncated K-jets of constant-free maps
+    with invertible linear part under truncated composition, or invertible
+    matrices over the truncated jet ring.  So each inverse pair is checked
+    once, from its first key by ``repr``, and once the three inverse pairs
+    of a triple hold, one ordering that holds implies the other five, which
+    are counted without being composed.  Until then each ordering is
+    composed, so the violation list is the one an all-orderings check
+    gives.
+
+    Missing data: a usable pair whose reverse is not usable is an
+    ``inverse_pair`` violation; a triple with a pair usable in neither
+    direction is one ``cocycle`` violation naming that pair, at the
+    triple's first ordering, and none of its orderings is decided.  Any
+    other ordering is composed when its three pairs are usable.
+
+    Returns the usable pairs and the ordered triples decided, composed or
+    implied."""
+    shape_bad = {tuple(v["pair"]) for v in violations if v["kind"] == "shape"}
+    usable = {(i, j) for (i, j) in pairs if i != j and (i, j) not in shape_bad}
+    held = {}  # unordered pair -> its inverse pair holds
+    for i, j in sorted(usable, key=repr):
+        if (j, i) not in usable:
+            violations.append({"kind": "inverse_pair", "pair": [i, j],
+                               "detail": "missing reverse transition"})
+        elif frozenset((i, j)) not in held:
+            found = inverse(i, j)
+            violations.extend(found)
+            held[frozenset((i, j))] = not found
+    decided = []
+    state = {}  # unordered triple -> "gap", "open" or "implied"
+    for i, j, k in orderings:
+        sides = ((i, j), (i, k), (j, k))
+        key = frozenset((i, j, k))
+        if key not in state:
+            gap = next((p for p in sides if p not in usable and p[::-1] not in usable), None)
+            if gap is not None:
+                violations.append({"kind": "cocycle", "triple": [i, j, k], "pair": list(gap),
+                                   "detail": "missing transition over a triple overlap"})
+            state[key] = "open" if gap is None else "gap"
+        if state[key] == "implied":
+            decided.append((i, j, k))
+        elif state[key] == "open" and set(sides) <= usable:
+            found = cocycle(i, j, k)
+            violations.extend(found)
+            decided.append((i, j, k))
+            if not found and all(held.get(frozenset(p)) for p in sides):
+                state[key] = "implied"
+    return usable, decided
+
+
+def validate_germ_data(inp: GermAtlasInput) -> dict:
+    """Check identity-on-zero-section, then the inverse pairs and the
+    order-K cocycle through :func:`cech_walk`, over every ordering of each
+    triple with a certified nonempty base overlap.  An inverse pair is
+    composed on one side: phi_ji o phi_ij = id at order K already makes the
+    linear parts inverse to each other.  Overlap is decided once per
+    unordered triple (:func:`cover_nerve`), and the orderings are walked in
+    sorted order (by ``repr``).  ``cocycle_triples_checked`` counts the
+    ordered triples decided.
 
     Returns the report when everything holds; raises ValidationFailure
     carrying the full report otherwise."""
     violations: list[dict] = []
     ident = identity_map(inp.total_vars, inp.order)
+    phi = {key: tr.map for key, tr in inp.transitions.items()}
 
     for (i, j), tr in sorted(inp.transitions.items(), key=lambda kv: repr(kv[0])):
         f = tr.map
@@ -332,64 +386,25 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
                 "kind": "zero_section", "pair": [i, j], "component": idx,
                 "exponent": list(exp), "value": value,
             })
-        if (j, i) not in inp.transitions:
-            violations.append({"kind": "inverse_pair", "pair": [i, j],
-                               "detail": "missing reverse transition"})
 
-    shape_bad = {tuple(v["pair"]) for v in violations if v["kind"] == "shape"}
+    def inverse(i, j):
+        return _residual_violations(map_compose(phi[(i, j)], phi[(j, i)]), ident,
+                                    {"kind": "inverse_pair", "pair": [i, j]})
 
-    def usable(i, j):
-        return (i, j) in inp.transitions and (i, j) not in shape_bad
+    def cocycle(i, j, k):
+        return _residual_violations(map_compose(phi[(i, j)], phi[(j, k)]), phi[(i, k)],
+                                    {"kind": "cocycle", "triple": [i, j, k]})
 
-    seen_pairs = set()
-    inverse_ok = set()
-    for (i, j) in sorted(inp.transitions, key=repr):
-        if not usable(i, j) or not usable(j, i) or (j, i) in seen_pairs:
-            continue
-        seen_pairs.add((i, j))
-        composed = map_compose(inp.transitions[(i, j)].map, inp.transitions[(j, i)].map)
-        found = _residual_violations(composed, ident, {"kind": "inverse_pair", "pair": [i, j]})
-        violations.extend(found)
-        if not found:
-            inverse_ok.add(frozenset((i, j)))
-
-    cocycle_checked = 0
     overlapping = {frozenset(t) for t in _nerve(inp.charts, 3)}
-    implied = set()  # unordered triples certified by one composed ordering
-    for i, j, k in permutations(sorted(inp.charts, key=repr), 3):
-        triple = frozenset((i, j, k))
-        if triple not in overlapping:
-            continue
-        if triple in implied:
-            cocycle_checked += 1
-            continue
-        if not (usable(i, j) and usable(j, k)):
-            continue
-        if not usable(i, k):
-            violations.append({
-                "kind": "cocycle", "triple": [i, j, k],
-                "detail": "missing transition (i,k) over a nonempty triple overlap",
-            })
-            continue
-        composed = map_compose(
-            inp.transitions[(i, j)].map, inp.transitions[(j, k)].map
-        )
-        found = _residual_violations(
-            composed, inp.transitions[(i, k)].map,
-            {"kind": "cocycle", "triple": [i, j, k]},
-        )
-        violations.extend(found)
-        cocycle_checked += 1
-        if not found and all(
-            frozenset(p) in inverse_ok for p in combinations((i, j, k), 2)
-        ):
-            implied.add(triple)
+    orderings = [t for t in permutations(sorted(inp.charts, key=repr), 3)
+                 if frozenset(t) in overlapping]
+    _, decided = cech_walk(phi, orderings, violations, inverse, cocycle)
 
     report = {
         "valid": not violations,
         "order": inp.order,
         "transitions_checked": len(inp.transitions),
-        "cocycle_triples_checked": cocycle_checked,
+        "cocycle_triples_checked": len(decided),
         "violations": violations,
     }
     if violations:
@@ -849,24 +864,28 @@ def build_glued_atlas(
 ) -> GluedAtlas:
     """Assemble the glued atlas from the certified cover.
 
-    Refuses to glue when any certificate is missing.  The zero-section
+    Refuses to glue when any certificate is missing, and raises
+    ValidationFailure when a pair of the nerve lacks a transition in one or
+    both directions: its overlap would be glued from no data.  The zero-section
     restriction is the U-cover itself, so the nerve is that of the U discs.
     Hausdorffness is the closed relation plus the equivalence-relation
     certificate: reflexivity is Q_ii = Q_i under the identity transition,
     transitivity is (d) and (e) on the certified triples, and symmetry
     reads the set of certified inverse-pair triples (i, j, i)."""
+    inp = cover.input
+    nerve_pairs, nerve_triples = cover_nerve({cid: cover.triples[cid].U for cid in inp.charts})
+    gaps = [p for p in nerve_pairs if p not in inp.transitions or p[::-1] not in inp.transitions]
+    if gaps:
+        raise ValidationFailure(
+            f"nerve pairs {gaps!r} lack a transition in one or both directions")
     if not closedness.get("closed"):
         raise CertificateIncompleteError("closedness certificate missing")
     for (i, j), cert in cover.pairs.items():
         if not cert.vacuous and (cert.margin is None or cert.margin <= 0):
             raise CertificateIncompleteError(f"pair {(i, j)!r} margin missing")
-    inp = cover.input
     for key in list(inp.transitions):
         if key not in cover.pairs and key in cover.overlaps:
             raise CertificateIncompleteError(f"pair {key!r} certificate missing")
-
-    u_cover = {cid: cover.triples[cid].U for cid in inp.charts}
-    nerve_pairs, nerve_triples = cover_nerve(u_cover)
 
     # (i, j, i) is certified only once phi_ji o phi_ij composes to the
     # identity on a nonempty Q_ij (a nonzero residual raises) or Q_ij is empty

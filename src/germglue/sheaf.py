@@ -18,10 +18,9 @@ isomorphism certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
-from .atlas import RADIUS_FLOOR_DEFAULT
+from .atlas import RADIUS_FLOOR_DEFAULT, cech_walk
 from .errors import (
     AgreementError,
     ShapeError,
@@ -168,13 +167,13 @@ def _det_unit_certificate(det: Jet, tube: TubeDomain):
     return coeff_abs_lb(c) * (1 - bound)
 
 
-def _residual_violation(product: JetMatrix, target: JetMatrix, head: dict) -> Optional[dict]:
-    """None when the matrices are equal; otherwise ``head`` plus the first
-    nonzero entry of ``product - target``."""
+def _residual_violations(product: JetMatrix, target: JetMatrix, head: dict) -> list[dict]:
+    """No violation when the matrices are equal; otherwise ``head`` plus the
+    first nonzero entry of ``product - target``."""
     if product == target:
-        return None
+        return []
     hit = _matrix_first_nonzero(matrix_sub(product, target))
-    return {**head, "entry": hit[:2], "exponent": hit[2], "value": hit[3]}
+    return [{**head, "entry": hit[:2], "exponent": hit[2], "value": hit[3]}]
 
 
 def _orderings(skey: tuple):
@@ -186,20 +185,17 @@ def _orderings(skey: tuple):
 
 
 def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict:
-    """Shape, symmetry, inverse-pair, cocycle, and determinant checks.
+    """Shape, symmetry, inverse-pair, cocycle, determinant and base-data
+    checks.
 
-    Invertible matrices over the truncated jet ring form a group, and a
-    square matrix over a commutative ring with a one-sided inverse is
-    invertible.  So an inverse pair of equal ranks is certified by
-    g_ji * g_ij = 1 alone; g_ij * g_ji is multiplied out only when that
-    fails.  Once the three inverse pairs of a triple hold, the cocycle for
-    its first ordering (i < j < k by ``repr``) implies the other five; if
-    that ordering fails, or an inverse pair of the triple failed, every
-    ordering is checked, so the violation list is the one an
-    all-orderings check gives.  A triple domain with a pair that has no
-    usable matrix in either direction is a cocycle violation, since no
-    ordering of it can be multiplied out; ``triples_checked`` counts the
-    domains with an ordering multiplied out or implied.
+    Inverse pairs and the cocycle go through :func:`~germglue.atlas.cech_walk`
+    over the six orderings of each declared triple domain.  An inverse pair
+    of equal ranks is certified by g_ji * g_ij = 1 alone, since a square
+    matrix over the truncated jet ring with a one-sided inverse is
+    invertible; g_ij * g_ji is multiplied out only when that fails or the
+    ranks differ.  ``triples_checked`` counts the domains with an ordering
+    decided.  A declared base transition on a pair with no usable matrix is
+    a ``base_transition`` violation.
 
     ``dets``, when given, receives det g_ij for every pair whose
     determinant is certified on A_ij, so that :func:`glue_sheaf` bounds the
@@ -211,8 +207,9 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
     otherwise."""
     violations: list[dict] = []
     det_bounds: Dict[Pair, Fraction] = {}
+    m = inp.matrices
 
-    for (i, j), g in sorted(inp.matrices.items(), key=lambda kv: repr(kv[0])):
+    for (i, j), g in sorted(m.items(), key=lambda kv: repr(kv[0])):
         li, lj = inp.ranks.get(i), inp.ranks.get(j)
         if li is None or lj is None:
             violations.append({"kind": "shape", "pair": [i, j],
@@ -231,69 +228,27 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
             violations.append({"kind": "shape", "pair": [i, j],
                                "detail": "missing pair domain A_ij"})
 
-    shape_bad = {tuple(v["pair"]) for v in violations}
-
-    def usable(i, j):
-        return (i, j) in inp.matrices and (i, j) not in shape_bad and i != j
-
-    seen = set()
-    inverse_ok = set()
-    for (i, j) in sorted(inp.matrices, key=repr):
-        if not usable(i, j):
-            continue
-        if not usable(j, i):
-            violations.append({"kind": "inverse_pair", "pair": [i, j],
-                               "detail": "missing reverse matrix"})
-            continue
-        if (j, i) in seen:
-            continue
-        seen.add((i, j))
-        g, h = inp.matrices[(i, j)], inp.matrices[(j, i)]
+    def inverse(i, j):
+        g, h = m[(i, j)], m[(j, i)]
         li, lj = inp.ranks[i], inp.ranks[j]
-        hg = _residual_violation(
-            matrix_mul(h, g), matrix_identity(li, g.num_vars, g.order),
-            {"kind": "inverse_pair", "pair": [i, j]},
-        )
-        if hg is None and li == lj:
-            inverse_ok.add(frozenset((i, j)))
-            continue
-        gh = _residual_violation(
-            matrix_mul(g, h), matrix_identity(lj, g.num_vars, g.order),
-            {"kind": "inverse_pair", "pair": [j, i]},
-        )
-        violations.extend(v for v in (hg, gh) if v is not None)
-    triples_checked = 0
-    for skey in sorted(inp.triple_domains, key=repr):
-        missing = next((p for p in combinations(skey, 2)
-                        if not (usable(*p) or usable(*p[::-1]))), None)
-        if missing is not None:
-            violations.append({"kind": "cocycle", "triple": list(skey), "pair": list(missing),
-                               "detail": "missing transition over a declared triple domain"})
-            continue
-        invertible = all(frozenset(p) in inverse_ok for p in combinations(skey, 2))
-        multiplied = False
-        for n, (x, y, z) in enumerate(_orderings(skey)):
-            if not (usable(x, y) and usable(y, z) and usable(x, z)):
-                continue
-            multiplied = True
-            hit = _residual_violation(
-                matrix_mul(inp.matrices[(y, z)], inp.matrices[(x, y)]),
-                inp.matrices[(x, z)],
-                {"kind": "cocycle", "triple": [x, y, z]},
+        found = _residual_violations(matrix_mul(h, g), matrix_identity(li, g.num_vars, g.order),
+                                     {"kind": "inverse_pair", "pair": [i, j]})
+        if found or li != lj:
+            found += _residual_violations(
+                matrix_mul(g, h), matrix_identity(lj, g.num_vars, g.order),
+                {"kind": "inverse_pair", "pair": [j, i]},
             )
-            if hit is not None:
-                violations.append(hit)
-            elif n == 0 and invertible:
-                break
-        triples_checked += multiplied
-    for (i, j), g in sorted(inp.matrices.items(), key=repr):
-        if not usable(i, j):
-            continue
-        dom = inp.domain(i, j)
-        if dom is None:
-            continue
-        det = matrix_det(g)
-        lb = _det_unit_certificate(det, dom)
+        return found
+
+    def cocycle(i, j, k):
+        return _residual_violations(matrix_mul(m[(j, k)], m[(i, j)]), m[(i, k)],
+                                    {"kind": "cocycle", "triple": [i, j, k]})
+
+    orderings = [t for skey in sorted(inp.triple_domains, key=repr) for t in _orderings(skey)]
+    usable, decided = cech_walk(m, orderings, violations, inverse, cocycle)
+    for i, j in sorted(usable, key=repr):
+        det = matrix_det(m[(i, j)])
+        lb = _det_unit_certificate(det, inp.domain(i, j))
         if lb is None:
             violations.append({"kind": "determinant", "pair": [i, j],
                                "detail": "no certified nonzero determinant on A_ij"})
@@ -302,13 +257,15 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
             if dets is not None:
                 dets[(i, j)] = det
     for (i, j), base_m in sorted(inp.base_transitions.items(), key=repr):
-        if not usable(i, j):
+        if (i, j) not in usable:
+            violations.append({"kind": "base_transition", "pair": [i, j],
+                               "detail": "declared base data on a pair with no usable matrix"})
             continue
         base_dim = inp.domain(i, j).base.dim
         if base_m.num_vars != base_dim:
             raise ShapeError(f"base transition {(i, j)!r} has {base_m.num_vars} variables, "
                              f"the base of A_ij has {base_dim}")
-        restricted = _zero_section_matrix(inp.matrices[(i, j)], base_dim)
+        restricted = _zero_section_matrix(m[(i, j)], base_dim)
         if restricted != base_m:
             hit = _matrix_first_nonzero(matrix_sub(restricted, base_m))
             violations.append({
@@ -320,7 +277,7 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
     report = {
         "valid": not violations,
         "pairs_checked": sum(1 for (i, j) in inp.matrices if i != j),
-        "triples_checked": triples_checked,
+        "triples_checked": len({frozenset(t) for t in decided}),
         "det_lower_bounds": det_bounds,
         "violations": violations,
     }
@@ -437,10 +394,11 @@ def glue_sheaf_morphism(
     over the same atlas.
 
     Requires g2_ij * Phi_i = Phi_j * g1_ij at order K on every pair; a
-    nonzero residual raises an agreement error naming the pair and entry.
-    All chart matrices invertible over jets yields an isomorphism flag: a
-    matrix over the local jet ring is invertible exactly when it is square
-    with an invertible matrix of constant terms."""
+    nonzero residual raises an agreement error naming the pair and entry,
+    and a pair that the target sheaf lacks is a ShapeError.  All chart
+    matrices invertible over jets yields an isomorphism flag: a matrix over
+    the local jet ring is invertible exactly when it is square with an
+    invertible matrix of constant terms."""
     if set(s1.ranks) != set(s2.ranks):
         raise ShapeError("sheaves must share the chart index set")
     for cid in sorted(s1.ranks, key=repr):
@@ -451,8 +409,10 @@ def glue_sheaf_morphism(
             raise ShapeError(f"chart matrix {cid!r} has wrong shape")
 
     for (i, j) in sorted(s1.matrices, key=repr):
-        if i == j or (i, j) not in s2.matrices:
+        if i == j:
             continue
+        if (i, j) not in s2.matrices:
+            raise ShapeError(f"target sheaf lacks transition {(i, j)!r}")
         left = matrix_mul(s2.matrices[(i, j)], maps[i])
         right = matrix_mul(maps[j], s1.matrices[(i, j)])
         if left != right:

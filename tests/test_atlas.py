@@ -306,6 +306,31 @@ def test_validation_decides_each_unordered_triple_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 4
 
 
+def test_triple_missing_a_pair_is_a_cocycle_violation():
+    # with no phi_AC or phi_CA, no ordering of (A, B, C) or (A, C, D) can be
+    # composed: each is one violation naming the pair, and neither counts
+    inp = cocycle_atlas()
+    del inp.transitions[("A", "C")], inp.transitions[("C", "A")]
+    report = validation_report(inp)
+    assert report["violations"] == [
+        {"kind": "cocycle", "triple": list(t), "pair": ["A", "C"],
+         "detail": "missing transition over a triple overlap"}
+        for t in (("A", "B", "C"), ("A", "C", "D"))
+    ]
+    # the six orderings of (A, B, D) and of (B, C, D)
+    assert report["cocycle_triples_checked"] == 12
+
+
+def test_glue_refuses_a_nerve_pair_without_transitions():
+    # two overlapping charts and no transition: validation has no triple to
+    # walk, and the glued space would be two unidentified tubes
+    charts = {"A": disc_chart(F(0)), "B": disc_chart(F(1, 10))}
+    inp = GermAtlasInput(1, 1, 3, charts, [])
+    assert validate_germ_data(inp)["valid"]
+    with pytest.raises(ValidationFailure, match=r"^nerve pairs \[\('A', 'B'\)\] lack a "):
+        run_glue_pipeline(inp, samples=10)
+
+
 def test_validation_composes_one_ordering_per_triple(monkeypatch):
     import germglue.atlas
 

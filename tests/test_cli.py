@@ -72,6 +72,22 @@ def test_glue_broken_cocycle_exits_2_and_names_triple(tmp_path):
     assert "A" in envelope["error"]["message"]
 
 
+@pytest.mark.parametrize("kept", [(), (("A", "B"), ("B", "A"))], ids=["none", "A-B"])
+def test_glue_without_transitions_on_a_triple_exits_2(tmp_path, kept):
+    # the identity atlas's three charts overlap, and a pair with no
+    # transition either way leaves its two tubes unidentified
+    doc = json.loads((SAMPLES / "identity-atlas.json").read_text())
+    doc["transitions"] = [t for t in doc["transitions"] if (t["from"], t["to"]) in kept]
+    path = tmp_path / "atlas.json"
+    path.write_text(json.dumps(doc))
+    code, envelope, _ = run_cli(tmp_path, "glue", path)
+    assert code == 2
+    violations = envelope["report"]["validation"]["violations"]
+    assert violations == [{"kind": "cocycle", "triple": ["A", "B", "C"],
+                           "pair": ["A", "B"] if not kept else ["A", "C"],
+                           "detail": "missing transition over a triple overlap"}]
+
+
 def test_glue_exhausted_search_exits_3(tmp_path):
     code, envelope, _ = run_cli(
         tmp_path, "glue", SAMPLES / "pinch-atlas.json", "--radius-floor", "1"
@@ -472,6 +488,10 @@ SAMPLE_REPORTS = [
      "6bb5c3a34c668dde3b3432727ff112758b8834b66d78b9ee262a381085c05783"),
     (["glue", "hidden-triple-atlas.json"], 2,
      "ec2d567a769c266c3551340561a972763716e0aaf65a5950ae268ed044a284b2"),
+    # two overlapping charts and no transition: no triple for validation to
+    # walk, so the glued atlas refuses the nerve pair
+    (["glue", "unidentified-pair-atlas.json"], 2,
+     "5301e440837c94257c37e5b59eac4fef223d57d91cb0d1e2ac685d47865e3ffb"),
 ]
 
 

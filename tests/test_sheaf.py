@@ -231,7 +231,7 @@ def test_triple_domain_missing_a_pair_is_a_cocycle_violation():
     report = exc.value.report
     assert report["violations"] == [
         {"kind": "cocycle", "triple": list(t), "pair": ["A", "C"],
-         "detail": "missing transition over a declared triple domain"}
+         "detail": "missing transition over a triple overlap"}
         for t in (("A", "B", "C"), ("A", "C", "D"))
     ]
     assert report["triples_checked"] == 2
@@ -314,6 +314,23 @@ def test_validator_rejects_a_base_transition_over_the_total_space():
     with pytest.raises(ShapeError, match=r"^base transition \('A', 'B'\) has 2 variables, "
                                          r"the base of A_ij has 1$"):
         validate_sheaf_cocycle(inp)
+
+
+def test_base_transition_without_a_usable_matrix_is_a_violation():
+    # (A, C) has no matrix and Z is no chart: neither base transition can be
+    # compared with a zero-section restriction
+    inp = gauge_sheaf("ABC")
+    del inp.matrices[("A", "C")], inp.matrices[("C", "A")], inp.domains[("A", "C")]
+    inp.triple_domains.clear()
+    base = matrix_identity(2, 1, 3)
+    inp.base_transitions.update({("A", "C"): base, ("Z", "A"): base})
+    with pytest.raises(ValidationFailure) as exc:
+        validate_sheaf_cocycle(inp)
+    assert exc.value.report["violations"] == [
+        {"kind": "base_transition", "pair": list(pair),
+         "detail": "declared base data on a pair with no usable matrix"}
+        for pair in (("A", "C"), ("Z", "A"))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +509,15 @@ def test_zero_morphism_is_not_an_isomorphism(pinch_glued):
     zero = JetMatrix([[jet(2, 6, []), jet(2, 6, [])], [jet(2, 6, []), jet(2, 6, [])]])
     morph = glue_sheaf_morphism(sheaf, sheaf, {"A": zero, "B": zero})
     assert morph.isomorphism is False
+
+
+def test_morphism_rejects_a_pair_the_target_lacks(pinch_glued):
+    sheaf = glue_sheaf(rank2_input(), pinch_glued)
+    target = glue_sheaf(rank2_input(), pinch_glued)
+    del target.matrices[("B", "A")]
+    ident = matrix_identity(2, 2, 6)
+    with pytest.raises(ShapeError, match=r"^target sheaf lacks transition \('B', 'A'\)$"):
+        glue_sheaf_morphism(sheaf, target, {"A": ident, "B": ident})
 
 
 def test_overlap_disagreement_rejected(pinch_glued):
