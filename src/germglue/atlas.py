@@ -352,7 +352,8 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
     composed on one side: phi_ji o phi_ij = id at order K already makes the
     linear parts inverse to each other.  Overlap is decided once per
     unordered triple (:func:`cover_nerve`), and the orderings are walked in
-    sorted order (by ``repr``).  ``cocycle_triples_checked`` counts the
+    sorted order (by ``repr``).  ``transitions_checked`` counts the
+    ordered pairs whose inverse check ran, ``cocycle_triples_checked`` the
     ordered triples decided.
 
     Returns the report when everything holds; raises ValidationFailure
@@ -398,12 +399,12 @@ def validate_germ_data(inp: GermAtlasInput) -> dict:
     overlapping = {frozenset(t) for t in _nerve(inp.charts, 3)}
     orderings = [t for t in permutations(sorted(inp.charts, key=repr), 3)
                  if frozenset(t) in overlapping]
-    _, decided = cech_walk(phi, orderings, violations, inverse, cocycle)
+    usable, decided = cech_walk(phi, orderings, violations, inverse, cocycle)
 
     report = {
         "valid": not violations,
         "order": inp.order,
-        "transitions_checked": len(inp.transitions),
+        "transitions_checked": sum((j, i) in usable for i, j in usable),
         "cocycle_triples_checked": len(decided),
         "violations": violations,
     }

@@ -78,13 +78,13 @@ def _result(args, ok: bool, payload: dict, cover):
 
 
 def _cmd_validate(args):
-    inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
+    inp = atlas_input_from_json(load_document(args.input, "atlas-input"))
     return True, {"validation": validate_germ_data(inp)}, EXIT_OK
 
 
 def _cmd_glue(args):
     floor = _check_budgets(args)
-    inp = atlas_input_from_json(load_document(args.input, "atlas-input"), args.order)
+    inp = atlas_input_from_json(load_document(args.input, "atlas-input"))
     report, atlas = run_glue_pipeline(
         inp, radius_floor=floor, samples=args.samples, seed=args.seed
     )
@@ -96,7 +96,7 @@ def _cmd_glue(args):
             "pairs": sorted(atlas.nerve_pairs),
             "triples": sorted(atlas.nerve_triples),
         },
-        "radii": dict(sorted(atlas.cover.radii.items())),
+        "radii": atlas.cover.radii,
     }
     return _result(args, True, payload, atlas.cover)
 
@@ -105,23 +105,22 @@ def _cmd_glue_sheaf(args):
     floor = _check_budgets(args)
     if not args.atlas:
         raise SchemaError("glue-sheaf needs --atlas pointing at an atlas document")
-    atlas_inp = atlas_input_from_json(load_document(args.atlas, "atlas-input"), args.order)
+    atlas_inp = atlas_input_from_json(load_document(args.atlas, "atlas-input"))
     sheaf_inp = sheaf_input_from_json(load_document(args.input, "sheaf-input"))
     _, atlas = run_glue_pipeline(
         atlas_inp, radius_floor=floor, samples=args.samples, seed=args.seed
     )
     glued = glue_sheaf(sheaf_inp, atlas, radius_floor=floor)
     payload = {
-        "epsilons": dict(sorted(glued.epsilons.items())),
-        "det_bounds": {repr(k): v for k, v in sorted(glued.det_bounds.items())},
+        "epsilons": glued.epsilons,
+        "det_bounds": glued.det_bounds,
         "atlas_certificates": atlas.certificates,
     }
     return _result(args, True, payload, atlas.cover)
 
 
 def _cmd_tep_check(args):
-    doc = load_document(args.input, "tep-input")
-    data = tep_data_from_json(doc, t_order=args.order, z_order=args.z_order)
+    data = tep_data_from_json(load_document(args.input, "tep-input"))
     report = tep_report(data, seed=args.seed)
     ok = report["valid"]
     return ok, {"tep": report}, EXIT_OK if ok else EXIT_VALIDATION
@@ -129,9 +128,8 @@ def _cmd_tep_check(args):
 
 def _cmd_glue_tep(args):
     floor = _check_budgets(args)
-    doc = load_document(args.input, "tep-glue-input")
     charts, atlas_inp, sheaf_inp, points = tep_glue_input_from_json(
-        doc, order=args.order, z_order=args.z_order
+        load_document(args.input, "tep-glue-input")
     )
     glued = glue_tep(
         charts, atlas_inp, sheaf_inp, points=points, radius_floor=floor,
@@ -144,24 +142,21 @@ def _cmd_glue_tep(args):
 
 
 # Each command parses only the flags it reads, after its input document.
-_GLUE_FLAGS = ("--order", "--mode", "--radius-floor", "--samples", "--seed", "--out")
+_GLUE_FLAGS = ("--mode", "--radius-floor", "--samples", "--seed", "--out")
 _COMMANDS = {
     "validate": (_cmd_validate, "check germ-data axioms for an atlas document",
-                 ("--order", "--out")),
+                 ("--out",)),
     "glue": (_cmd_glue, "run the shrinking pipeline and emit atlas certificates",
              _GLUE_FLAGS),
     "glue-sheaf": (_cmd_glue_sheaf, "glue sheaf data over a certified atlas",
                    ("--atlas", *_GLUE_FLAGS)),
     "tep-check": (_cmd_tep_check, "verify framed connection axioms for one chart",
-                  ("--order", "--z-order", "--seed", "--out")),
+                  ("--seed", "--out")),
     "glue-tep": (_cmd_glue_tep, "glue chart-wise framed connection data globally",
-                 (*_GLUE_FLAGS, "--z-order")),
+                 _GLUE_FLAGS),
 }
 _FLAGS = {
     "--atlas": dict(help="atlas input document"),
-    "--order": dict(type=int, help="override the truncation order: the atlas order K, "
-                                   "or the t-order in tep-check"),
-    "--z-order": dict(type=int, help="override the z truncation order"),
     "--mode": dict(choices=("exact", "float"), default="exact",
                    help="float adds a numeric chain audit"),
     "--radius-floor": dict(help="smallest allowed tube radius, as p/q"),

@@ -30,8 +30,8 @@ from importlib import resources
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .atlas import GermAtlasInput, GermTransition
-from .errors import SchemaError, ValidationFailure
-from .jets import Jet, PolyMap, jet_canonical, jet_filter, jet_with_order
+from .errors import SchemaError
+from .jets import Jet, PolyMap, jet_canonical
 from .matrices import JetMatrix
 from .regions import Point, Polydisc, TubeDomain
 from .scalars import Coeff
@@ -368,10 +368,8 @@ def map_to_json(f: PolyMap) -> dict:
     }
 
 
-def map_from_json(doc: dict, order: Optional[int] = None) -> PolyMap:
+def map_from_json(doc: dict) -> PolyMap:
     comps = [jet_from_json(c) for c in doc["components"]]
-    if order is not None:
-        comps = [jet_with_order(c, order) for c in comps]
     try:
         return PolyMap(_integer(doc["source_vars"], "source_vars"), comps)
     except ValueError as exc:
@@ -473,21 +471,19 @@ def atlas_input_to_json(inp: GermAtlasInput) -> dict:
     }
 
 
-def atlas_input_from_json(doc: dict, order: Optional[int] = None) -> GermAtlasInput:
+def atlas_input_from_json(doc: dict) -> GermAtlasInput:
     validate_document(doc, "atlas-input")
-    return _atlas_input(doc, order)
+    return _atlas_input(doc)
 
 
-def _atlas_input(doc: dict, order: Optional[int]) -> GermAtlasInput:
-    declared = _integer(doc["order"], "order")
-    target = order if order is not None else declared
+def _atlas_input(doc: dict) -> GermAtlasInput:
     charts = {cid: polydisc_from_json(w) for cid, w in doc["charts"].items()}
     transitions = [
         GermTransition(
             item["from"],
             item["to"],
             tube_from_json(item["domain"]),
-            map_from_json(item["map"], order=target),
+            map_from_json(item["map"]),
         )
         for item in doc["transitions"]
     ]
@@ -496,10 +492,8 @@ def _atlas_input(doc: dict, order: Optional[int]) -> GermAtlasInput:
         return GermAtlasInput(
             _integer(doc["base_dim"], "base_dim"),
             _integer(doc["fiber_dim"], "fiber_dim"),
-            target, charts, transitions, points,
+            _integer(doc["order"], "order"), charts, transitions, points,
         )
-    except ValidationFailure:
-        raise
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -573,17 +567,6 @@ def _sheaf_input(doc: dict) -> SheafInput:
 # ---------------------------------------------------------------------------
 
 
-def _box_truncate(m: JetMatrix, base_dim: int, t_order: int, z_order: int) -> JetMatrix:
-    entries = []
-    for row in m.entries:
-        out_row = []
-        for x in row:
-            out_row.append(jet_filter(
-                x, lambda e: sum(e[:base_dim]) <= t_order and e[base_dim] <= z_order))
-        entries.append(out_row)
-    return JetMatrix(entries)
-
-
 def tep_data_to_json(d: TEPData) -> dict:
     doc = {
         "schema": SCHEMA_IDS["tep-input"],
@@ -600,34 +583,24 @@ def tep_data_to_json(d: TEPData) -> dict:
     return doc
 
 
-def tep_data_from_json(
-    doc: dict,
-    t_order: Optional[int] = None,
-    z_order: Optional[int] = None,
-) -> TEPData:
+def tep_data_from_json(doc: dict) -> TEPData:
     validate_document(doc, "tep-input")
-    return _tep_data(doc, t_order, z_order)
+    return _tep_data(doc)
 
 
-def _tep_data(doc: dict, t_order: Optional[int], z_order: Optional[int]) -> TEPData:
-    m = _integer(doc["m"], "m")
-    if len(doc["A"]) != m:
-        raise SchemaError(f"need exactly {m} connection matrices, got {len(doc['A'])}")
-    orders = {key: _integer(doc["orders"][key], f"orders.{key}") for key in ("t", "z")}
-    t_cap = t_order if t_order is not None else orders["t"]
-    z_cap = z_order if z_order is not None else orders["z"]
-    trunc = lambda mat: _box_truncate(matrix_from_json(mat), m, t_cap, z_cap)
+def _tep_data(doc: dict) -> TEPData:
+    orders = doc["orders"]
     domain = polydisc_from_json(doc["domain"]) if "domain" in doc else None
     try:
         return TEPData(
-            base_dim=m,
+            base_dim=_integer(doc["m"], "m"),
             rank=_integer(doc["rank"], "rank"),
-            t_order=t_cap,
-            z_order=z_cap,
-            a_mats=[trunc(a) for a in doc["A"]],
-            b_mat=trunc(doc["B"]),
-            p_mat=trunc(doc["P"]),
-            zeta=trunc(doc["zeta"]),
+            t_order=_integer(orders["t"], "orders.t"),
+            z_order=_integer(orders["z"], "orders.z"),
+            a_mats=[matrix_from_json(a) for a in doc["A"]],
+            b_mat=matrix_from_json(doc["B"]),
+            p_mat=matrix_from_json(doc["P"]),
+            zeta=matrix_from_json(doc["zeta"]),
             domain=domain,
         )
     except ValueError as exc:
@@ -663,18 +636,14 @@ def _nested(where: str, decode, *args):
         raise SchemaError(f"tep-glue-input document rejected: {where}: {exc}") from exc
 
 
-def tep_glue_input_from_json(
-    doc: dict,
-    order: Optional[int] = None,
-    z_order: Optional[int] = None,
-):
+def tep_glue_input_from_json(doc: dict):
     """Returns (charts, atlas_input, sheaf_input, points).  One check covers
     the nested documents too, so a rejection names its path in this one,
     and a decoding error names the nested document it comes from."""
     validate_document(doc, "tep-glue-input")
-    atlas = _nested("$.atlas", _atlas_input, doc["atlas"], order)
+    atlas = _nested("$.atlas", _atlas_input, doc["atlas"])
     sheaf = _nested("$.sheaf", _sheaf_input, doc["sheaf"])
-    charts = {cid: _nested(f"$.charts.{cid}", _tep_data, item, None, z_order)
+    charts = {cid: _nested(f"$.charts.{cid}", _tep_data, item)
               for cid, item in doc["charts"].items()}
     points = [
         (item["chart"], point_from_json(item["point"]))

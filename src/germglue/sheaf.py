@@ -193,9 +193,10 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
     of equal ranks is certified by g_ji * g_ij = 1 alone, since a square
     matrix over the truncated jet ring with a one-sided inverse is
     invertible; g_ij * g_ji is multiplied out only when that fails or the
-    ranks differ.  ``triples_checked`` counts the domains with an ordering
-    decided.  A declared base transition on a pair with no usable matrix is
-    a ``base_transition`` violation.
+    ranks differ.  ``pairs_checked`` counts the ordered pairs whose inverse
+    check ran, ``triples_checked`` the domains with an ordering decided.
+    A declared base transition on a pair with no usable matrix is a
+    ``base_transition`` violation.
 
     ``dets``, when given, receives det g_ij for every pair whose
     determinant is certified on A_ij, so that :func:`glue_sheaf` bounds the
@@ -224,9 +225,13 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
             violations.append({"kind": "shape", "pair": [i, j],
                                "detail": f"expected {lj}x{li}, got {g.rows}x{g.cols}"})
             continue
-        if inp.domain(i, j) is None:
+        dom = inp.domain(i, j)
+        if dom is None:
             violations.append({"kind": "shape", "pair": [i, j],
                                "detail": "missing pair domain A_ij"})
+        elif g.num_vars != dom.base.dim + dom.fiber_dim:
+            violations.append({"kind": "shape", "pair": [i, j],
+                               "detail": "matrix has wrong variable count"})
 
     def inverse(i, j):
         g, h = m[(i, j)], m[(j, i)]
@@ -276,7 +281,7 @@ def validate_sheaf_cocycle(inp: SheafInput, dets: Optional[dict] = None) -> dict
 
     report = {
         "valid": not violations,
-        "pairs_checked": sum(1 for (i, j) in inp.matrices if i != j),
+        "pairs_checked": sum((j, i) in usable for i, j in usable),
         "triples_checked": len({frozenset(t) for t in decided}),
         "det_lower_bounds": det_bounds,
         "violations": violations,

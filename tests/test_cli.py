@@ -255,20 +255,21 @@ def test_glue_tep_product_family(tmp_path):
 
 # One well-formed value per flag, spelled as str() prints the parsed value.
 # No command reads --n-max or --tolerance: the radius floor is the one search
-# budget and the float audit's tolerance is a constant.
+# budget and the float audit's tolerance is a constant.  Nor --order or
+# --z-order: each document declares its own truncation orders.
 FLAG_VALUES = {
     "--atlas": "atlas.json", "--order": "3", "--z-order": "2", "--mode": "float",
     "--tolerance": "0.5", "--n-max": "8", "--radius-floor": "1/64",
     "--samples": "5", "--seed": "1", "--out": "reports",
 }
-GLUE_FLAGS = {"--order", "--mode", "--radius-floor", "--samples", "--seed", "--out"}
+GLUE_FLAGS = {"--mode", "--radius-floor", "--samples", "--seed", "--out"}
 # the flags each command reads; every other flag is a usage error
 READS = {
-    "validate": {"--order", "--out"},
+    "validate": {"--out"},
     "glue": GLUE_FLAGS,
     "glue-sheaf": GLUE_FLAGS | {"--atlas"},
-    "tep-check": {"--order", "--z-order", "--seed", "--out"},
-    "glue-tep": GLUE_FLAGS | {"--z-order"},
+    "tep-check": {"--seed", "--out"},
+    "glue-tep": GLUE_FLAGS,
 }
 
 
@@ -288,13 +289,13 @@ def test_each_command_parses_only_the_flags_it_reads(command, flag):
         assert exc.value.code == 4
 
 
-def test_commands_have_31_settable_values():
+def test_commands_have_24_settable_values():
     settable = {
         command: set(vars(build_parser().parse_args([command, "in.json"]))) - {"command"}
         for command in READS
     }
     assert settable == {c: {"input"} | {_dest(f) for f in flags} for c, flags in READS.items()}
-    assert sum(map(len, settable.values())) == 31
+    assert sum(map(len, settable.values())) == 24
 
 
 @pytest.mark.parametrize(
@@ -369,6 +370,14 @@ def test_wrong_document_kind_exits_4(tmp_path):
     )
 
 
+def _write_edited(tmp_path, sample, edit):
+    doc = json.loads((SAMPLES / sample).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -378,13 +387,99 @@ def test_wrong_document_kind_exits_4(tmp_path):
     ids=["integral-float-order", "fraction-with-newline"],
 )
 def test_input_accepted_by_json_schema_but_not_decodable_exits_4(tmp_path, edit, message):
-    doc = json.loads((SAMPLES / "identity-atlas.json").read_text())
-    edit(doc)
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
+    path = _write_edited(tmp_path, "identity-atlas.json", edit)
     code, envelope, _ = run_cli(tmp_path, "glue", path)
     assert code == 4
     assert envelope["error"] == {"kind": "SchemaError", "message": message}
+
+
+def test_tep_term_outside_the_declared_box_exits_4(tmp_path):
+    # the document's box is t <= 2, z <= 2 under jets of order 10
+    def edit(doc):
+        doc["B"]["entries"][0][0]["terms"].append({"exponent": [3, 0], "value": "1"})
+
+    path = _write_edited(tmp_path, "flat-tep.json", edit)
+    code, envelope, _ = run_cli(tmp_path, "tep-check", path)
+    assert code == 4
+    assert envelope["error"] == {
+        "kind": "SchemaError",
+        "message": "B has a term at exponent [3, 0] outside the declared box (t <= 2, z <= 2)",
+    }
+
+
+def test_transition_order_above_the_atlas_order_is_a_shape_violation(tmp_path):
+    def edit(doc):
+        for tr in doc["transitions"]:
+            for comp in tr["map"]["components"]:
+                comp["order"] = doc["order"] + 1
+
+    path = _write_edited(tmp_path, "identity-atlas.json", edit)
+    code, envelope, _ = run_cli(tmp_path, "validate", path)
+    assert code == 2
+    report = envelope["report"]["validation"]
+    shape = [v for v in report["violations"] if v["kind"] == "shape"]
+    assert [v["detail"] for v in shape] == ["transition order differs from atlas order"] * 6
+    # no pair is usable, so no inverse check ran and the triple is a gap
+    assert report["transitions_checked"] == 0
+    assert report["violations"][6:] == [{
+        "kind": "cocycle", "triple": ["A", "B", "C"], "pair": ["A", "B"],
+        "detail": "missing transition over a triple overlap",
+    }]
+
+
+def _shift_jet_vars(node, step):
+    """``node`` with every jet's variable count moved by ``step``: +1 appends
+    a variable that no term uses, -1 drops the last variable and keeps only
+    the terms free of it.  A map's ``source_vars`` moves with its jets."""
+    if isinstance(node, list):
+        return [_shift_jet_vars(x, step) for x in node]
+    if not isinstance(node, dict):
+        return node
+    if "terms" in node:
+        return {**node, "vars": node["vars"] + step, "terms": [
+            {**t, "exponent": t["exponent"] + [0] if step > 0 else t["exponent"][:-1]}
+            for t in node["terms"] if step > 0 or t["exponent"][-1] == 0
+        ]}
+    out = {key: _shift_jet_vars(value, step) for key, value in node.items()}
+    if "source_vars" in node:
+        out["source_vars"] = node["source_vars"] + step
+    return out
+
+
+def test_sheaf_matrix_with_an_extra_variable_exits_2_naming_each_pair(tmp_path):
+    path = _write_edited(
+        tmp_path, "rank2-sheaf.json", lambda doc: doc.update(_shift_jet_vars(doc, 1)))
+    code, envelope, _ = run_cli(
+        tmp_path, "glue-sheaf", path, "--atlas", SAMPLES / "pinch-atlas.json")
+    assert code == 2
+    report = envelope["report"]["validation"]
+    assert [(v["kind"], v["pair"], v["detail"]) for v in report["violations"]] == [
+        ("shape", ["A", "B"], "matrix has wrong variable count"),
+        ("shape", ["B", "A"], "matrix has wrong variable count"),
+        ("base_transition", ["A", "B"], "declared base data on a pair with no usable matrix"),
+    ]
+    assert report["pairs_checked"] == 0
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["extra-var", "dropped-var"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["glue", "identity-atlas.json"],
+        ["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"],
+        ["tep-check", "flat-tep.json"],
+        ["glue-tep", "tep-glue.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_variable_count_mismatch_gives_a_report(tmp_path, argv, step):
+    command, sample, *rest = argv
+    path = _write_edited(
+        tmp_path, sample, lambda doc: doc.update(_shift_jet_vars(doc, step)))
+    flags = [str(SAMPLES / a) if a.endswith(".json") else a for a in rest]
+    code, envelope, _ = run_cli(tmp_path, command, path, *flags)
+    assert code in (2, 4)
+    assert not envelope["ok"]
 
 
 # Runs one command through germglue.cli.main in a fresh interpreter and

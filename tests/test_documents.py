@@ -48,7 +48,7 @@ from germglue.documents import (
     validate_document,
 )
 from germglue.errors import SchemaError
-from germglue.jets import jet_eq, jet_var, map_eq
+from germglue.jets import jet_eq, map_eq
 from germglue.matrices import matrix_eq
 from germglue.scalars import Coeff
 
@@ -131,14 +131,6 @@ def test_atlas_document_round_trip():
         assert map_eq(back.transitions[key].map, tr.map)
 
 
-def test_atlas_order_override_truncates():
-    doc = atlas_input_to_json(pinch_atlas(order=6))
-    back = atlas_input_from_json(doc, order=2)
-    assert back.order == 2
-    fiber = back.transitions[("A", "B")].map.components[1]
-    assert jet_eq(fiber, jet_var(2, 2, 1))
-
-
 def test_sheaf_document_round_trip():
     s = rank2_input()
     doc = sheaf_input_to_json(s)
@@ -164,15 +156,6 @@ def test_tep_document_round_trip():
     assert matrix_eq(back.zeta, d.zeta)
     for mine, theirs in zip(back.a_mats, d.a_mats):
         assert matrix_eq(mine, theirs)
-
-
-def test_tep_order_override_truncates_box():
-    d = glue_frame(kind="shift")
-    doc = tep_data_to_json(d)
-    back = tep_data_from_json(doc, t_order=1)
-    assert back.t_order == 1
-    entry = back.b_mat.entries[0][0]
-    assert all(sum(e[:2]) <= 1 for e in entry.terms)
 
 
 def test_tep_glue_document_round_trip():

@@ -333,6 +333,17 @@ def test_base_transition_without_a_usable_matrix_is_a_violation():
     ]
 
 
+def test_pairs_checked_counts_the_pairs_whose_inverse_check_ran():
+    # (A, B) is shape-bad, so neither it nor (B, A), left without a usable
+    # reverse, reaches an inverse check: 10 of the 12 declared pairs do
+    inp = gauge_sheaf()
+    inp.matrices[("A", "B")] = matrix_identity(3, 2, 3)
+    report = validation_report(inp)
+    assert report["pairs_checked"] == 10
+    assert [(v["kind"], v["pair"]) for v in report["violations"][:2]] == [
+        ("shape", ["A", "B"]), ("inverse_pair", ["B", "A"])]
+
+
 # ---------------------------------------------------------------------------
 # gluing
 # ---------------------------------------------------------------------------
