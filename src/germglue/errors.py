@@ -3,7 +3,7 @@
 The CLI maps these onto its exit-code contract:
 
 * ``ValidationFailure`` and ``AgreementError``  -> exit 2
-* ``ShrinkExhausted`` / ``CoverageLossError`` / ``CertificateIncompleteError`` -> exit 3
+* ``ShrinkExhausted`` and ``CoverageLossError`` -> exit 3
 * ``SchemaError`` and plain I/O failures        -> exit 4
 
 Everything else (``ShapeError`` and friends) indicates a programming error in
@@ -50,10 +50,6 @@ class ShrinkExhausted(GermGlueError):
 
 class CoverageLossError(GermGlueError):
     """Shrunk cover no longer covers the declared base sample points."""
-
-
-class CertificateIncompleteError(GermGlueError):
-    """A gluing step was invoked without the certificates it relies on."""
 
 
 class SchemaError(GermGlueError, ValueError):

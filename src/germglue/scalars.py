@@ -26,8 +26,6 @@ from typing import Sequence, Union
 
 from .errors import NotInvertibleError, ShapeError
 
-Rat = Fraction
-
 Number = Union[int, Fraction]
 
 

@@ -88,6 +88,14 @@ class SheafInput:
     ):
         self.ranks = dict(ranks)
         self.matrices = dict(matrices)
+        # a sheaf document declares no order, so no rule says which pair is off
+        orders: Dict[int, list] = {}
+        for key in sorted(self.matrices, key=repr):
+            if key[0] != key[1]:
+                orders.setdefault(self.matrices[key].order, []).append(key)
+        if len(orders) > 1:
+            raise ShapeError("sheaf matrices must share one jet order: " + "; ".join(
+                f"order {k} at {v!r}" for k, v in sorted(orders.items())))
         self.base_transitions = dict(base_transitions or {})
         canon: Dict[Pair, TubeDomain] = {}
         for (i, j), dom in domains.items():

@@ -427,7 +427,8 @@ def tep_report(d: TEPData, y: Optional[Sequence[Coeff]] = None, seed: int = 0) -
 class GluedTEP:
     """Glued frame data: the certified atlas, the chart-wise data (gluing
     never modifies it) and the composite certificate, which carries what
-    the glued module decides (its mode, radii and determinant bounds)."""
+    the glued module decides (the atlas and sheaf certificates, the
+    intertwining residuals and the chart and point checks)."""
 
     __slots__ = ("atlas", "charts", "certificate")
 

@@ -40,7 +40,7 @@ from germglue.jets import (
     map_inverse,
     point_from_numerators,
 )
-from germglue.regions import Polydisc, TubeDomain, polydisc_common_point
+from germglue.regions import Polydisc, TubeDomain, polydisc_common_point, tube_rel_compact
 from germglue.scalars import Coeff
 
 from .oracles import oracle_atlas_cocycle, oracle_closed_audit, oracle_sample_chains
@@ -624,14 +624,24 @@ def shrunk_cover(inp: GermAtlasInput):
     return shrink_tubes(inp, triples, overlaps)
 
 
-def test_build_requires_closedness():
-    cover = shrunk_cover(identity_atlas())
+@pytest.mark.parametrize("inp, halvings", [
+    (identity_atlas(), 0),
+    (scaling_atlas(order=3, weights=(F(1), F(8), F(64))), 1),
+], ids=["identity", "scaling-halving"])
+def test_hausdorff_margin_is_the_least_pair_margin(inp, halvings):
+    # closedness is the pair stage's: check_closed_relation only audits, and
+    # the margin is read from the (c) certificates left by the triple stage
+    cover = shrunk_cover(inp)
     certs = enforce_triple_domains(cover)
-    with pytest.raises(Exception):
-        build_glued_atlas(cover, certs, {"closed": False})
-    closed = check_closed_relation(cover, samples=20)
-    atlas = build_glued_atlas(cover, certs, closed)
-    assert atlas.certificates["equivalence_relation"]["symmetric"] is True
+    closedness = check_closed_relation(cover, samples=20)
+    assert list(closedness) == ["audit"]
+    atlas = build_glued_atlas(cover, certs, closedness)
+    assert cover.halvings == halvings
+    margins = [tube_rel_compact(c.bound, cover.overlaps[key].o_inner)
+               for key, c in cover.pairs.items() if not c.vacuous]
+    assert margins and all(m > 0 for m in margins)
+    assert atlas.certificates["hausdorff"] == {"holds": True, "margin": min(margins)}
+    assert "equivalence_relation" not in atlas.certificates
 
 
 def test_build_reads_symmetry_from_inverse_pair_triples():
@@ -642,7 +652,6 @@ def test_build_reads_symmetry_from_inverse_pair_triples():
     assert not certs[key].vacuous
     del certs[key]
     atlas = build_glued_atlas(cover, certs, closed)
-    assert atlas.certificates["equivalence_relation"]["symmetric"] is False
     assert atlas.certificates["hausdorff"]["holds"] is False
 
 

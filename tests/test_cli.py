@@ -461,6 +461,26 @@ def test_sheaf_matrix_with_an_extra_variable_exits_2_naming_each_pair(tmp_path):
     assert report["pairs_checked"] == 0
 
 
+def test_sheaf_matrices_at_two_orders_exit_4_naming_each_pair(tmp_path):
+    # a sheaf document declares no order, so neither pair is the wrong one
+    def edit(doc):
+        for item in doc["matrices"]:
+            if (item["from"], item["to"]) == ("A", "B"):
+                for jet in (x for row in item["matrix"]["entries"] for x in row):
+                    jet["order"] = 4
+                    jet["terms"] = [t for t in jet["terms"] if sum(t["exponent"]) <= 4]
+
+    path = _write_edited(tmp_path, "rank2-sheaf.json", edit)
+    code, envelope, _ = run_cli(
+        tmp_path, "glue-sheaf", path, "--atlas", SAMPLES / "pinch-atlas.json")
+    assert code == 4
+    assert envelope["error"] == {
+        "kind": "ShapeError",
+        "message": "sheaf matrices must share one jet order: "
+                   "order 4 at [('A', 'B')]; order 6 at [('B', 'A')]",
+    }
+
+
 @pytest.mark.parametrize("step", [1, -1], ids=["extra-var", "dropped-var"])
 @pytest.mark.parametrize(
     "argv",
@@ -555,29 +575,29 @@ SAMPLE_REPORTS = [
     (["validate", "broken-cocycle-atlas.json"], 2,
      "17c30820d675a72dbf38e9667600be4e55cda5a43b955b38eccb4ebbce69fda9"),
     (["glue", "identity-atlas.json"], 0,
-     "b6509c2b5025a49b714ffd34e9f179d70d02c81acd492671abb35049c59bd35c"),
+     "0b2e815d1ad816b9cea5c2deb3306317b84ddaeba5bc268ca53fd23ddcdb66f2"),
     (["glue", "scaling-atlas.json"], 0,
-     "e0218476411975f743adec37e3b608cb4f7eae8f8f697b49077be3ce5d3a504b"),
+     "d017e4a4012c62c08ea59dbf93244f2ce6424289f33568dcfc07c6f251ffb4d0"),
     (["glue", "pinch-atlas.json"], 0,
-     "cf961dd1f40bfd62eac73524dc4a74c4fdad05165d7ba76f599df1a9bd6a38cb"),
+     "62f45f8c50f151943fc0ad900ced8e45822f8b4a9920306d3434e4f8a15bebf7"),
     (["glue", "broken-cocycle-atlas.json"], 2,
      "6484d11a646e70c0f0a302d10a856591bdefddbb7b955bf229fbf23a38d0dbf8"),
     # halves a radius in the triple stage; float mode's seeded audits read
     # the order of the pair and triple certificates
     (["glue", "scaling-halving-atlas.json"], 0,
-     "f7852c639a2ed3a973eb90a8afa6eea17827549375761a1620475c154511bb2b"),
+     "ddf876fac0162022816b7da9ce6181578171eea3743d1162680da7479a6667a8"),
     (["glue", "scaling-halving-atlas.json", "--mode", "float"], 0,
-     "112f38f96e345313e1956a55466cafd940fadc20e04b5537f01704945d04d1ca"),
+     "2a4de67d462919fd4fc5067963b95a323594e34d38487574e9e7c60d3515bbfe"),
     (["glue", "identity-chain-atlas.json"], 3,
      "ca33494ae59ae57f0c6309a7d52730649102545cfe715495329cede57258ad7d"),
     (["glue-sheaf", "rank2-sheaf.json", "--atlas", "pinch-atlas.json"], 0,
-     "036322765b487251c1cc9f6aa294be15895e639bcea6fc41875605e5f8566a81"),
+     "34721487b30ff4824ae7e2f2c2423e55c04e8a7d084280215b95c21d3be2b0aa"),
     (["tep-check", "flat-tep.json"], 0,
      "09ff737a1601b76750604168ed23f05201be3ea083588280381f2f96ec415a4e"),
     (["tep-check", "antisym-tep.json"], 2,
      "7e8b4e1eadc82ad28db30064dad24ba7e9fff18a4296524852057f7ce51196fe"),
     (["glue-tep", "tep-glue.json"], 0,
-     "e7d6f13ad880051a7aadb4094a4a620946664c36264eb569ba43a6f307d4ffe5"),
+     "664ebb0e65950f4df74e38fd65adecdd1f4fa7d4dcfa9d91051f67980c37652d"),
     # a triple overlap that no chord point of two discs reaches
     (["validate", "hidden-triple-atlas.json"], 2,
      "6bb5c3a34c668dde3b3432727ff112758b8834b66d78b9ee262a381085c05783"),
